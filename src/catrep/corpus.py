@@ -72,7 +72,3 @@ def _sample_coeff(field, rng: random.Random):
     if field.kind == "fp":
         return rng.randint(1, field.p - 1)
     return field.parse(str(rng.choice(_Q_COEFF_POOL)))
-
-
-def corpus_seeds(count: int, seed0: int = 1) -> list:
-    return list(range(seed0, seed0 + count))

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
+from typing import Callable
 
 from .matrices import Mat
 from .trunc import (
@@ -86,27 +88,20 @@ def _cover(Z: TruncatedModule, gens):
     P = FreeModule(cat, field, tuple(t for t, _ in gens), h)
     blocks = {}
     for k, (s, v) in enumerate(gens):
-        rows = [Z.act_vector(v, e) for e in cat.hom(s, s)]
-        blocks[(k, s)] = (
-            Mat.from_rows(field, rows, Z.dims[s]) if rows else Mat.zeros(field, 0, Z.dims[s])
-        )
+        # C(s, s) always holds the identity, so the orbit is never empty
+        blocks[(k, s)] = Mat.from_rows(field, [Z.act_vector(v, e) for e in cat.hom(s, s)], Z.dims[s])
         for t in range(s + 1, h + 1):
-            homs = cat.hom(s, t)
             prev = blocks[(k, t - 1)]
             by_gamma = {}
-            for i, alpha in enumerate(homs):
+            for i, alpha in enumerate(cat.hom(s, t)):
                 beta, gamma = cat._factor_once(alpha)
                 by_gamma.setdefault(gamma, []).append((i, cat.hom_index(beta)))
-            out = Mat.zeros(field, len(homs), Z.dims[t])
-            for gamma, pairs in by_gamma.items():
-                A = Z.act(gamma)
-                sub = prev.take_rows([bi for _, bi in pairs]) @ A
-                if field.kind == "fp":
-                    out.data[[i for i, _ in pairs]] = sub.data
-                else:
-                    for r, (i, _) in enumerate(pairs):
-                        out.data[i] = sub.row(r)
-            blocks[(k, t)] = out
+            # one product per last step gamma, then the rows go back to hom order
+            order = [i for pairs in by_gamma.values() for i, _ in pairs]
+            stacked = Mat.vstack([prev.take_rows([bi for _, bi in pairs]) @ Z.act(gamma)
+                                  for gamma, pairs in by_gamma.items()])
+            position = {i: r for r, i in enumerate(order)}
+            blocks[(k, t)] = stacked.take_rows([position[i] for i in range(len(order))])
     mats = []
     for t in range(h + 1):
         pieces = [
@@ -192,9 +187,8 @@ class HomologyReport:
                 best = t
         return best
 
-    def reg_within(self, w: int, depth: int | None = None) -> int:
-        d = self.depth if depth is None else min(depth, self.depth)
-        return max((self.hd_within(i, w) - i for i in range(d + 1)), default=-1)
+    def reg_within(self, w: int) -> int:
+        return max((self.hd_within(i, w) - i for i in range(self.depth + 1)), default=-1)
 
 
 def tor_groups(V: TruncatedModule, depth: int, pad: bool = False,
@@ -347,10 +341,114 @@ class VerifyReport:
         raise KeyError(name)
 
 
+@dataclass(frozen=True)
+class Lemma:
+    """One inequality of the verify battery, judged by judge().
+
+    ``needs`` lists the hypothesis gates checked first, in order;
+    ``window`` gives the values that must sit strictly inside the window w
+    for a conclusive check, and ``censored`` the detail of the inconclusive
+    item when one does not; ``check`` returns (holds, detail, data).  Both
+    callables read the battery's values from one namespace (see
+    verify_theorems for its fields).
+    """
+
+    name: str
+    needs: tuple
+    window: Callable
+    censored: str
+    check: Callable
+
+
+# hypothesis gates: (flag in the values, status and detail of the item when
+# the flag is false); status None leaves the lemma out of the report, which
+# is what happens to reg-finite-support when reg(SM(s)) fails
+_REG_SM = ("reg_sm", "skipped", "reg(SM(s)) hypothesis failed")
+_REG_SM_OR_DROP = ("reg_sm", None, None)
+_MU_INJECTIVE = ("mu_injective", "skipped",
+                "mu_V is not injective within the window, hypothesis of the bound fails")
+_FINITE_SUPPORT = ("finite_support", "inconclusive",
+                  "support reaches the horizon {h}; finite support not certifiable")
+
+_GD_CENSORED = "window {w} too small for gd values"
+_HD_CENSORED = "an hd value reached window {w}"
+
+
+def _each_index(v, values, bound, witness):
+    """values[i] <= bound(i) for every i <= depth; the first failure is the witness."""
+    for i in range(v.depth + 1):
+        b = bound(i)
+        if values[i] > b:
+            return (False, *witness(i, b))
+    return True, f"holds for i <= {v.depth} within window {v.w}", {}
+
+
+def _verdict(holds, if_holds, if_not, data):
+    return holds, if_holds if holds else if_not, data
+
+
+LEMMAS = (
+    # gd(DV) = gd(V) - 1 for nonzero V
+    Lemma("gd-derivative-drop", (), lambda v: [v.gd_v, v.gd_dv], _GD_CENSORED,
+          lambda v: (v.gd_dv == v.gd_v - 1, f"gd(DV) = {v.gd_dv}, gd(V) = {v.gd_v}",
+                     {"gd_v": v.gd_v, "gd_dv": v.gd_dv})),
+    # gd(SV) <= gd(V) <= gd(SV) + 1
+    Lemma("gd-shift-window", (), lambda v: [v.gd_v, v.gd_sv], _GD_CENSORED,
+          lambda v: (v.gd_sv <= v.gd_v <= v.gd_sv + 1, f"gd(SV) = {v.gd_sv}, gd(V) = {v.gd_v}",
+                     {"gd_v": v.gd_v, "gd_sv": v.gd_sv})),
+    # hd_i(SV) <= max over j <= i of hd_j(V) + i - j
+    Lemma("hd-shift-upper", (_REG_SM,), lambda v: v.hd_v + v.hd_sv, _HD_CENSORED,
+          lambda v: _each_index(
+              v, v.hd_sv, lambda i: max(v.hd_v[j] + i - j for j in range(i + 1)),
+              lambda i, b: (f"hd_{i}(SV) = {v.hd_sv[i]} > {b} (witness degree {v.hd_sv[i]}, index {i})",
+                            {"i": i, "hd_sv": v.hd_sv[i], "bound": b}))),
+    # hd_i(V) <= max({hd_j(V) + i - j : j < i} U {hd_i(SV) + 1})
+    Lemma("hd-unshift-upper", (_REG_SM,), lambda v: v.hd_v + v.hd_sv, _HD_CENSORED,
+          lambda v: _each_index(
+              v, v.hd_v, lambda i: max([v.hd_v[j] + i - j for j in range(i)] + [v.hd_sv[i] + 1]),
+              lambda i, b: (f"hd_{i}(V) = {v.hd_v[i]} > {b} (witness index {i})",
+                            {"i": i, "hd_v": v.hd_v[i], "bound": b}))),
+    # mu_V injective: hd_i(V) <= reg(DV) + (N+1) i + 1
+    Lemma("hd-mu-injective-bound", (_REG_SM, _MU_INJECTIVE), lambda v: v.hd_v + v.hd_dv, _HD_CENSORED,
+          lambda v: _each_index(
+              v, v.hd_v, lambda i: v.reg_dv + (v.big_n + 1) * i + 1,
+              lambda i, b: (f"hd_{i}(V) = {v.hd_v[i]} > reg(DV) + {v.big_n + 1}*{i} + 1 = {b}",
+                            {"i": i, "hd_v": v.hd_v[i], "reg_dv": v.reg_dv}))),
+    # mu_V injective: reg(V) <= reg(DV) + 1
+    Lemma("reg-derivative-bound", (_REG_SM, _MU_INJECTIVE), lambda v: v.hd_v + v.hd_dv, _HD_CENSORED,
+          lambda v: _verdict(v.reg_v <= v.reg_dv + 1,
+                             f"reg(V) = {v.reg_v} <= reg(DV) + 1 = {v.reg_dv + 1} (depth {v.depth})",
+                             f"reg(V) = {v.reg_v} > reg(DV) + 1 = {v.reg_dv + 1}",
+                             {"reg_v": v.reg_v, "reg_dv": v.reg_dv})),
+    # reg(SV) <= reg(V) <= reg(SV) + 1
+    Lemma("reg-shift-window", (_REG_SM,), lambda v: v.hd_v + v.hd_sv, _HD_CENSORED,
+          lambda v: _verdict(v.reg_sv <= v.reg_v <= v.reg_sv + 1,
+                             f"reg(SV) = {v.reg_sv} <= reg(V) = {v.reg_v} <= reg(SV) + 1 (depth {v.depth})",
+                             f"reg(SV) = {v.reg_sv}, reg(V) = {v.reg_v} breaks the window",
+                             {"reg_v": v.reg_v, "reg_sv": v.reg_sv})),
+    # V supported in degrees <= N0 < horizon implies reg(V) <= N0
+    Lemma("reg-finite-support", (_REG_SM_OR_DROP, _FINITE_SUPPORT), lambda v: v.hd_v, _HD_CENSORED,
+          lambda v: (v.reg_v <= v.support_top,
+                     f"support ends at {v.support_top}, reg(V) = {v.reg_v} (depth {v.depth})",
+                     {"support_top": v.support_top, "reg_v": v.reg_v})),
+)
+
+
+def judge(lemma: Lemma, v):
+    """(status, detail, data) of one lemma, or None when a gate drops it."""
+    for flag, status, detail in lemma.needs:
+        if not getattr(v, flag):
+            return None if status is None else (status, detail.format(h=v.h), {})
+    if not all(x < v.w for x in lemma.window(v)):
+        return "inconclusive", lemma.censored.format(w=v.w), {}
+    holds, detail, data = lemma.check(v)
+    return "pass" if holds else "violation", detail, data
+
+
 def verify_theorems(V: TruncatedModule, depth: int, s_bound: int = 3,
                     big_n: int = 0, halt_on_violation: bool = True,
                     check_hypothesis: bool = True) -> VerifyReport:
-    """Instantiate the shift/derivative lemma inequalities on V.
+    """Instantiate the shift/derivative lemma inequalities (LEMMAS) on V.
 
     Every quantity is computed within an explicit window; an inequality is
     conclusive only when all its homological degrees sit strictly inside
@@ -364,220 +462,43 @@ def verify_theorems(V: TruncatedModule, depth: int, s_bound: int = 3,
     items = []
     h = V.horizon
 
-    def emit(name, status, detail, **data):
-        items.append(VerifyItem(name, status, detail, data))
+    def emit(name, status, detail, data=None):
+        items.append(VerifyItem(name, status, detail, data or {}))
         if status == "violation" and halt_on_violation:
             raise VerificationViolation(f"{name}: {detail}")
-        return status
 
     hypothesis_ok = True
     for s in range(s_bound + 1 if check_hypothesis else 0):
-        M = free_module(V.cat, V.field, s, h)
-        SM = shift_module(M)
-        rep = tor_groups(SM, depth)
-        bound = s + big_n
-        if rep.reg > bound:
-            hypothesis_ok = False
-            emit(
-                f"hypothesis-reg-SM({s})",
-                "violation",
-                f"reg(SM({s})) = {rep.reg} > {bound} within horizon {rep.valid_to}",
-                s=s, reg=rep.reg,
-            )
-        else:
-            emit(
-                f"hypothesis-reg-SM({s})",
-                "pass",
-                f"reg(SM({s})) = {rep.reg} <= {bound} within horizon {rep.valid_to}",
-                s=s, reg=rep.reg,
-            )
+        rep = tor_groups(shift_module(free_module(V.cat, V.field, s, h)), depth)
+        ok = rep.reg <= s + big_n
+        hypothesis_ok = hypothesis_ok and ok
+        emit(f"hypothesis-reg-SM({s})", "pass" if ok else "violation",
+             f"reg(SM({s})) = {rep.reg} {'<=' if ok else '>'} {s + big_n} "
+             f"within horizon {rep.valid_to}",
+             {"s": s, "reg": rep.reg})
 
     if V.horizon < 1 or V.is_zero():
         emit("module-checks", "skipped", "module is zero or horizon too small")
         return _finish(items)
 
     seq = derive(V)
-    SV, DV = seq.SV, seq.DV
     w = h - 1  # common window for quantities involving SV/DV
-    mu_inj = seq.mu.is_injective()
-
     # truncating to the window before resolving is exact (directedness) and
     # keeps the free covers desk-sized; every value below is windowed to w
-    rep_v = tor_groups(truncate(V, w), depth)
-    rep_sv = tor_groups(SV, depth)
-    rep_dv = tor_groups(DV, depth)
-
-    gd_v = rep_v.hd_within(0, w)
-    gd_sv = rep_sv.hd_within(0, w)
-    gd_dv = rep_dv.hd_within(0, w)
-
-    def interior(value, window):
-        return value < window
-
-    # Lemma: gd(DV) = gd(V) - 1 for nonzero V
-    if interior(gd_v, w) and interior(gd_dv, w):
-        ok = gd_dv == gd_v - 1
-        emit(
-            "gd-derivative-drop",
-            "pass" if ok else "violation",
-            f"gd(DV) = {gd_dv}, gd(V) = {gd_v}",
-            gd_v=gd_v, gd_dv=gd_dv,
-        )
-    else:
-        emit("gd-derivative-drop", "inconclusive", f"window {w} too small for gd values")
-
-    # Lemma: gd(SV) <= gd(V) <= gd(SV) + 1
-    gd_v_w = rep_v.hd_within(0, w)
-    if interior(gd_v_w, w) and interior(gd_sv, w):
-        ok = gd_sv <= gd_v_w <= gd_sv + 1
-        emit(
-            "gd-shift-window",
-            "pass" if ok else "violation",
-            f"gd(SV) = {gd_sv}, gd(V) = {gd_v_w}",
-            gd_v=gd_v_w, gd_sv=gd_sv,
-        )
-    else:
-        emit("gd-shift-window", "inconclusive", f"window {w} too small for gd values")
-
-    if not hypothesis_ok:
-        emit("hd-shift-upper", "skipped", "reg(SM(s)) hypothesis failed")
-        emit("hd-unshift-upper", "skipped", "reg(SM(s)) hypothesis failed")
-        emit("hd-mu-injective-bound", "skipped", "reg(SM(s)) hypothesis failed")
-        emit("reg-derivative-bound", "skipped", "reg(SM(s)) hypothesis failed")
-        emit("reg-shift-window", "skipped", "reg(SM(s)) hypothesis failed")
-        return _finish(items)
-
-    hd_v = [rep_v.hd_within(i, w) for i in range(depth + 1)]
-    hd_sv = [rep_sv.hd_within(i, w) for i in range(depth + 1)]
-    all_interior = all(interior(x, w) for x in hd_v + hd_sv)
-
-    # Lemma: hd_i(SV) <= max over j <= i of hd_j(V) + i - j
-    if all_interior:
-        for i in range(depth + 1):
-            bound = max(hd_v[j] + i - j for j in range(i + 1))
-            if hd_sv[i] > bound:
-                emit(
-                    "hd-shift-upper",
-                    "violation",
-                    f"hd_{i}(SV) = {hd_sv[i]} > {bound} (witness degree {hd_sv[i]}, index {i})",
-                    i=i, hd_sv=hd_sv[i], bound=bound,
-                )
-                break
-        else:
-            emit("hd-shift-upper", "pass", f"holds for i <= {depth} within window {w}")
-    else:
-        emit("hd-shift-upper", "inconclusive", f"an hd value reached window {w}")
-
-    # Lemma: hd_i(V) <= max({hd_j(V) + i - j : j < i} U {hd_i(SV) + 1})
-    if all_interior:
-        for i in range(depth + 1):
-            cands = [hd_v[j] + i - j for j in range(i)] + [hd_sv[i] + 1]
-            bound = max(cands)
-            if hd_v[i] > bound:
-                emit(
-                    "hd-unshift-upper",
-                    "violation",
-                    f"hd_{i}(V) = {hd_v[i]} > {bound} (witness index {i})",
-                    i=i, hd_v=hd_v[i], bound=bound,
-                )
-                break
-        else:
-            emit("hd-unshift-upper", "pass", f"holds for i <= {depth} within window {w}")
-    else:
-        emit("hd-unshift-upper", "inconclusive", f"an hd value reached window {w}")
-
-    # Lemma (mu injective): hd_i(V) <= reg(DV) + (N+1) i + 1
-    if not mu_inj:
-        emit(
-            "hd-mu-injective-bound",
-            "skipped",
-            "mu_V is not injective within the window, hypothesis of the bound fails",
-        )
-        emit(
-            "reg-derivative-bound",
-            "skipped",
-            "mu_V is not injective within the window, hypothesis of the bound fails",
-        )
-    else:
-        hd_dv = [rep_dv.hd_within(i, w) for i in range(depth + 1)]
-        reg_dv = rep_dv.reg_within(w)
-        if all(interior(x, w) for x in hd_v + hd_dv):
-            for i in range(depth + 1):
-                bound = reg_dv + (big_n + 1) * i + 1
-                if hd_v[i] > bound:
-                    emit(
-                        "hd-mu-injective-bound",
-                        "violation",
-                        f"hd_{i}(V) = {hd_v[i]} > reg(DV) + {big_n + 1}*{i} + 1 = {bound}",
-                        i=i, hd_v=hd_v[i], reg_dv=reg_dv,
-                    )
-                    break
-            else:
-                emit("hd-mu-injective-bound", "pass", f"holds for i <= {depth} within window {w}")
-            reg_v = rep_v.reg_within(w)
-            if reg_v <= reg_dv + 1:
-                emit(
-                    "reg-derivative-bound",
-                    "pass",
-                    f"reg(V) = {reg_v} <= reg(DV) + 1 = {reg_dv + 1} (depth {depth})",
-                    reg_v=reg_v, reg_dv=reg_dv,
-                )
-            else:
-                emit(
-                    "reg-derivative-bound",
-                    "violation",
-                    f"reg(V) = {reg_v} > reg(DV) + 1 = {reg_dv + 1}",
-                    reg_v=reg_v, reg_dv=reg_dv,
-                )
-        else:
-            emit("hd-mu-injective-bound", "inconclusive", f"an hd value reached window {w}")
-            emit("reg-derivative-bound", "inconclusive", f"an hd value reached window {w}")
-
-    # Corollary: reg(SV) <= reg(V) <= reg(SV) + 1
-    if all_interior:
-        reg_v = rep_v.reg_within(w)
-        reg_sv = rep_sv.reg_within(w)
-        if reg_sv <= reg_v <= reg_sv + 1:
-            emit(
-                "reg-shift-window",
-                "pass",
-                f"reg(SV) = {reg_sv} <= reg(V) = {reg_v} <= reg(SV) + 1 (depth {depth})",
-                reg_v=reg_v, reg_sv=reg_sv,
-            )
-        else:
-            emit(
-                "reg-shift-window",
-                "violation",
-                f"reg(SV) = {reg_sv}, reg(V) = {reg_v} breaks the window",
-                reg_v=reg_v, reg_sv=reg_sv,
-            )
-    else:
-        emit("reg-shift-window", "inconclusive", f"an hd value reached window {w}")
-
-    # Corollary: V supported in degrees <= N0 implies reg(V) <= N0
-    support_top = -1
-    for t in range(h + 1):
-        if V.dims[t]:
-            support_top = t
-    if support_top < h:
-        reg_v = rep_v.reg_within(w)
-        if all(interior(x, w) for x in hd_v):
-            ok = reg_v <= support_top
-            emit(
-                "reg-finite-support",
-                "pass" if ok else "violation",
-                f"support ends at {support_top}, reg(V) = {reg_v} (depth {depth})",
-                support_top=support_top, reg_v=reg_v,
-            )
-        else:
-            emit("reg-finite-support", "inconclusive", f"an hd value reached window {w}")
-    else:
-        emit(
-            "reg-finite-support",
-            "inconclusive",
-            f"support reaches the horizon {h}; finite support not certifiable",
-        )
-
+    rep_v, rep_sv, rep_dv = (tor_groups(M, depth) for M in (truncate(V, w), seq.SV, seq.DV))
+    hd_v, hd_sv, hd_dv = ([rep.hd_within(i, w) for i in range(depth + 1)]
+                          for rep in (rep_v, rep_sv, rep_dv))
+    support_top = max(t for t in range(h + 1) if V.dims[t])
+    values = SimpleNamespace(
+        h=h, w=w, depth=depth, big_n=big_n, support_top=support_top,
+        reg_sm=hypothesis_ok, mu_injective=seq.mu.is_injective(), finite_support=support_top < h,
+        gd_v=hd_v[0], gd_sv=hd_sv[0], gd_dv=hd_dv[0], hd_v=hd_v, hd_sv=hd_sv, hd_dv=hd_dv,
+        reg_v=rep_v.reg_within(w), reg_sv=rep_sv.reg_within(w), reg_dv=rep_dv.reg_within(w),
+    )
+    for lemma in LEMMAS:
+        outcome = judge(lemma, values)
+        if outcome is not None:
+            emit(lemma.name, *outcome)
     return _finish(items)
 
 

@@ -220,7 +220,7 @@ class Mat:
     @staticmethod
     def identity(field, n) -> "Mat":
         if field.kind == "fp":
-            return Mat(field, n, n, np.eye(n, dtype=np.int64) % field.p)
+            return Mat(field, n, n, np.eye(n, dtype=np.int64))  # p >= 2: already reduced
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             rows[i][i] = 1
@@ -333,16 +333,6 @@ class Mat:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other) -> "Mat":
-        self._check_same_shape(other)
-        if self.field.kind == "fp":
-            return Mat(self.field, self.nrows, self.ncols, (self.data + other.data) % self.field.p)
-        rows = [
-            [_qnorm(a + b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)
-        ]
-        return Mat(self.field, self.nrows, self.ncols, rows)
-
     def __sub__(self, other) -> "Mat":
         self._check_same_shape(other)
         if self.field.kind == "fp":
@@ -352,11 +342,6 @@ class Mat:
             for ra, rb in zip(self.data, other.data)
         ]
         return Mat(self.field, self.nrows, self.ncols, rows)
-
-    def __neg__(self) -> "Mat":
-        if self.field.kind == "fp":
-            return Mat(self.field, self.nrows, self.ncols, (-self.data) % self.field.p)
-        return Mat(self.field, self.nrows, self.ncols, [[-x for x in r] for r in self.data])
 
     def scale(self, c) -> "Mat":
         if self.field.kind == "fp":
@@ -671,11 +656,3 @@ def membership(A: Mat, b: Mat) -> Mat:
 def complement_basis(S: Mat) -> Mat:
     """Columns completing span(columns of S) to the ambient space k^n."""
     return S.transpose().complement_rows().transpose()
-
-
-def span_rows(field, rows, ncols) -> Mat:
-    """Canonical row-space basis of an iterable of row vectors."""
-    rows = list(rows)
-    if not rows:
-        return Mat.zeros(field, 0, ncols)
-    return Mat.from_rows(field, rows, ncols).row_basis()

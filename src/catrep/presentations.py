@@ -201,12 +201,21 @@ def _parse_relation(line: str, ln: int, gen_index: dict) -> Relation:
 
 
 def _split_terms(text: str):
-    """Split on '+' separators that sit between terms (not inside signs)."""
+    """Split at each '+' that closes a '...@<gen>' term, spaced or not.
+
+    A '+' before the '@' of its term is a sign ('+1*...'), so it stays with
+    the term; a tail without '@' is kept for the caller to reject.
+    """
     out = []
-    for piece in text.split(" + "):
-        piece = piece.strip()
-        if piece:
-            out.append(piece)
+    pending = []
+    for piece in text.split("+"):
+        pending.append(piece)
+        if "@" in piece:
+            out.append("+".join(pending).strip())
+            pending = []
+    tail = "+".join(pending).strip()
+    if tail:
+        out.append(tail)
     return out
 
 

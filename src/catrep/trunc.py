@@ -63,25 +63,24 @@ class TruncatedModule:
 
     def act(self, alpha: Morphism) -> Mat:
         """Action matrix of alpha (dims[src] x dims[dst]); dst must be inside."""
-        if alpha.dst > self.horizon:
-            raise ValueError(f"degree {alpha.dst} above horizon {self.horizon}")
         cached = self._act_cache.get(alpha)
-        if cached is not None:
-            return cached
-        out = Mat.identity(self.field, self.dims[alpha.src])
-        for kind, level, j in self.cat.atoms(alpha):
-            out = out @ (self.steps[level][j] if kind == "step" else self.ends[level][j])
-        self._act_cache[alpha] = out
-        return out
+        if cached is None:
+            cached = self._act_cache[alpha] = self._apply(alpha)
+        return cached
 
     def act_vector(self, row, alpha: Morphism):
         """Apply alpha to a single row vector; cheaper than act() for one-offs."""
+        return self._apply(alpha, [row]).row(0)
+
+    def _apply(self, alpha: Morphism, rows=None) -> Mat:
+        """rows @ act(alpha), or act(alpha) itself for rows=None, one atom at a time."""
         if alpha.dst > self.horizon:
             raise ValueError(f"degree {alpha.dst} above horizon {self.horizon}")
-        out = Mat.from_rows(self.field, [row], self.dims[alpha.src])
+        n = self.dims[alpha.src]
+        out = Mat.identity(self.field, n) if rows is None else Mat.from_rows(self.field, rows, n)
         for kind, level, j in self.cat.atoms(alpha):
             out = out @ (self.steps[level][j] if kind == "step" else self.ends[level][j])
-        return out.row(0)
+        return out
 
     def __repr__(self):
         return f"TruncatedModule({self.cat.name}, {self.field.name}, h={self.horizon}, dims={self.dims})"
@@ -104,29 +103,22 @@ class FreeModule(TruncatedModule):
             self._basis[t] = tuple(basis)
             self._offsets[t] = tuple(offsets)
             dims.append(len(basis))
+        units = [Mat.identity(field, d) for d in dims]
         steps = [
-            [self._gen_matrix(cat, field, r, gamma) for gamma in cat.step_generators(r)]
+            [self._gen_matrix(cat, units, r, gamma) for gamma in cat.step_generators(r)]
             for r in range(max(horizon, 0))
         ]
         ends = [
-            [self._gen_matrix(cat, field, t, eps) for eps in cat.end_generators(t)]
+            [self._gen_matrix(cat, units, t, eps) for eps in cat.end_generators(t)]
             for t in range(horizon + 1)
         ]
         super().__init__(cat, field, horizon, dims, steps, ends)
 
-    def _gen_matrix(self, cat, field, r, gamma) -> Mat:
-        rows = len(self._basis[r])
-        cols = len(self._basis[gamma.dst])
-        out = Mat.zeros(field, rows, cols)
-        data = out.data
-        one = field.one()
-        for i, (k, m) in enumerate(self._basis[r]):
-            j = self._offsets[gamma.dst][k] + cat.hom_index(cat.compose(gamma, m))
-            if field.kind == "fp":
-                data[i, j] = one
-            else:
-                data[i][j] = one
-        return out
+    def _gen_matrix(self, cat, units, r, gamma) -> Mat:
+        """Basis map of gamma: basis element (k, m) goes to (k, gamma o m)."""
+        offsets = self._offsets[gamma.dst]
+        cols = [offsets[k] + cat.hom_index(cat.compose(gamma, m)) for k, m in self._basis[r]]
+        return units[gamma.dst].take_rows(cols)
 
     def basis(self, t: int):
         return self._basis[t]
@@ -173,12 +165,6 @@ class ModuleMap:
                 if left != right:
                     return (t, eps)
         return None
-
-    def then(self, other: "ModuleMap") -> "ModuleMap":
-        if other.domain is not self.codomain and other.domain.dims[: other.horizon + 1] != self.codomain.dims[: other.horizon + 1]:
-            raise ValueError("composition domain mismatch")
-        h = min(self.horizon, other.horizon)
-        return ModuleMap(self.domain, other.codomain, [self.mats[t] @ other.mats[t] for t in range(h + 1)])
 
     def is_injective(self) -> bool:
         return all(m.rank() == m.nrows for m in self.mats)
@@ -351,16 +337,10 @@ def direct_sum(V: TruncatedModule, W: TruncatedModule):
 
 
 def _block_diag(a: Mat, b: Mat) -> Mat:
-    out = Mat.zeros(a.field, a.nrows + b.nrows, a.ncols + b.ncols)
-    if a.field.kind == "fp":
-        out.data[: a.nrows, : a.ncols] = a.data
-        out.data[a.nrows :, a.ncols :] = b.data
-        return out
-    for i in range(a.nrows):
-        out.data[i][: a.ncols] = list(a.data[i])
-    for i in range(b.nrows):
-        out.data[a.nrows + i][a.ncols :] = list(b.data[i])
-    return out
+    return Mat.vstack([
+        Mat.hstack([a, Mat.zeros(a.field, a.nrows, b.ncols)]),
+        Mat.hstack([Mat.zeros(a.field, b.nrows, a.ncols), b]),
+    ])
 
 
 def m_span(V: TruncatedModule):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from catrep import cli
 from catrep.cli import main
 from catrep.reports import make_report, to_json
 
@@ -158,6 +159,25 @@ def test_fuzz_deterministic(capsys):
     assert code1 == code2
     assert code1 in (0, 2)
     assert "seed-3" in out1
+
+
+@pytest.mark.parametrize("gds, violation", [
+    ((2, 0, 2), "gd(DV) = 0, gd(V) = 2 (seed 1)"),
+    ((2, 1, 0), "gd(SV) = 0, gd(V) = 2 (seed 1)"),
+    ((4, 0, 0), None),  # gd(V) reaches the window 4: censored, not checked
+])
+def test_fuzz_gd_checks_come_from_verify_table(monkeypatch, capsys, gds, violation):
+    # _fuzz_one asks for gd(V), gd(DV), gd(SV) in this order
+    answers = iter(gds)
+    monkeypatch.setattr(cli, "generating_degree", lambda module: next(answers))
+    code, out, _ = run(capsys, "--format", "json", "--cat", "oi", "--field", "fp:101",
+                       "--horizon", "5", "fuzz", "--seed", "1", "--count", "1")
+    item = json.loads(out)["items"][0]
+    if violation is None:
+        assert item["status"] != "violation" and "gd windows censored" in item["detail"]
+        assert code != 3
+    else:
+        assert (item["status"], item["detail"], code) == ("violation", violation, 3)
 
 
 def test_fuzz_requires_config(capsys):

@@ -165,3 +165,25 @@ rel 2: 1*1->2:[1]@a + 100*1->2:[2]@a
     _, _, _, module, _ = build_module(header, pres)
     # relation identifies the two degree-2 basis lines up to sign
     assert module.dims == [0, 1, 1, 1, 1]
+
+
+def test_relation_terms_split_with_or_without_spaces():
+    head = """catrep-presentation v1
+category oi
+group none
+field q
+horizon 4
+gen u deg 1
+gen v deg 1
+"""
+    spaced = head + "rel 2: 1*1->2:[2]@u + -1/2*1->2:[1]@v + +3*1->2:[1]@u\n"
+    tight = head + "rel 2: 1*1->2:[2]@u+-1/2*1->2:[1]@v++3*1->2:[1]@u\n"
+    header, pres = parse_presentation_text(spaced)
+    assert parse_presentation_text(tight) == (header, pres)
+    assert [c for c, _, _ in pres.relations[0].terms] == ["1", "-1/2", "+3"]
+    cat, field, horizon, _, _ = build_module(header, pres)
+    text = emit_presentation_text(cat, field, horizon, resolve_coefficients(pres, field))
+    assert parse_presentation_text(text.replace(" + ", "+")) == parse_presentation_text(text)
+    with pytest.raises(PresentationError) as exc:
+        parse_presentation_text(head + "rel 2: 1*1->2:[2]@u+1*1->2:[1]\n")
+    assert exc.value.line == 8
