@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 from .category import make_category
@@ -299,7 +300,12 @@ def _cmd_fuzz(args) -> int:
 
 def _fuzz_one(cat, field, horizon, seed):
     pres = sample_presentation(cat, field, seed, FUZZ_PROFILE)
+    # a relation in degree d changes nothing below d, so the ones above the
+    # horizon leave the truncated module as it is
+    pres = replace(pres, relations=tuple(r for r in pres.relations if r.target <= horizon))
     module, _ = from_presentation(cat, field, pres, horizon)
+    if module.is_zero():  # every generator sits above the horizon
+        return "skipped", "module is zero below the horizon"
     notes = []
     seq = derive(module)  # raises on an inexact key sequence
     values = SimpleNamespace(gd_v=generating_degree(module), gd_dv=generating_degree(seq.DV),
@@ -328,7 +334,7 @@ def _fuzz_one(cat, field, horizon, seed):
     else:
         notes.append("chain inconclusive")
     rng = random.Random(seed)
-    for _ in range(4):
+    for _ in range(4 if horizon > 0 else 0):  # horizon 0 has no morphism to compose
         r = rng.randint(0, max(horizon - 2, 0))
         s = rng.randint(r, horizon - 1)
         t = rng.randint(s, horizon - 1)

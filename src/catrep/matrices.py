@@ -1,26 +1,32 @@
 """Dense exact matrices over F_p or Q, with the rank/kernel/complement kit.
 
-Two storage backends sit behind one class: prime-field matrices are numpy
-int64 arrays (all arithmetic stays integral, reduced mod p), rational
-matrices are lists of rows holding Python ints or Fractions.  Subspaces are
-represented throughout the package as *row* spaces; the canonical basis of a
-row space is the reduced echelon form, over Q scaled to primitive integer
-rows with positive pivots, so equal subspaces compare bit-for-bit equal.
+Every matrix keeps its entries in one 2-D numpy array.  Over F_p it is
+int64 with entries reduced into [0, p); over Q it has dtype object and holds
+Python ints and lowest-terms Fractions, an integral value always as an int.
+So the structural operations (slicing, stacking, transposing, comparing, the
+column scatter) share one body, and only products, elimination and division
+look at the field.  Subspaces are represented throughout the package as
+*row* spaces; the canonical basis of a row space is the reduced echelon
+form, over Q scaled to primitive integer rows with positive pivots, so equal
+subspaces compare bit-for-bit equal.
 
 Rational elimination is fraction-free: rows are cleared to integers up
 front, cross-multiplication updates keep them integral, and each update is
-reduced by its gcd, so Fractions only appear where a contract demands unit
-pivots (rref) or rational solution entries.
+reduced by its gcd.  One Gauss-Jordan routine serves int64 and
+Python-int arrays: it runs on int64 while entries stay below 2^30 and
+restarts on Python ints when they might not.  Fractions only appear where a
+contract demands unit pivots (rref) or rational solution entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
+from operator import attrgetter
 
 import numpy as np
 
-from .fields import _qnorm, check_rational_bits
+from .fields import _qnorm, check_rational_bits, rational_bit_limit
 
 
 class NotInSpan(Exception):
@@ -31,54 +37,95 @@ _UNSET = object()
 
 
 # integer-valued rational matrices ride int64 numpy kernels below this bound;
-# anything larger (or fractional) takes the arbitrary-precision Python path
+# anything larger (or fractional) takes the Python-int path
 _NP_ENTRY_BOUND = 1 << 30
 
+_qnorm_all = np.frompyfunc(_qnorm, 1, 1)
+_numerators = np.frompyfunc(attrgetter("numerator"), 1, 1)
+_denominators = np.frompyfunc(attrgetter("denominator"), 1, 1)
 
-def _np_int_array(rows, nrows, ncols):
-    """int64 array for all-int rows within the fast-path bound, else None.
+
+def _qdiv(x, d):
+    return _qnorm(Fraction(x, d)) if x and d != 1 else x
+
+
+_qdiv_all = np.frompyfunc(_qdiv, 2, 1)
+
+
+def _dtype(field):
+    """Storage dtype: int64 residues over F_p, Python ints and Fractions over Q."""
+    return np.int64 if field.kind == "fp" else object
+
+
+def _canon(field, arr):
+    """Entries in storage form: reduced mod p, or Fractions of denominator 1 as ints."""
+    if field.kind == "fp":
+        return arr % field.p
+    return _qnorm_all(arr)
+
+
+def _divide(field, arr, d):
+    """arr / d entrywise, with d (nonzero field values) broadcast against arr."""
+    if (d == 1).all():
+        return arr
+    if field.kind == "fp":
+        p = field.p
+        inv = np.array([pow(int(x), p - 2, p) for x in d.flat], dtype=np.int64)
+        return (arr * inv.reshape(d.shape)) % p
+    return _qdiv_all(arr, d)
+
+
+def _types(arr):
+    return set(map(type, arr.flat))
+
+
+def _small_ints(arr):
+    """int64 copy of an object array of ints all below the fast-path bound, else None.
 
     The type scan is essential: numpy would otherwise coerce Fractions via
     __int__, silently truncating them.
     """
-    if nrows == 0 or ncols == 0:
-        return np.zeros((nrows, ncols), dtype=np.int64)
-    for row in rows:
-        for x in row:
-            if type(x) is not int:
-                return None
-    try:
-        arr = np.array(rows, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
+    if arr.size == 0:
+        return np.zeros(arr.shape, dtype=np.int64)
+    if _types(arr) != {int} or np.abs(arr).max() >= _NP_ENTRY_BOUND:
         return None
-    if arr.shape != (nrows, ncols):
-        return None
-    if np.abs(arr).max() >= _NP_ENTRY_BOUND:
-        return None
-    return arr
+    return arr.astype(np.int64)
 
 
-def _echelon_q_np(arr):
-    """Vectorized fraction-free Gauss-Jordan; None when entries outgrow int64."""
-    work = arr.copy()
+def _integral_rows(data):
+    """Each row of a Q array scaled by the lcm of its denominators (a fresh array)."""
+    if Fraction not in _types(data):
+        return data.copy()
+    den = _denominators(data)
+    return _numerators(data) * (np.lcm.reduce(den, axis=1)[:, None] // den)
+
+
+def _gauss_jordan(work):
+    """Fraction-free Gauss-Jordan on an integer array, in place.
+
+    Returns (rows, pivots) with primitive rows, positive pivots, zeros above
+    and below every pivot: the canonical basis of the row space (the
+    unit-pivot RREF rescaled row by row).  On int64 it returns None as soon
+    as an entry reaches the fast-path bound; on Python ints it checks every
+    pivot row against the rational bit limit instead.
+    """
+    wide = work.dtype == object
     nr, nc = work.shape
     pivots = []
     r = 0
     for c in range(nc):
         if r == nr:
             break
-        col = work[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.nonzero(work[r:, c])[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             work[[r, i]] = work[[i, r]]
         prow = work[r]
-        pv = int(prow[c])
-        biggest = int(np.abs(work).max())
-        if biggest and abs(pv) > (1 << 61) // (2 * biggest):
-            return None
+        pv = prow[c]
+        if wide:
+            check_rational_bits(np.abs(prow).max())
         f = work[:, c].copy()
         f[r] = 0
         mask = f != 0
@@ -87,116 +134,100 @@ def _echelon_q_np(arr):
             g = np.gcd.reduce(np.abs(updated), axis=1)
             g[g == 0] = 1
             work[mask] = updated // g[:, None]
-        if np.abs(work).max() >= _NP_ENTRY_BOUND:
-            return None
+            # entries below 2^30 keep every int64 update below 2^61
+            if not wide and np.abs(work).max() >= _NP_ENTRY_BOUND:
+                return None
         pivots.append(c)
         r += 1
-    for k, c in enumerate(pivots):
-        row = work[k]
-        g = int(np.gcd.reduce(np.abs(row)))
-        if g > 1:
-            row = row // g
-        if row[c] < 0:
-            row = -row
-        work[k] = row
-    work[len(pivots):] = 0
+    rows = work[:r]
+    rows //= np.gcd.reduce(np.abs(rows), axis=1)[:, None]
+    neg = rows[np.arange(r), pivots] < 0
+    rows[neg] = -rows[neg]
+    work[r:] = 0
     return work, tuple(pivots)
 
 
-def _int_rows(rows):
-    """Clear denominators row by row; all-int rows pass through as copies."""
-    out = []
-    for row in rows:
-        den = 1
-        for x in row:
-            if type(x) is not int:
-                d = x.denominator
-                den = den // gcd(den, d) * d
-        if den == 1:
-            out.append(list(row))
-            continue
-        ints = [x * den if type(x) is int else int(x * den) for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
-    return out
+def _echelon_q(data):
+    """Canonical echelon form of a Q array, on int64 whenever that is exact."""
+    work = _integral_rows(data)
+    if rational_bit_limit() >= 31:
+        small = _small_ints(work)
+        if small is not None:
+            done = _gauss_jordan(small)
+            if done is not None:
+                return done[0].astype(object), done[1]
+    return _gauss_jordan(work)
 
 
-def _echelon_q(rows):
-    """Fraction-free reduced echelon form over Q.
-
-    Returns (rows, pivots) with primitive integer rows, positive pivots,
-    zeros above and below every pivot.  This is the canonical basis of the
-    row space (the unit-pivot RREF rescaled row by row).
-    """
-    work = _int_rows(rows)
-    nr = len(work)
-    nc = len(work[0]) if work else 0
-    from .fields import rational_bit_limit
-
-    arr = _np_int_array(work, nr, nc) if rational_bit_limit() >= 31 else None
-    if arr is not None:
-        fast = _echelon_q_np(arr)
-        if fast is not None:
-            out, pivots = fast
-            return [[int(x) for x in row] for row in out], pivots
+def _rref_fp(data, p):
+    A = data.copy()
+    nr, nc = A.shape
     pivots = []
     r = 0
     for c in range(nc):
         if r == nr:
             break
-        pivot_at = None
-        for i in range(r, nr):
-            if work[i][c]:
-                pivot_at = i
-                break
-        if pivot_at is None:
+        col = A[r:, c]
+        nz = np.nonzero(col)[0]
+        if nz.size == 0:
             continue
-        if pivot_at != r:
-            work[r], work[pivot_at] = work[pivot_at], work[r]
-        prow = work[r]
-        pv = prow[c]
-        for i in range(nr):
-            if i == r:
-                continue
-            f = work[i][c]
-            if f:
-                ri = work[i]
-                new = [pv * a - f * b for a, b in zip(ri, prow)]
-                g = 0
-                for x in new:
-                    g = gcd(g, x)
-                if g > 1:
-                    new = [x // g for x in new]
-                work[i] = new
-        check_rational_bits(max((abs(x) for x in prow), default=0))
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        pv = int(A[r, c])
+        if pv != 1:
+            A[r] = (A[r] * pow(pv, p - 2, p)) % p
+        col = A[:, c].copy()
+        col[r] = 0
+        mask = col != 0
+        if mask.any():
+            A[mask] = (A[mask] - np.outer(col[mask], A[r])) % p
         pivots.append(c)
         r += 1
-    # canonical signs and per-row primitive reduction of the pivot rows
-    for k, c in enumerate(pivots):
-        row = work[k]
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-        if g > 1:
-            row = [x // g for x in row]
-        if row[c] < 0:
-            row = [-x for x in row]
-        work[k] = row
-    return [work[k] for k in range(len(pivots))] + [
-        [0] * nc for _ in range(nr - len(pivots))
-    ], tuple(pivots)
+    return A, tuple(pivots)
+
+
+def _echelon(m):
+    """Canonical echelon form of m's entries: (array, pivot columns)."""
+    if m.field.kind == "fp":
+        return _rref_fp(m.data, m.field.p)
+    return _echelon_q(m.data)
+
+
+def _q_product(a, b):
+    """a @ b over Q: int64 when exact, else object arrays.
+
+    Only products that carry Fractions take the Python loop; it skips zeros
+    on both sides, which the sparse Fraction matrices of express_rows need.
+    """
+    x, y = a._np_int(), b._np_int()
+    if x is not None and y is not None:
+        bound = int(np.abs(x).max(initial=0)) * int(np.abs(y).max(initial=0)) * a.ncols
+        if bound < 1 << 62:
+            return (x @ y).astype(object)
+    if Fraction not in _types(a.data) | _types(b.data):
+        return a.data @ b.data
+    nc = b.ncols
+    brows = [[(j, v) for j, v in enumerate(row) if v] for row in b.data.tolist()]
+    out = []
+    for arow in a.data.tolist():
+        acc = [0] * nc
+        for k, x in enumerate(arow):
+            if x:
+                for j, v in brows[k]:
+                    acc[j] += x * v
+        out.append([_qnorm(v) for v in acc])
+    return np.array(out, dtype=object).reshape(a.nrows, nc)
 
 
 class Mat:
     """An immutable dense matrix over an exact field.
 
-    Do not mutate ``data`` after construction; all operations return new
-    matrices.  For F_p the payload is a numpy int64 array, for Q a list of
-    row lists.
+    ``data`` is a 2-D numpy array in storage form (see the module
+    docstring); do not mutate it after construction, all operations return
+    new matrices.  The field is a plain attribute rather than a subclass per
+    field: the perfbench tracing shim patches the kernels on this class and
+    names its spans by ``field.kind``.
     """
 
     __slots__ = ("field", "nrows", "ncols", "data", "_unit_cols", "_npdata")
@@ -207,24 +238,17 @@ class Mat:
         self.ncols = ncols
         self.data = data
         self._unit_cols = _UNSET  # lazily computed basis-map tag
-        self._npdata = _UNSET  # lazily computed int64 view (Q fast path)
+        self._npdata = _UNSET  # lazily computed int64 copy (Q fast path)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zeros(field, nrows, ncols) -> "Mat":
-        if field.kind == "fp":
-            return Mat(field, nrows, ncols, np.zeros((nrows, ncols), dtype=np.int64))
-        return Mat(field, nrows, ncols, [[0] * ncols for _ in range(nrows)])
+        return Mat(field, nrows, ncols, np.zeros((nrows, ncols), dtype=_dtype(field)))
 
     @staticmethod
     def identity(field, n) -> "Mat":
-        if field.kind == "fp":
-            return Mat(field, n, n, np.eye(n, dtype=np.int64))  # p >= 2: already reduced
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = 1
-        return Mat(field, n, n, rows)
+        return Mat(field, n, n, np.eye(n, dtype=_dtype(field)))  # p >= 2: already reduced
 
     @staticmethod
     def from_rows(field, rows, ncols=None) -> "Mat":
@@ -237,11 +261,13 @@ class Mat:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        if field.kind == "fp":
-            arr = np.array(rows, dtype=np.int64).reshape((nrows, ncols)) % field.p
-            return Mat(field, nrows, ncols, arr)
-        rows = [[_qnorm(x) for x in r] for r in rows]
-        return Mat(field, nrows, ncols, rows)
+        if field.kind == "q":
+            return Mat(field, nrows, ncols, _canon(field, np.array(rows, dtype=object).reshape(nrows, ncols)))
+        arr = np.array(rows).reshape(nrows, ncols)
+        if arr.size and arr.dtype.kind not in "biu":
+            # an int64 cast would truncate Fractions and floats silently
+            raise TypeError(f"F_p entries must be machine integers, got a {arr.dtype} array")
+        return Mat(field, nrows, ncols, _canon(field, arr).astype(np.int64, copy=False))
 
     # -- basics -------------------------------------------------------
 
@@ -250,31 +276,23 @@ class Mat:
         return (self.nrows, self.ncols)
 
     def row(self, i) -> list:
-        if self.field.kind == "fp":
-            return [int(x) for x in self.data[i]]
-        return list(self.data[i])
+        return self.data[i].tolist()
 
     def rows(self) -> list:
-        return [self.row(i) for i in range(self.nrows)]
+        return self.data.tolist()
 
     def entry(self, i, j):
-        if self.field.kind == "fp":
-            return int(self.data[i][j])
-        return self.data[i][j]
+        return self.data.item(i, j)
 
     def is_zero(self) -> bool:
-        if self.field.kind == "fp":
-            return not self.data.any()
-        return all(all(x == 0 for x in r) for r in self.data)
+        return not self.data.any()
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         if self.field != other.field or self.shape != other.shape:
             return False
-        if self.field.kind == "fp":
-            return bool(np.array_equal(self.data, other.data))
-        return all(self.row(i) == other.row(i) for i in range(self.nrows))
+        return bool(np.array_equal(self.data, other.data))
 
     def __hash__(self):
         return hash((self.field, self.shape, tuple(tuple(r) for r in self.rows())))
@@ -283,21 +301,13 @@ class Mat:
         return f"Mat({self.field.name}, {self.nrows}x{self.ncols})"
 
     def take_rows(self, indices) -> "Mat":
-        if self.field.kind == "fp":
-            return Mat(self.field, len(indices), self.ncols, self.data[list(indices)])
-        return Mat(self.field, len(indices), self.ncols, [list(self.data[i]) for i in indices])
+        return Mat(self.field, len(indices), self.ncols, self.data[list(indices)])
 
     def take_cols(self, indices) -> "Mat":
-        if self.field.kind == "fp":
-            return Mat(self.field, self.nrows, len(indices), self.data[:, list(indices)])
-        rows = [[r[j] for j in indices] for r in self.data]
-        return Mat(self.field, self.nrows, len(indices), rows)
+        return Mat(self.field, self.nrows, len(indices), self.data[:, list(indices)])
 
     def transpose(self) -> "Mat":
-        if self.field.kind == "fp":
-            return Mat(self.field, self.ncols, self.nrows, self.data.T.copy())
-        rows = [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return Mat(self.field, self.ncols, self.nrows, rows)
+        return Mat(self.field, self.ncols, self.nrows, self.data.T.copy())
 
     @staticmethod
     def vstack(mats) -> "Mat":
@@ -309,12 +319,7 @@ class Mat:
             if m.ncols != ncols or m.field != field:
                 raise ValueError("vstack shape/field mismatch")
         nrows = sum(m.nrows for m in mats)
-        if field.kind == "fp":
-            return Mat(field, nrows, ncols, np.vstack([m.data for m in mats]))
-        rows = []
-        for m in mats:
-            rows.extend(list(r) for r in m.data)
-        return Mat(field, nrows, ncols, rows)
+        return Mat(field, nrows, ncols, np.vstack([m.data for m in mats]))
 
     @staticmethod
     def hstack(mats) -> "Mat":
@@ -326,27 +331,17 @@ class Mat:
             if m.nrows != nrows or m.field != field:
                 raise ValueError("hstack shape/field mismatch")
         ncols = sum(m.ncols for m in mats)
-        if field.kind == "fp":
-            return Mat(field, nrows, ncols, np.hstack([m.data for m in mats]))
-        rows = [sum((list(m.data[i]) for m in mats), []) for i in range(nrows)]
-        return Mat(field, nrows, ncols, rows)
+        return Mat(field, nrows, ncols, np.hstack([m.data for m in mats]))
 
     # -- arithmetic ---------------------------------------------------
 
     def __sub__(self, other) -> "Mat":
         self._check_same_shape(other)
-        if self.field.kind == "fp":
-            return Mat(self.field, self.nrows, self.ncols, (self.data - other.data) % self.field.p)
-        rows = [
-            [_qnorm(a - b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)
-        ]
-        return Mat(self.field, self.nrows, self.ncols, rows)
+        return Mat(self.field, self.nrows, self.ncols, _canon(self.field, self.data - other.data))
 
     def scale(self, c) -> "Mat":
-        if self.field.kind == "fp":
-            return Mat(self.field, self.nrows, self.ncols, (self.data * (c % self.field.p)) % self.field.p)
-        return Mat(self.field, self.nrows, self.ncols, [[_qnorm(c * x) for x in r] for r in self.data])
+        c = self.field.from_int(c)  # reduced mod p, so the int64 product cannot overflow
+        return Mat(self.field, self.nrows, self.ncols, _canon(self.field, self.data * c))
 
     def _basis_map_cols(self):
         """Column index per row when every row is a single unit entry, else None.
@@ -357,32 +352,19 @@ class Mat:
         if self._unit_cols is not _UNSET:
             return self._unit_cols
         cols = None
-        if self.nrows and self.ncols:
-            if self.field.kind == "fp":
-                nz = self.data != 0
-                counts = nz.sum(axis=1)
-                if counts.max(initial=0) == 1 and counts.min(initial=2) == 1:
-                    idx = nz.argmax(axis=1)
-                    vals = self.data[np.arange(self.nrows), idx]
-                    if (vals == self.field.one()).all() and len(set(idx.tolist())) == self.nrows:
-                        cols = idx.tolist()
-            else:
-                idx = []
-                ok = True
-                for row in self.data:
-                    hits = [j for j, x in enumerate(row) if x != 0]
-                    if len(hits) != 1 or row[hits[0]] != 1:
-                        ok = False
-                        break
-                    idx.append(hits[0])
-                if ok and len(set(idx)) == len(idx):
-                    cols = idx
+        if self.nrows and np.count_nonzero(self.data) == self.nrows:
+            # nrows nonzeros and a 1 leading every row: one unit entry per row
+            idx = (self.data != 0).argmax(axis=1)
+            lead = idx.tolist()
+            if (len(set(lead)) == self.nrows
+                    and self.data[np.arange(self.nrows), idx].tolist() == [1] * self.nrows):
+                cols = lead
         self._unit_cols = cols
         return cols
 
     def _np_int(self):
         if self._npdata is _UNSET:
-            self._npdata = _np_int_array(self.data, self.nrows, self.ncols)
+            self._npdata = _small_ints(self.data)
         return self._npdata
 
     def __matmul__(self, other) -> "Mat":
@@ -391,42 +373,13 @@ class Mat:
         cols = other._basis_map_cols() if other.nrows else None
         if cols is not None:
             # column scatter: other sends row i to unit vector e_{cols[i]}
-            out = Mat.zeros(self.field, self.nrows, other.ncols)
-            if self.field.kind == "fp":
-                out.data[:, cols] = self.data
-            else:
-                for i, row in enumerate(self.data):
-                    orow = out.data[i]
-                    for k, c in enumerate(cols):
-                        orow[c] = row[k]
-            return out
-        if self.field.kind == "fp":
-            return Mat(self.field, self.nrows, other.ncols, (self.data @ other.data) % self.field.p)
-        a_np, b_np = self._np_int(), other._np_int()
-        if a_np is not None and b_np is not None and self.ncols:
-            bound = int(np.abs(a_np).max(initial=0)) * int(np.abs(b_np).max(initial=0)) * self.ncols
-            if bound < 1 << 62:
-                prod = a_np @ b_np
-                return Mat(self.field, self.nrows, other.ncols,
-                           [[int(x) for x in row] for row in prod])
-        nc = other.ncols
-        brows = other.data
-        out = []
-        for arow in self.data:
-            acc = [0] * nc
-            for k, aval in enumerate(arow):
-                if aval:
-                    brow = brows[k]
-                    if aval == 1:
-                        for j, bv in enumerate(brow):
-                            if bv:
-                                acc[j] += bv
-                    else:
-                        for j, bv in enumerate(brow):
-                            if bv:
-                                acc[j] += aval * bv
-            out.append([_qnorm(x) for x in acc])
-        return Mat(self.field, self.nrows, nc, out)
+            out = np.zeros((self.nrows, other.ncols), dtype=self.data.dtype)
+            out[:, cols] = self.data
+        elif self.field.kind == "fp":
+            out = (self.data @ other.data) % self.field.p
+        else:
+            out = _q_product(self, other)
+        return Mat(self.field, self.nrows, other.ncols, out)
 
     def _check_same_shape(self, other):
         if self.shape != other.shape or self.field != other.field:
@@ -436,52 +389,15 @@ class Mat:
 
     def rref(self):
         """Reduced row echelon form with unit pivots; returns (R, pivot columns)."""
-        if self.field.kind == "fp":
-            return self._rref_fp()
-        rows, pivots = _echelon_q(self.data)
-        out = []
-        for k, row in enumerate(rows):
-            if k < len(pivots):
-                pv = row[pivots[k]]
-                if pv != 1:
-                    row = [_qnorm(Fraction(x, pv)) for x in row]
-            out.append(row)
-        return Mat(self.field, self.nrows, self.ncols, out), pivots
-
-    def _rref_fp(self):
-        p = self.field.p
-        A = self.data.copy()
-        nr, nc = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            if r == nr:
-                break
-            col = A[r:, c]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                A[[r, i]] = A[[i, r]]
-            pv = int(A[r, c])
-            if pv != 1:
-                A[r] = (A[r] * pow(pv, p - 2, p)) % p
-            col = A[:, c].copy()
-            col[r] = 0
-            mask = col != 0
-            if mask.any():
-                A[mask] = (A[mask] - np.outer(col[mask], A[r])) % p
-            pivots.append(c)
-            r += 1
-        return Mat(self.field, nr, nc, A), tuple(pivots)
+        data, pivots = _echelon(self)
+        k = len(pivots)
+        data[:k] = _divide(self.field, data[:k], data[np.arange(k), list(pivots)][:, None])
+        return Mat(self.field, self.nrows, self.ncols, data), pivots
 
     def echelon(self):
         """Canonical echelon form: rref over F_p, primitive-integer rref over Q."""
-        if self.field.kind == "fp":
-            return self._rref_fp()
-        rows, pivots = _echelon_q(self.data)
-        return Mat(self.field, self.nrows, self.ncols, rows), pivots
+        data, pivots = _echelon(self)
+        return Mat(self.field, self.nrows, self.ncols, data), pivots
 
     def rank(self) -> int:
         return len(self.echelon()[1])
@@ -503,24 +419,15 @@ class Mat:
         free = [j for j in range(n) if j not in pivots]
         if not free:
             return Mat.zeros(self.field, 0, n)
-        rows = []
-        pivset = list(pivots)
-        if self.field.kind == "fp":
-            for j in free:
-                v = [0] * n
-                v[j] = 1
-                for k, pc in enumerate(pivset):
-                    v[pc] = -R.entry(k, j) % self.field.p
-                rows.append(v)
-        else:
-            for j in free:
-                v = [Fraction(0)] * n
-                v[j] = Fraction(1)
-                for k, pc in enumerate(pivset):
-                    pv = R.entry(k, pc)
-                    v[pc] = -Fraction(R.entry(k, j), pv)
-                rows.append(v)
-        return Mat.from_rows(self.field, rows, n).row_basis()
+        # kernel row j is e_j minus the pivot columns' share of column j of R,
+        # all scaled by the lcm of the pivots so that it stays integral over Q
+        k = len(pivots)
+        pv = R.data[np.arange(k), list(pivots)]
+        m = lcm(*pv.tolist())
+        K = np.zeros((len(free), n), dtype=R.data.dtype)
+        K[np.arange(len(free)), free] = m
+        K[:, list(pivots)] = -(R.data[:k, free] * (m // pv)[:, None]).T
+        return Mat(self.field, len(free), n, _canon(self.field, K)).row_basis()
 
     def right_kernel_cols(self) -> "Mat":
         """Matrix K with independent columns spanning ker(self), self @ K = 0."""
@@ -548,57 +455,26 @@ class Mat:
         return self._express_general(basis)
 
     def _express_by_pivots(self, basis: "Mat", pivots) -> "Mat":
-        if self.field.kind == "fp":
-            X = self.data[:, list(pivots)]
-            if basis.nrows:
-                pv = basis.data[np.arange(basis.nrows), list(pivots)]
-                inv = np.array([pow(int(x), self.field.p - 2, self.field.p) for x in pv],
-                               dtype=np.int64)
-                X = (X * inv[None, :]) % self.field.p
-            return Mat(self.field, self.nrows, basis.nrows, X)
-        rows = []
-        pvs = [basis.data[k][pc] for k, pc in enumerate(pivots)]
-        for row in self.data:
-            out = []
-            for k, pc in enumerate(pivots):
-                x = row[pc]
-                pv = pvs[k]
-                if pv == 1:
-                    out.append(x)
-                elif type(x) is int:
-                    out.append(_qnorm(Fraction(x, pv)))
-                else:
-                    out.append(_qnorm(x / pv))
-            rows.append(out)
-        return Mat.from_rows(self.field, rows, basis.nrows)
+        pivots = list(pivots)
+        pv = basis.data[np.arange(basis.nrows), pivots]
+        X = _divide(self.field, self.data[:, pivots], pv[None, :])
+        return Mat(self.field, self.nrows, basis.nrows, X)
 
     def _express_general(self, basis: "Mat") -> "Mat":
         aug = Mat.hstack([basis.transpose(), self.transpose()])
         R, pivots = aug.rref()
         b = basis.nrows
-        for pc in pivots:
-            if pc >= b:
-                raise NotInSpan("row outside the span of the basis")
-        coeff_rows = []
-        pivlist = list(pivots)
-        for i in range(self.nrows):
-            col = b + i
-            v = [0] * b
-            for k, pc in enumerate(pivlist):
-                v[pc] = R.entry(k, col)
-            coeff_rows.append(v)
-        return Mat.from_rows(self.field, coeff_rows, b)
+        if any(pc >= b for pc in pivots):
+            raise NotInSpan("row outside the span of the basis")
+        X = np.zeros((self.nrows, b), dtype=R.data.dtype)
+        X[:, list(pivots)] = R.data[:len(pivots), b:].T
+        return Mat(self.field, self.nrows, b, X)
 
     def complement_rows(self) -> "Mat":
         """Standard basis vectors completing the row space to the full space."""
         _, pivots = self.echelon()
         other = [j for j in range(self.ncols) if j not in pivots]
-        rows = []
-        for j in other:
-            v = [0] * self.ncols
-            v[j] = 1
-            rows.append(v)
-        return Mat.from_rows(self.field, rows, self.ncols) if rows else Mat.zeros(self.field, 0, self.ncols)
+        return Mat.identity(self.field, self.ncols).take_rows(other)
 
     def inverse(self) -> "Mat":
         if self.nrows != self.ncols:
@@ -612,20 +488,16 @@ class Mat:
 
 def _detect_echelon_pivots(basis: Mat):
     """Pivot columns when basis rows are in clean echelon form, else None."""
-    pivots = []
-    last = -1
-    for i in range(basis.nrows):
-        row = basis.row(i)
-        pc = next((j for j, x in enumerate(row) if x != 0), None)
-        if pc is None or pc <= last:
-            return None
-        pivots.append(pc)
-        last = pc
-    for k, pc in enumerate(pivots):
-        for i in range(basis.nrows):
-            if i != k and basis.entry(i, pc) != 0:
-                return None
-    return tuple(pivots)
+    if basis.nrows == 0:
+        return ()
+    nz = basis.data != 0
+    if not nz.any(axis=1).all():
+        return None
+    pivots = nz.argmax(axis=1)
+    # strictly increasing leading columns, each the only nonzero in its column
+    if (np.diff(pivots) <= 0).any() or (nz[:, pivots].sum(axis=0) != 1).any():
+        return None
+    return tuple(pivots.tolist())
 
 
 def _product_equals(X: Mat, B: Mat, M: Mat) -> bool:

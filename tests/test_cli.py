@@ -161,6 +161,19 @@ def test_fuzz_deterministic(capsys):
     assert "seed-3" in out1
 
 
+@pytest.mark.parametrize("horizon", [4, 2, 0])
+def test_fuzz_below_sampled_relation_degrees(capsys, horizon):
+    # the fuzz profile samples relations up to degree 5; the ones above the
+    # horizon are dropped, and modules zero below the horizon are skipped
+    code, out, err = run(capsys, "--format", "json", "--cat", "fi", "--field", "fp:2",
+                         "--horizon", str(horizon), "fuzz", "--seed", "1", "--count", "6")
+    items = json.loads(out)["items"]
+    assert [it["seed"] for it in items] == [1, 2, 3, 4, 5, 6]
+    assert code == 2 and err == ""
+    assert all(it["status"] in ("pass", "inconclusive", "skipped") for it in items)
+    assert any(it["status"] == "skipped" for it in items) == (horizon < 3)
+
+
 @pytest.mark.parametrize("gds, violation", [
     ((2, 0, 2), "gd(DV) = 0, gd(V) = 2 (seed 1)"),
     ((2, 1, 0), "gd(SV) = 0, gd(V) = 2 (seed 1)"),

@@ -3,9 +3,11 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catrep import matrices
 from catrep.fields import PrimeField, QQ, RationalOverflowError, parse_field
 from catrep.matrices import (
     Mat,
@@ -190,3 +192,158 @@ def test_rational_growth_guard(monkeypatch):
 def test_no_floats_accepted():
     with pytest.raises(TypeError):
         Mat.from_rows(QQ, [[0.5]])
+    # over F_p an int64 cast would truncate these silently
+    for bad in (Fraction(1, 2), 0.5, Fraction(4, 2)):
+        with pytest.raises(TypeError):
+            Mat.from_rows(F101, [[1, bad]])
+
+
+# -- storage form and a sympy oracle for the kernels ------------------
+
+# Q matrices draw from one pool each: small ints, ints up to 2^29 (int64
+# elimination that has to restart on Python ints), ints from 2^30 (Python
+# ints from the start), Fractions, or all of these; zeros are frequent so
+# that ranks drop and products stay sparse
+_Q_SMALL = st.integers(-6, 6)
+_Q_MID = st.integers(1 << 20, 1 << 29).map(lambda x: x * (-1) ** (x & 1))
+_Q_BIG = st.integers(1 << 30, 1 << 40).map(lambda x: x * (-1) ** (x & 1))
+_Q_FRAC = st.fractions(-9, 9, max_denominator=7)
+Q_POOLS = [st.one_of(st.just(0), pool) for pool in
+           (_Q_SMALL, _Q_MID, _Q_BIG, _Q_FRAC, st.one_of(_Q_SMALL, _Q_MID, _Q_BIG, _Q_FRAC))]
+
+
+@st.composite
+def exact_matrix(draw, field=None, rows=None, cols=None):
+    field = field or draw(st.sampled_from((QQ, F101, F2)))
+    rows = draw(st.integers(1, 5)) if rows is None else rows
+    cols = draw(st.integers(1, 5)) if cols is None else cols
+    pool = draw(st.sampled_from(Q_POOLS)) if field is QQ else st.integers(0, field.p - 1)
+    return Mat.from_rows(field, draw(st.lists(st.lists(pool, min_size=cols, max_size=cols),
+                                              min_size=rows, max_size=rows)), cols)
+
+
+def assert_storage(m):
+    """Q entries are ints or Fractions with denominator > 1; F_p entries ints in [0, p)."""
+    if m.field is QQ:
+        assert m.data.dtype == object
+        for x in m.data.flat:
+            assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
+    else:
+        assert m.data.dtype == np.int64
+        for row in m.rows():
+            assert all(type(x) is int and 0 <= x < m.field.p for x in row)
+        assert all(type(m.entry(i, j)) is int for i in range(m.nrows) for j in range(m.ncols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_storage_form(data):
+    A = data.draw(exact_matrix())
+    field = A.field
+    B = data.draw(exact_matrix(field, rows=A.ncols))
+    perm = data.draw(st.permutations(range(A.ncols)))
+    R, _ = A.rref()
+    E, _ = A.echelon()
+    basis = A.row_basis()
+    X = data.draw(exact_matrix(field, cols=basis.nrows)) if basis.nrows else None
+    results = [
+        A @ Mat.identity(field, A.ncols).take_rows(perm),  # column scatter
+        A @ B, B.transpose() @ A.transpose(),
+        A - data.draw(exact_matrix(field, rows=A.nrows, cols=A.ncols)),
+        A.scale(3), A.scale(Fraction(3, 2) if field is QQ else 2),
+        R, E, A.left_kernel(), A.complement_rows(),
+        Mat.vstack([A, R]), Mat.hstack([A, E]), A.take_rows([0]), A.take_cols([0]), A.transpose(),
+    ]
+    if X is not None:
+        M = X @ basis
+        results += [M, M.express_rows(basis), M.express_rows(Mat.vstack([basis, basis]))]
+    if A.nrows == A.ncols and A.rank() == A.nrows:
+        results.append(A.inverse())
+    # each Q product path once for sure: int64, Python ints, Fractions whose
+    # products come out integral, and the scatter
+    ints = Mat.from_rows(QQ, [[1, 2], [0, 3]])
+    big = Mat.from_rows(QQ, [[1 << 40, 1], [0, 1]])
+    halves = Mat.from_rows(QQ, [[Fraction(1, 2), 0], [Fraction(-3, 2), Fraction(1, 3)]])
+    results += [ints @ ints, big @ ints, halves @ ints.scale(6), halves @ Mat.identity(QQ, 2)]
+    for m in results:
+        assert_storage(m)
+
+
+def _domain(field):
+    sympy = pytest.importorskip("sympy")
+    return sympy.QQ if field is QQ else sympy.GF(field.p)
+
+
+def _to_domain(m):
+    from sympy.polys.matrices import DomainMatrix
+
+    K = _domain(m.field)
+    if m.field is QQ:
+        rows = [[K(x.numerator, x.denominator) for x in r] for r in m.rows()]
+    else:
+        rows = [[K(x) for x in r] for r in m.rows()]
+    return DomainMatrix(rows, m.shape, K)
+
+
+def _from_domain(field, dm):
+    if field is QQ:
+        return Mat.from_rows(QQ, [[Fraction(int(x.numerator), int(x.denominator)) for x in r]
+                                  for r in dm.to_list()], dm.shape[1])
+    return Mat.from_rows(field, [[int(x) % field.p for x in r] for r in dm.to_list()], dm.shape[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kernels_match_sympy(data):
+    A = data.draw(exact_matrix())
+    field, dA = A.field, _to_domain(A)
+    R, pivots = A.rref()
+    dR, dpivots = dA.rref()
+    assert (R, pivots) == (_from_domain(field, dR), tuple(dpivots))
+    assert A.rank() == dA.rank()
+    # left kernel, compared by row space: the canonical bases agree
+    K = A.left_kernel()
+    dK = _from_domain(field, dA.transpose().nullspace())
+    assert K.nrows == dK.nrows == A.nrows - A.rank()
+    assert K == dK.row_basis()
+    assert (_to_domain(K) * dA).is_zero_matrix
+    # express_rows: the coefficients against independent rows are unique
+    basis = A.row_basis()
+    if basis.nrows:
+        X = data.draw(exact_matrix(field, cols=basis.nrows))
+        M = _from_domain(field, _to_domain(X) * _to_domain(basis))
+        assert M.express_rows(basis) == X
+        G = data.draw(exact_matrix(field, rows=basis.nrows, cols=basis.nrows))
+        if _to_domain(G).rank() == basis.nrows:
+            Y = M.express_rows(G @ basis)  # not echelon: the general path
+            assert _to_domain(Y) * _to_domain(G) * _to_domain(basis) == _to_domain(M)
+    if A.nrows == A.ncols:
+        if dA.rank() == A.nrows:
+            assert A.inverse() == _from_domain(field, dA.inv())
+        else:
+            with pytest.raises(ValueError):
+                A.inverse()
+
+
+def test_int64_elimination_restarts_on_python_ints(monkeypatch):
+    # entries below 2^30 start on int64; the first updates outgrow the bound
+    calls = []
+    original = matrices._gauss_jordan
+
+    def spy(work):
+        out = original(work)
+        calls.append((work.dtype == object, out is None))
+        return out
+
+    monkeypatch.setattr(matrices, "_gauss_jordan", spy)
+    big = (1 << 29) - 3
+    A = Mat.from_rows(QQ, [[big, 7, 1, 2], [5, big, 2, -big], [3, 1, big, 0]])
+    R, pivots = A.rref()
+    assert calls == [(False, True), (True, False)]
+    pytest.importorskip("sympy")
+    dR, dpivots = _to_domain(A).rref()
+    assert (R, pivots) == (_from_domain(QQ, dR), tuple(dpivots))
+    calls.clear()
+    B = Mat.from_rows(QQ, [[big, 2 * big, 1], [3, 6, 2], [big - 1, 2 * big - 2, 5]])
+    assert B.left_kernel() == _from_domain(QQ, _to_domain(B).transpose().nullspace()).row_basis()
+    assert (False, True) in calls and (True, False) in calls
