@@ -179,6 +179,7 @@ class CategoryDescriptor:
         self._index = {}
         self._ends = {}
         self._steps = {}
+        self._gens = {}
         self._atoms = {}
 
     def __eq__(self, other):
@@ -348,9 +349,6 @@ class CategoryDescriptor:
             self._steps[r] = cached
         return cached
 
-    def step_index(self, gamma: Morphism) -> int:
-        return self.step_generators(gamma.src).index(gamma)
-
     def end_generators(self, s: int):
         """Generators of the end monoid C(s, s) under composition."""
         cached = self._ends.get(s)
@@ -367,78 +365,84 @@ class CategoryDescriptor:
             slots = range(1, s + 1) if self.ordered else ([1] if s >= 1 else [])
             for j in slots:
                 for g in self.group.generators:
-                    labels = [0] * s
-                    labels[j - 1] = g
-                    gens.append(Morphism(s, s, ident, tuple(labels)))
+                    gens.append(self._label_generator(s, j, g))
         cached = tuple(gens)
         self._ends[s] = cached
         return cached
+
+    def generators(self, h: int):
+        """Every stored generator with target <= h: for each degree t, the
+        one-steps into t, then the end generators of C(t, t)."""
+        cached = self._gens.get(h)
+        if cached is None:
+            cached = tuple(
+                g for t in range(h + 1)
+                for g in (self.step_generators(t - 1) if t else ()) + self.end_generators(t)
+            )
+            self._gens[h] = cached
+        return cached
+
+    def _label_generator(self, s: int, j: int, g: int) -> Morphism:
+        """The end generator of C(s, s) carrying label g at slot j, identity elsewhere."""
+        labels = [0] * s
+        labels[j - 1] = g
+        return Morphism(s, s, tuple(range(1, s + 1)), tuple(labels))
 
     # -- decomposition into stored generators --------------------------
 
     def _perm_atoms(self, images, level: int):
         """Adjacent-transposition atoms (application order) for a permutation."""
+        swaps = self.end_generators(level)
         line = list(images)
         out = []
         while True:
             for j in range(len(line) - 1):
                 if line[j] > line[j + 1]:
                     line[j], line[j + 1] = line[j + 1], line[j]
-                    out.append(("end", level, j))
+                    out.append(swaps[j])
                     break
             else:
                 return out
-
-    def _label_atom_indices(self, s: int):
-        """Index of the slot-j / generator-g label morphism in end_generators(s)."""
-        ngens = len(self.group.generators)
-        if self.ordered:
-            return lambda j, gi: (j - 1) * ngens + gi
-        nperm = max(s - 1, 0)
-        return lambda j, gi: nperm + gi
 
     def _end_atoms(self, eps: Morphism):
         """Atoms for an end morphism; empty for identities."""
         s = eps.src
         out = []
         if self.group:
-            idx = self._label_atom_indices(s)
+            gens = self.group.generators
             for j in range(1, s + 1):
                 g = eps.labels[j - 1]
                 if g == 0:
                     continue
-                word = self.group.word(g)
-                if self.ordered:
-                    out.extend(("end", s, idx(j, gi)) for gi in reversed(word))
-                elif j == 1:
-                    out.extend(("end", s, idx(1, gi)) for gi in reversed(word))
+                # the unordered kinds store labels at slot 1 only
+                word = [self._label_generator(s, j if self.ordered else 1, gens[gi])
+                        for gi in reversed(self.group.word(g))]
+                if self.ordered or j == 1:
+                    out.extend(word)
                 else:
                     # conjugate the slot-1 label by the transposition (1, j)
                     swap = self._perm_atoms(
                         (j,) + tuple(range(2, j)) + (1,) + tuple(range(j + 1, s + 1)), s
                     )
-                    out.extend(swap)
-                    out.extend(("end", s, idx(1, gi)) for gi in reversed(word))
-                    out.extend(swap)
+                    out.extend(swap + word + swap)
         if not self.ordered and eps.images != tuple(range(1, s + 1)):
             out.extend(self._perm_atoms(eps.images, s))
         return out
 
     def _step_atoms(self, gamma: Morphism):
         """Atoms realizing a plain one-step t -> t+1."""
-        t = gamma.src
         if self.ordered:
-            return [("step", t, self.step_index(gamma))]
+            return [gamma]
+        t = gamma.src
         p = next(iter(set(range(1, t + 2)) - set(gamma.images)))
-        out = [("step", t, 0)]
-        out.extend(("end", t + 1, j - 1) for j in range(t, p - 1, -1))
-        return out
+        swaps = self.end_generators(t + 1)
+        return [self.mu_witness(t)] + [swaps[j - 1] for j in range(t, p - 1, -1)]
 
     def atoms(self, alpha: Morphism):
-        """Decompose alpha into stored generator atoms, in application order.
+        """Decompose alpha into generators (see generators()), in application order.
 
-        Each atom is ("step", r, j) or ("end", t, j); a module realizes
-        act(alpha) as the ordered product of the corresponding matrices.
+        A module realizes act(alpha) as the ordered product of the action
+        matrices of these generators.
         """
         cached = self._atoms.get(alpha)
         if cached is not None:

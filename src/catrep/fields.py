@@ -8,6 +8,7 @@ rational elements are Python ints or ``fractions.Fraction`` in lowest terms
 
 from __future__ import annotations
 
+import operator
 import os
 from fractions import Fraction
 
@@ -47,7 +48,8 @@ class PrimeField:
         self.p = p
 
     def from_int(self, n: int) -> int:
-        return n % self.p
+        # operator.index refuses Fractions and floats instead of reducing them
+        return operator.index(n) % self.p
 
     def zero(self) -> int:
         return 0

@@ -32,6 +32,7 @@ from .trunc import (
     h0_dims,
     kernel_of_map,
     m_span,
+    top_degree,
     truncate,
 )
 from .shift import derive, shift_module
@@ -51,11 +52,7 @@ def zeroth_homology(V: TruncatedModule) -> H0Report:
     """H_0(V) = V/mV; lifts are the canonical complement of (mV)_t in V_t."""
     dims, spans = h0_dims(V)
     lifts = [spans[t].complement_rows() for t in range(V.horizon + 1)]
-    gd = -1
-    for t, d in enumerate(dims):
-        if d:
-            gd = t
-    return H0Report(dims, lifts, gd, V.horizon)
+    return H0Report(dims, lifts, top_degree(dims), V.horizon)
 
 
 def minimal_generators(V: TruncatedModule, pad: bool = False):
@@ -181,11 +178,7 @@ class HomologyReport:
 
     def hd_within(self, i: int, w: int) -> int:
         """Top degree <= w where H_i is nonzero, or -1."""
-        best = -1
-        for t in range(min(w, self.valid_to) + 1):
-            if self.dims[i][t]:
-                best = t
-        return best
+        return top_degree(self.dims[i][t] for t in range(min(w, self.valid_to) + 1))
 
     def reg_within(self, w: int) -> int:
         return max((self.hd_within(i, w) - i for i in range(self.depth + 1)), default=-1)
@@ -216,13 +209,7 @@ def tor_groups(V: TruncatedModule, depth: int, pad: bool = False,
             if Mat.vstack([kernel_rows, image_rows_red]).rank() != kernel_rows.nrows:
                 raise AssertionError(f"reduced image escapes reduced kernel at i={i}, t={t}")
             dims[i][t] = kernel_rows.nrows - image_rows_red.nrows
-    hd = []
-    for i in range(depth + 1):
-        top = -1
-        for t in range(h + 1):
-            if dims[i][t]:
-                top = t
-        hd.append(top)
+    hd = [top_degree(row) for row in dims]
     reg = max((hd[i] - i for i in range(depth + 1)), default=-1)
     return HomologyReport(dims, hd, hd[0], reg, depth, h)
 
@@ -273,7 +260,7 @@ def hilbert_fit(V: TruncatedModule) -> HilbertFit:
     if onset is None or not top[onset:]:
         return HilbertFit(dims, g, "inconclusive", None, None, None, h)
     coeffs = _newton_coefficients([table[k][onset] for k in range(g + 1)], onset)
-    fit = HilbertFit(dims, g, "ok", onset, coeffs, _poly_degree(coeffs), h)
+    fit = HilbertFit(dims, g, "ok", onset, coeffs, top_degree(coeffs), h)
     for n in range(onset, h + 1):
         if fit.evaluate(n) != dims[n]:
             raise AssertionError(f"hilbert fit mismatch at degree {n}")
@@ -307,14 +294,6 @@ def _poly_mul_linear(poly, c):
         out[d] += a * c
         out[d + 1] += a
     return out
-
-
-def _poly_degree(coeffs):
-    deg = -1
-    for d, c in enumerate(coeffs):
-        if c != 0:
-            deg = d
-    return deg
 
 
 class VerificationViolation(Exception):
@@ -488,7 +467,7 @@ def verify_theorems(V: TruncatedModule, depth: int, s_bound: int = 3,
     rep_v, rep_sv, rep_dv = (tor_groups(M, depth) for M in (truncate(V, w), seq.SV, seq.DV))
     hd_v, hd_sv, hd_dv = ([rep.hd_within(i, w) for i in range(depth + 1)]
                           for rep in (rep_v, rep_sv, rep_dv))
-    support_top = max(t for t in range(h + 1) if V.dims[t])
+    support_top = top_degree(V.dims)
     values = SimpleNamespace(
         h=h, w=w, depth=depth, big_n=big_n, support_top=support_top,
         reg_sm=hypothesis_ok, mu_injective=seq.mu.is_injective(), finite_support=support_top < h,

@@ -194,10 +194,23 @@ def _parse_relation(line: str, ln: int, gen_index: dict) -> Relation:
             alpha = parse_morphism(mor_text.strip())
         except ValueError as exc:
             raise PresentationError(str(exc), ln, col)
-        terms.append((coeff_text.strip(), alpha, gen_index[gen_name]))
+        terms.append((_check_coefficient(coeff_text.strip(), ln, col), alpha, gen_index[gen_name]))
     if not terms:
         raise PresentationError("empty relation", ln, 5)
     return Relation(target, tuple(terms))
+
+
+def _check_coefficient(text: str, ln: int, col: int) -> str:
+    """The coefficient text, if it reads <int> or <int>/<nonzero int>."""
+    num, slash, den = text.partition("/")
+    try:
+        int(num)
+        if slash and int(den) == 0:
+            raise PresentationError(f"zero denominator in coefficient {text!r}", ln, col)
+    except ValueError:
+        raise PresentationError(
+            f"bad coefficient {text!r} (expected <int> or <int>/<int>)", ln, col) from None
+    return text
 
 
 def _split_terms(text: str):
@@ -225,7 +238,11 @@ def resolve_coefficients(pres: Presentation, field) -> Presentation:
     for rel in pres.relations:
         terms = []
         for coeff, alpha, k in rel.terms:
-            value = field.parse(coeff) if isinstance(coeff, str) else coeff
+            try:
+                value = field.parse(coeff) if isinstance(coeff, str) else coeff
+            except ZeroDivisionError:
+                raise PresentationError(
+                    f"coefficient {coeff!r} has a zero denominator in {field.name}") from None
             terms.append((value, alpha, k))
         rels.append(Relation(rel.target, tuple(terms)))
     return Presentation(pres.generators, tuple(rels))

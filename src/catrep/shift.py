@@ -42,15 +42,8 @@ def shift_module(V: TruncatedModule) -> TruncatedModule:
     cat = V.cat
     h = V.horizon - 1
     dims = [V.dims[t + 1] for t in range(h + 1)]
-    steps = [
-        [V.act(cat.embed(g)) for g in cat.step_generators(r)]
-        for r in range(max(h, 0))
-    ]
-    ends = [
-        [V.act(cat.embed(e)) for e in cat.end_generators(t)]
-        for t in range(h + 1)
-    ]
-    return TruncatedModule(cat, V.field, h, dims, steps, ends)
+    gens = {g: V.act(cat.embed(g)) for g in cat.generators(h)}
+    return TruncatedModule(cat, V.field, h, dims, gens)
 
 
 def mu_map(V: TruncatedModule, SV: TruncatedModule | None = None) -> ModuleMap:

@@ -1,11 +1,12 @@
 """Truncated modules over a category kind, with exact degreewise actions.
 
-A TruncatedModule stores dimensions for degrees 0..horizon and the action
-matrices of a generating family of morphisms: the plain one-step generators
-r -> r+1 and the end generators of each C(t, t).  Every other action matrix
-is reconstructed by closure (the category decomposes any morphism into those
-atoms), which keeps storage linear in the horizon even for FI where hom sets
-grow factorially.
+A TruncatedModule stores dimensions for degrees 0..horizon and one table
+of action matrices, keyed by the generating morphisms cat.generators(horizon):
+the plain one-steps r -> r+1 and the end generators of each C(t, t).  Every
+other action matrix is the product of table entries along the category's
+decomposition of a morphism into generators (cat.atoms), which keeps storage
+linear in the horizon even for FI where hom sets grow factorially.  Every
+module construction below is one loop over that table.
 
 Vectors are rows; act(V, alpha) for alpha: r -> s is a dims[r] x dims[s]
 matrix applied on the right.  Degreewise truncation is exact below the
@@ -23,35 +24,24 @@ from .matrices import Mat
 class TruncatedModule:
     """A C-module known exactly up to its horizon (horizon -1 = no data)."""
 
-    def __init__(self, cat, field, horizon, dims, steps, ends):
+    def __init__(self, cat, field, horizon, dims, gens):
         if horizon < -1 or len(dims) != horizon + 1:
             raise ValueError("horizon/dims mismatch")
         self.cat = cat
         self.field = field
         self.horizon = horizon
         self.dims = list(dims)
-        self.steps = steps  # steps[r][j]: Mat dims[r] x dims[r+1], r < horizon
-        self.ends = ends  # ends[t][j]: Mat dims[t] x dims[t], t <= horizon
+        # gens[g]: Mat dims[g.src] x dims[g.dst], for every g in cat.generators(horizon)
+        self.gens = gens
         self._act_cache = {}
         self._check_shapes()
 
     def _check_shapes(self):
-        if len(self.steps) != max(self.horizon, 0):
-            raise ValueError("wrong number of step levels")
-        if len(self.ends) != self.horizon + 1:
-            raise ValueError("wrong number of end levels")
-        for r, mats in enumerate(self.steps):
-            if len(mats) != len(self.cat.step_generators(r)):
-                raise ValueError(f"step generator count mismatch at degree {r}")
-            for m in mats:
-                if m.shape != (self.dims[r], self.dims[r + 1]):
-                    raise ValueError(f"step matrix shape mismatch at degree {r}")
-        for t, mats in enumerate(self.ends):
-            if len(mats) != len(self.cat.end_generators(t)):
-                raise ValueError(f"end generator count mismatch at degree {t}")
-            for m in mats:
-                if m.shape != (self.dims[t], self.dims[t]):
-                    raise ValueError(f"end matrix shape mismatch at degree {t}")
+        if set(self.gens) != set(self.cat.generators(self.horizon)):
+            raise ValueError("action table keys differ from the generators up to the horizon")
+        for g, m in self.gens.items():
+            if m.shape != (self.dims[g.src], self.dims[g.dst]):
+                raise ValueError(f"action matrix shape mismatch at {g}")
 
     def dim(self, t: int) -> int:
         if t < 0 or t > self.horizon:
@@ -78,8 +68,8 @@ class TruncatedModule:
             raise ValueError(f"degree {alpha.dst} above horizon {self.horizon}")
         n = self.dims[alpha.src]
         out = Mat.identity(self.field, n) if rows is None else Mat.from_rows(self.field, rows, n)
-        for kind, level, j in self.cat.atoms(alpha):
-            out = out @ (self.steps[level][j] if kind == "step" else self.ends[level][j])
+        for g in self.cat.atoms(alpha):
+            out = out @ self.gens[g]
         return out
 
     def __repr__(self):
@@ -104,20 +94,13 @@ class FreeModule(TruncatedModule):
             self._offsets[t] = tuple(offsets)
             dims.append(len(basis))
         units = [Mat.identity(field, d) for d in dims]
-        steps = [
-            [self._gen_matrix(cat, units, r, gamma) for gamma in cat.step_generators(r)]
-            for r in range(max(horizon, 0))
-        ]
-        ends = [
-            [self._gen_matrix(cat, units, t, eps) for eps in cat.end_generators(t)]
-            for t in range(horizon + 1)
-        ]
-        super().__init__(cat, field, horizon, dims, steps, ends)
+        gens = {g: self._gen_matrix(cat, units, g) for g in cat.generators(horizon)}
+        super().__init__(cat, field, horizon, dims, gens)
 
-    def _gen_matrix(self, cat, units, r, gamma) -> Mat:
+    def _gen_matrix(self, cat, units, gamma) -> Mat:
         """Basis map of gamma: basis element (k, m) goes to (k, gamma o m)."""
         offsets = self._offsets[gamma.dst]
-        cols = [offsets[k] + cat.hom_index(cat.compose(gamma, m)) for k, m in self._basis[r]]
+        cols = [offsets[k] + cat.hom_index(cat.compose(gamma, m)) for k, m in self._basis[gamma.src]]
         return units[gamma.dst].take_rows(cols)
 
     def basis(self, t: int):
@@ -150,20 +133,11 @@ class ModuleMap:
         return len(self.mats) - 1
 
     def commutation_defect(self):
-        """First (degree, generator) square that fails to commute, else None."""
-        h = self.horizon
-        for r in range(h):
-            for j, gamma in enumerate(self.domain.cat.step_generators(r)):
-                left = self.domain.steps[r][j] @ self.mats[r + 1]
-                right = self.mats[r] @ self.codomain.steps[r][j]
-                if left != right:
-                    return (r, gamma)
-        for t in range(h + 1):
-            for j, eps in enumerate(self.domain.cat.end_generators(t)):
-                left = self.domain.ends[t][j] @ self.mats[t]
-                right = self.mats[t] @ self.codomain.ends[t][j]
-                if left != right:
-                    return (t, eps)
+        """First (source degree, generator) square that fails to commute, in
+        generator table order, else None."""
+        for g in self.domain.cat.generators(self.horizon):
+            if self.domain.gens[g] @ self.mats[g.dst] != self.mats[g.src] @ self.codomain.gens[g]:
+                return (g.src, g)
         return None
 
     def is_injective(self) -> bool:
@@ -182,21 +156,13 @@ def truncate(V: TruncatedModule, horizon: int) -> TruncatedModule:
         raise ValueError("cannot extend a horizon")
     if horizon == V.horizon:
         return V
-    return TruncatedModule(
-        V.cat,
-        V.field,
-        horizon,
-        V.dims[: horizon + 1],
-        [list(m) for m in V.steps[: max(horizon, 0)]],
-        [list(m) for m in V.ends[: horizon + 1]],
-    )
+    gens = {g: V.gens[g] for g in V.cat.generators(horizon)}
+    return TruncatedModule(V.cat, V.field, horizon, V.dims[: horizon + 1], gens)
 
 
 def zero_module(cat, field, horizon: int) -> TruncatedModule:
-    dims = [0] * (horizon + 1)
-    steps = [[Mat.zeros(field, 0, 0) for _ in cat.step_generators(r)] for r in range(max(horizon, 0))]
-    ends = [[Mat.zeros(field, 0, 0) for _ in cat.end_generators(t)] for t in range(horizon + 1)]
-    return TruncatedModule(cat, field, horizon, dims, steps, ends)
+    gens = {g: Mat.zeros(field, 0, 0) for g in cat.generators(horizon)}
+    return TruncatedModule(cat, field, horizon, [0] * (horizon + 1), gens)
 
 
 def free_module(cat, field, s: int, horizon: int) -> FreeModule:
@@ -218,7 +184,7 @@ def zero_map(V: TruncatedModule, W: TruncatedModule) -> ModuleMap:
 def end_closure(V: TruncatedModule, t: int, rows: Mat) -> Mat:
     """Smallest C(t,t)-stable row space containing the given rows."""
     current = rows.row_basis()
-    gens = V.ends[t]
+    gens = [V.gens[e] for e in V.cat.end_generators(t)]
     if not gens:
         return current
     while True:
@@ -240,21 +206,11 @@ def submodule_from_rows(V: TruncatedModule, rows_per_degree, horizon=None):
     bases = [p[0] for p in pairs]
     pivots = [p[1] for p in pairs]
     dims = [b.nrows for b in bases]
-    steps = []
-    for r in range(max(h, 0)):
-        level = []
-        for j, _ in enumerate(V.cat.step_generators(r)):
-            pushed = bases[r] @ V.steps[r][j]
-            level.append(pushed.express_rows(bases[r + 1], pivots=pivots[r + 1]))
-        steps.append(level)
-    ends = []
-    for t in range(h + 1):
-        level = []
-        for j, _ in enumerate(V.cat.end_generators(t)):
-            pushed = bases[t] @ V.ends[t][j]
-            level.append(pushed.express_rows(bases[t], pivots=pivots[t]))
-        ends.append(level)
-    U = TruncatedModule(V.cat, V.field, h, dims, steps, ends)
+    gens = {}
+    for g in V.cat.generators(h):
+        pushed = bases[g.src] @ V.gens[g]
+        gens[g] = pushed.express_rows(bases[g.dst], pivots=pivots[g.dst])
+    U = TruncatedModule(V.cat, V.field, h, dims, gens)
     incl = ModuleMap(U, truncate(V, h), bases)
     return U, incl
 
@@ -295,25 +251,13 @@ def quotient_by(incl: ModuleMap):
         comp.append(C)
         projs.append(P)
     dims = [c.nrows for c in comp]
-    steps = []
-    for r in range(max(h, 0)):
-        level = []
-        for j, _ in enumerate(V.cat.step_generators(r)):
-            A = V.steps[r][j]
-            if not (sub_bases[r] @ A @ projs[r + 1]).is_zero():
-                raise ValueError(f"induced step action not well defined at degree {r}")
-            level.append(comp[r] @ A @ projs[r + 1])
-        steps.append(level)
-    ends = []
-    for t in range(h + 1):
-        level = []
-        for j, _ in enumerate(V.cat.end_generators(t)):
-            A = V.ends[t][j]
-            if not (sub_bases[t] @ A @ projs[t]).is_zero():
-                raise ValueError(f"induced end action not well defined at degree {t}")
-            level.append(comp[t] @ A @ projs[t])
-        ends.append(level)
-    Q = TruncatedModule(V.cat, field, h, dims, steps, ends)
+    gens = {}
+    for g in V.cat.generators(h):
+        A = V.gens[g]
+        if not (sub_bases[g.src] @ A @ projs[g.dst]).is_zero():
+            raise ValueError(f"induced action of {g} not well defined")
+        gens[g] = comp[g.src] @ A @ projs[g.dst]
+    Q = TruncatedModule(V.cat, field, h, dims, gens)
     proj = ModuleMap(truncate(V, h), Q, projs)
     return Q, proj
 
@@ -325,15 +269,8 @@ def direct_sum(V: TruncatedModule, W: TruncatedModule):
     h = min(V.horizon, W.horizon)
     Vh, Wh = truncate(V, h), truncate(W, h)
     dims = [Vh.dims[t] + Wh.dims[t] for t in range(h + 1)]
-    steps = [
-        [_block_diag(Vh.steps[r][j], Wh.steps[r][j]) for j in range(len(Vh.steps[r]))]
-        for r in range(max(h, 0))
-    ]
-    ends = [
-        [_block_diag(Vh.ends[t][j], Wh.ends[t][j]) for j in range(len(Vh.ends[t]))]
-        for t in range(h + 1)
-    ]
-    return TruncatedModule(V.cat, V.field, h, dims, steps, ends)
+    gens = {g: _block_diag(Vh.gens[g], Wh.gens[g]) for g in V.cat.generators(h)}
+    return TruncatedModule(V.cat, V.field, h, dims, gens)
 
 
 def _block_diag(a: Mat, b: Mat) -> Mat:
@@ -350,7 +287,7 @@ def m_span(V: TruncatedModule):
         if t == 0:
             out.append(Mat.zeros(V.field, 0, V.dims[0]))
             continue
-        pieces = [V.steps[t - 1][j] for j in range(len(V.steps[t - 1]))]
+        pieces = [V.gens[g] for g in V.cat.step_generators(t - 1)]
         seed = Mat.vstack(pieces).row_basis() if pieces else Mat.zeros(V.field, 0, V.dims[t])
         out.append(end_closure(V, t, seed))
     return out
@@ -362,14 +299,14 @@ def h0_dims(V: TruncatedModule):
     return [V.dims[t] - spans[t].nrows for t in range(V.horizon + 1)], spans
 
 
+def top_degree(values) -> int:
+    """Last index holding a nonzero entry, or -1 when every entry is zero."""
+    return max((t for t, x in enumerate(values) if x), default=-1)
+
+
 def generating_degree(V: TruncatedModule) -> int:
     """gd(V) within the horizon: top degree carrying a minimal generator, or -1."""
-    dims, _ = h0_dims(V)
-    top = -1
-    for t, d in enumerate(dims):
-        if d > 0:
-            top = t
-    return top
+    return top_degree(h0_dims(V)[0])
 
 
 def module_closure_of_rows(V: TruncatedModule, seed_rows_per_degree):
@@ -379,8 +316,8 @@ def module_closure_of_rows(V: TruncatedModule, seed_rows_per_degree):
     for t in range(h + 1):
         pieces = []
         if t > 0 and out[t - 1].nrows:
-            for j in range(len(V.steps[t - 1])):
-                pieces.append(out[t - 1] @ V.steps[t - 1][j])
+            for g in V.cat.step_generators(t - 1):
+                pieces.append(out[t - 1] @ V.gens[g])
         seed = seed_rows_per_degree.get(t) if isinstance(seed_rows_per_degree, dict) else seed_rows_per_degree[t]
         if seed is not None and seed.nrows:
             pieces.append(seed)

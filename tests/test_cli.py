@@ -146,6 +146,19 @@ def test_parse_error_exit_1(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("field, coeff, where", [
+    ("q", "1/0", "line 7, col 8: zero denominator"),
+    ("q", "x", "line 7, col 8: bad coefficient 'x'"),
+    ("fp:7", "1/7", "'1/7' has a zero denominator in fp:7"),
+])
+def test_bad_coefficient_exit_1(tmp_path, capsys, field, coeff, where):
+    p = tmp_path / "bad.pres"
+    p.write_text(TORSION.replace("fp:101", field).replace("rel 2: 1*", f"rel 2: {coeff}*"))
+    code, _, err = run(capsys, "info", str(p))
+    assert code == 1
+    assert err.startswith("error: ") and where in err
+
+
 def test_flag_overrides_field(files, capsys):
     code, out, _ = run(capsys, "--field", "fp:7", "info", files["M1"])
     assert code == 0 and "dims=[0, 1, 2, 3, 4, 5, 6]" in out

@@ -196,6 +196,10 @@ def test_no_floats_accepted():
     for bad in (Fraction(1, 2), 0.5, Fraction(4, 2)):
         with pytest.raises(TypeError):
             Mat.from_rows(F101, [[1, bad]])
+    # and a non-integer scalar would leave the int64 residue storage
+    for bad in (Fraction(3, 2), 2.5):
+        with pytest.raises(TypeError):
+            Mat.identity(F101, 2).scale(bad)
 
 
 # -- storage form and a sympy oracle for the kernels ------------------

@@ -1,8 +1,10 @@
 """Presentation files: parsing, validation, emission, round trips."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catrep.category import Morphism, make_category
+from catrep.corpus import FUZZ_PROFILE, sample_presentation
 from catrep.fields import QQ, parse_field
 from catrep.presentations import (
     Presentation,
@@ -44,8 +46,8 @@ def test_round_trip_identical_module():
     cat2, field2, horizon2, module2, _ = build_module(header2, pres2)
     assert module2.dims == module.dims
     for r in range(min(module.horizon, module2.horizon)):
-        for j in range(len(module.steps[r])):
-            assert module.steps[r][j] == module2.steps[r][j]
+        for g in cat.step_generators(r):
+            assert module.gens[g] == module2.gens[g]
     # emission is idempotent
     assert emit_presentation_text(cat2, field2, horizon2, resolve_coefficients(pres2, field2)) == text
 
@@ -79,6 +81,15 @@ def test_parse_errors_carry_position():
     dup = "catrep-presentation v1\ngen u deg 1\ngen u deg 2\n"
     with pytest.raises(PresentationError):
         parse_presentation_text(dup)
+    # coefficients: <int> or <int>/<int>, the denominator nonzero
+    for coeff in ("1/0", "x", "1/x", "1/2/3", ""):
+        with pytest.raises(PresentationError) as exc:
+            parse_presentation_text(TORSION.replace("rel 2: 1*", f"rel 2: {coeff}*"))
+        assert (exc.value.line, exc.value.col) == (7, 8)
+    # a denominator that is zero only in the field fails when coefficients resolve
+    _, pres = parse_presentation_text(TORSION.replace("rel 2: 1*", "rel 2: 1/7*"))
+    with pytest.raises(PresentationError, match="'1/7'.*fp:7"):
+        resolve_coefficients(pres, parse_field("fp:7"))
 
 
 def test_validation_rejects_mismatched_terms():
@@ -187,3 +198,21 @@ gen v deg 1
     with pytest.raises(PresentationError) as exc:
         parse_presentation_text(head + "rel 2: 1*1->2:[2]@u+1*1->2:[1]\n")
     assert exc.value.line == 8
+
+
+ROUND_TRIP_CATS = [make_category("fi"), OI, make_category("fi_g", "cyclic:2"),
+                   make_category("oi_g", "cyclic:3")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ROUND_TRIP_CATS), st.sampled_from([QQ, parse_field("fp:2"), F101]),
+       st.integers(0, 10**6), st.sampled_from([None, FUZZ_PROFILE]))
+def test_emit_parse_emit_is_identity(cat, field, seed, profile):
+    pres = sample_presentation(cat, field, seed, profile)
+    text = emit_presentation_text(cat, field, 6, pres)
+    header, parsed = parse_presentation_text(text)
+    assert header == {"category": cat.kind, "group": cat.group.spec if cat.group else "none",
+                      "field": field.name, "horizon": 6}
+    resolved = resolve_coefficients(parsed, field)
+    assert resolved == pres
+    assert emit_presentation_text(cat, field, 6, resolved) == text

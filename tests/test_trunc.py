@@ -10,6 +10,7 @@ from catrep.matrices import Mat
 from catrep.presentations import Presentation, Relation, from_presentation
 from catrep.trunc import (
     ModuleMap,
+    TruncatedModule,
     direct_sum,
     free_module,
     generating_degree,
@@ -28,6 +29,7 @@ F101 = parse_field("fp:101")
 FI = make_category("fi")
 OI = make_category("oi")
 OIG = make_category("oi_g", 2)
+FIG = make_category("fi_g", 2)
 
 
 def oi_torsion(field=F101, horizon=6):
@@ -263,3 +265,35 @@ def test_act_functoriality_on_presented_module():
         a = homs_a[rng.randrange(len(homs_a))]
         b = homs_b[rng.randrange(len(homs_b))]
         assert V.act(OI.compose(b, a)) == V.act(a) @ V.act(b)
+
+
+@pytest.mark.parametrize("cat", [FI, OI, FIG, OIG], ids=lambda c: c.kind)
+def test_generator_table_is_steps_and_ends_by_degree(cat):
+    for h in range(-1, 5):
+        want = []
+        for t in range(h + 1):
+            want += (cat.step_generators(t - 1) if t else ()) + cat.end_generators(t)
+        assert cat.generators(h) == tuple(want)
+        assert len(set(want)) == len(want)
+    # every atom is a table entry below its target, and the atoms compose back
+    for s in range(4):
+        table = set(cat.generators(s))
+        for r in range(s + 1):
+            for alpha in cat.hom(r, s):
+                acc = cat.identity(r)
+                for g in cat.atoms(alpha):
+                    assert g in table
+                    acc = cat.compose(g, acc)
+                assert acc == alpha
+
+
+def test_module_rejects_a_table_off_the_generators():
+    M = free_module(FI, F101, 1, 3)  # dims [0, 1, 2, 6]
+    step, swap = FI.step_generators(1)[0], FI.end_generators(2)[0]
+    missing = {g: m for g, m in M.gens.items() if g != swap}
+    extra = {**M.gens, FI.step_generators(3)[0]: Mat.zeros(F101, 6, 24)}
+    wrong_shape = {**M.gens, step: Mat.zeros(F101, 1, 1)}
+    for gens in (missing, extra, wrong_shape):
+        with pytest.raises(ValueError):
+            TruncatedModule(FI, F101, 3, M.dims, gens)
+    assert TruncatedModule(FI, F101, 3, M.dims, dict(M.gens)).act(swap) == M.act(swap)
