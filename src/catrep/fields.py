@@ -1,7 +1,9 @@
 """Exact scalar arithmetic: prime fields F_p and arbitrary-precision rationals.
 
-Every computation in the package happens over one of these two fields; no
-floating point is used anywhere.  F_p elements are Python ints in [0, p);
+Every computation in the package happens over one of these two fields.
+Floats carry exact integers only: dense F_p matrix products may run on
+float64 under a bound, checked in ``matrices``, that keeps every partial sum
+an integer below 2^53.  F_p elements are Python ints in [0, p);
 rational elements are Python ints or ``fractions.Fraction`` in lowest terms
 (ints stand for integer-valued rationals, which keeps the common case fast).
 """
@@ -36,7 +38,7 @@ def _is_prime(p: int) -> bool:
 
 
 class PrimeField:
-    """The field F_p for a prime p (p bounded so int64 matrix products are safe)."""
+    """The field F_p for a prime p (p < 2^20, so products of residues fit in 2^40)."""
 
     kind = "fp"
 

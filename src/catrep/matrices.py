@@ -10,6 +10,11 @@ look at the field.  Subspaces are represented throughout the package as
 form, over Q scaled to primitive integer rows with positive pivots, so equal
 subspaces compare bit-for-bit equal.
 
+An F_p product runs on float64 BLAS when its inner dimension k has
+k (p-1)^2 < 2^53: every partial sum is then an integer that float64 holds
+exactly, so the result equals the int64 product.  Past that bound it runs
+on int64, and past k (p-1)^2 >= 2^63 it is refused with a ValueError.
+
 Rational elimination is fraction-free: rows are cleared to integers up
 front, cross-multiplication updates keep them integral, and each update is
 reduced by its gcd.  One Gauss-Jordan routine serves int64 and
@@ -194,6 +199,35 @@ def _echelon(m):
     return _echelon_q(m.data)
 
 
+# a product of residues in [0, p) with inner dimension k has partial sums
+# up to k (p-1)^2; below these limits float64 and int64 hold them exactly
+_FLOAT_EXACT = 1 << 53
+_INT64_EXACT = 1 << 63
+
+
+def _fp_product(x, y, p):
+    """x @ y mod p for int64 residue arrays: float64 BLAS when exact, else int64.
+
+    Exact whatever order BLAS adds in, since every partial sum is an integer
+    below 2^53.  NumPy's int64 @ does not use BLAS.
+    """
+    if x.shape[1] * (p - 1) ** 2 < _FLOAT_EXACT:
+        return _float_product(x, y, p)
+    return _int64_product(x, y, p)
+
+
+def _float_product(x, y, p):
+    return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64) % p
+
+
+def _int64_product(x, y, p):
+    k = x.shape[1]
+    if k * (p - 1) ** 2 >= _INT64_EXACT:
+        raise ValueError(f"F_{p} product {x.shape} @ {y.shape} is not exact in int64: "
+                         f"{k} * ({p} - 1)^2 >= 2^63")
+    return (x @ y) % p
+
+
 def _q_product(a, b):
     """a @ b over Q: int64 when exact, else object arrays.
 
@@ -376,7 +410,7 @@ class Mat:
             out = np.zeros((self.nrows, other.ncols), dtype=self.data.dtype)
             out[:, cols] = self.data
         elif self.field.kind == "fp":
-            out = (self.data @ other.data) % self.field.p
+            out = _fp_product(self.data, other.data, self.field.p)
         else:
             out = _q_product(self, other)
         return Mat(self.field, self.nrows, other.ncols, out)

@@ -19,9 +19,10 @@ normalized files always carry the full header.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
-from .category import CategoryDescriptor, make_category, parse_morphism
+from .category import KINDS, CategoryDescriptor, make_category, parse_group_spec, parse_morphism
 from .fields import parse_field
 from .matrices import Mat
 from .trunc import FreeModule, module_closure_of_rows, quotient_by, submodule_from_rows
@@ -42,6 +43,15 @@ class PresentationError(Exception):
 class Relation:
     target: int
     terms: tuple  # (coeff, Morphism, generator index)
+    # where the relation was read: its line and the column of each term
+    # (0 and () when built in code); not part of the value
+    line: int = dataclasses.field(default=0, compare=False)
+    cols: tuple = dataclasses.field(default=(), compare=False)
+
+    def error(self, message: str, term=None) -> PresentationError:
+        """An error at one term of the relation, or at its degree for term=None."""
+        col = self.cols[term] if term is not None and self.cols else 5
+        return PresentationError(message, self.line, col)
 
 
 @dataclass(frozen=True)
@@ -57,19 +67,20 @@ class Presentation:
             if d < 0:
                 raise PresentationError("negative generator degree")
         for rel in self.relations:
-            for _, alpha, k in rel.terms:
+            for i, (_, alpha, k) in enumerate(rel.terms):
                 if not (0 <= k < len(self.generators)):
-                    raise PresentationError("relation references unknown generator")
+                    raise rel.error("relation references unknown generator", i)
                 if alpha.src != self.generators[k][1]:
-                    raise PresentationError(
+                    raise rel.error(
                         f"morphism {alpha} does not start at generator degree "
-                        f"{self.generators[k][1]}"
-                    )
+                        f"{self.generators[k][1]}", i)
                 if alpha.dst != rel.target:
-                    raise PresentationError(
-                        f"term {alpha} does not land in the relation degree {rel.target}"
-                    )
-                cat.validate(alpha)
+                    raise rel.error(
+                        f"term {alpha} does not land in the relation degree {rel.target}", i)
+                try:
+                    cat.validate(alpha)
+                except ValueError as exc:
+                    raise rel.error(str(exc), i) from None
 
 
 def normalize_presentation(cat: CategoryDescriptor, pres: Presentation) -> Presentation:
@@ -77,7 +88,7 @@ def normalize_presentation(cat: CategoryDescriptor, pres: Presentation) -> Prese
     rels = []
     for rel in pres.relations:
         terms = tuple((c, cat.normalize(alpha), k) for c, alpha, k in rel.terms)
-        rels.append(Relation(rel.target, terms))
+        rels.append(dataclasses.replace(rel, terms=terms))
     return Presentation(pres.generators, tuple(rels))
 
 
@@ -92,9 +103,7 @@ def from_presentation(cat: CategoryDescriptor, field, pres: Presentation, horizo
     pres.validate(cat)
     for rel in pres.relations:
         if rel.target > horizon:
-            raise PresentationError(
-                f"relation degree {rel.target} above horizon {horizon}"
-            )
+            raise rel.error(f"relation degree {rel.target} above horizon {horizon}")
     F = FreeModule(cat, field, tuple(d for _, d in pres.generators), horizon)
     seeds = {}
     by_degree = {}
@@ -128,6 +137,7 @@ def parse_presentation_text(text: str):
     if not lines or lines[0].strip() != FORMAT_MAGIC:
         raise PresentationError(f"missing magic line {FORMAT_MAGIC!r}", 1, 1)
     header = {}
+    where = {}  # header key -> (line, column) of its value
     generators = []
     gen_index = {}
     relations = []
@@ -136,17 +146,20 @@ def parse_presentation_text(text: str):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("category "):
-            header["category"] = line.split(None, 1)[1].strip()
-        elif line.startswith("group "):
-            header["group"] = line.split(None, 1)[1].strip().replace(" ", ":")
-        elif line.startswith("field "):
-            header["field"] = line.split(None, 1)[1].strip()
-        elif line.startswith("horizon "):
-            try:
-                header["horizon"] = int(line.split(None, 1)[1])
-            except ValueError:
-                raise PresentationError("bad horizon value", ln, len("horizon ") + 1)
+        key, _, rest = line.partition(" ")
+        if key in ("category", "group", "field", "horizon") and rest:
+            value = rest.strip()
+            where[key] = (ln, len(line) - len(value) + 1)
+            if key == "group":
+                value = value.replace(" ", ":")
+            elif key == "horizon":
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise PresentationError("bad horizon value", *where[key]) from None
+                if value < 0:
+                    raise PresentationError(f"horizon must be >= 0, got {value}", *where[key])
+            header[key] = value
         elif line.startswith("gen "):
             parts = line.split()
             if len(parts) != 4 or parts[2] != "deg":
@@ -154,19 +167,48 @@ def parse_presentation_text(text: str):
             name = parts[1]
             if name in gen_index:
                 raise PresentationError(f"duplicate generator {name!r}", ln, 5)
+            col = len(line) - len(parts[3]) + 1
             try:
                 deg = int(parts[3])
             except ValueError:
-                raise PresentationError("bad generator degree", ln, line.find(parts[3]) + 1)
+                raise PresentationError("bad generator degree", ln, col) from None
+            if deg < 0:
+                raise PresentationError("negative generator degree", ln, col)
             gen_index[name] = len(generators)
             generators.append((name, deg))
         elif line.startswith("rel "):
             pending_relations.append((ln, line))
         else:
             raise PresentationError(f"unrecognized line {line!r}", ln, 1)
+    _check_header(header, where)
     for ln, line in pending_relations:
         relations.append(_parse_relation(line, ln, gen_index))
     return header, Presentation(tuple(generators), tuple(relations))
+
+
+def _check_header(header: dict, where: dict) -> None:
+    """Reject header values that configure no category or field, at their line.
+
+    A value missing from the file is not checked: command-line flags may
+    supply it.
+    """
+    def check(key, build):
+        try:
+            build()
+        except ValueError as exc:
+            raise PresentationError(str(exc), *where[key]) from None
+
+    if "field" in header:
+        check("field", lambda: parse_field(header["field"]))
+    group = header.get("group", "none")
+    if "category" in header:
+        kind = header["category"]
+        if kind.lower() not in KINDS:
+            raise PresentationError(f"unknown category kind {kind!r}", *where["category"])
+        if "group" in header:
+            check("group", lambda: make_category(kind, None if group == "none" else group))
+    elif group != "none":
+        check("group", lambda: parse_group_spec(group))
 
 
 def _parse_relation(line: str, ln: int, gen_index: dict) -> Relation:
@@ -179,6 +221,7 @@ def _parse_relation(line: str, ln: int, gen_index: dict) -> Relation:
     except ValueError:
         raise PresentationError("bad relation degree", ln, 5)
     terms = []
+    cols = []
     for chunk in _split_terms(terms_text):
         col = line.find(chunk) + 1
         if "*" not in chunk or "@" not in chunk:
@@ -195,9 +238,10 @@ def _parse_relation(line: str, ln: int, gen_index: dict) -> Relation:
         except ValueError as exc:
             raise PresentationError(str(exc), ln, col)
         terms.append((_check_coefficient(coeff_text.strip(), ln, col), alpha, gen_index[gen_name]))
+        cols.append(col)
     if not terms:
         raise PresentationError("empty relation", ln, 5)
-    return Relation(target, tuple(terms))
+    return Relation(target, tuple(terms), ln, tuple(cols))
 
 
 def _check_coefficient(text: str, ln: int, col: int) -> str:
@@ -237,14 +281,14 @@ def resolve_coefficients(pres: Presentation, field) -> Presentation:
     rels = []
     for rel in pres.relations:
         terms = []
-        for coeff, alpha, k in rel.terms:
+        for i, (coeff, alpha, k) in enumerate(rel.terms):
             try:
                 value = field.parse(coeff) if isinstance(coeff, str) else coeff
             except ZeroDivisionError:
-                raise PresentationError(
-                    f"coefficient {coeff!r} has a zero denominator in {field.name}") from None
+                raise rel.error(
+                    f"coefficient {coeff!r} has a zero denominator in {field.name}", i) from None
             terms.append((value, alpha, k))
-        rels.append(Relation(rel.target, tuple(terms)))
+        rels.append(dataclasses.replace(rel, terms=tuple(terms)))
     return Presentation(pres.generators, tuple(rels))
 
 

@@ -182,17 +182,23 @@ def zero_map(V: TruncatedModule, W: TruncatedModule) -> ModuleMap:
 
 
 def end_closure(V: TruncatedModule, t: int, rows: Mat) -> Mat:
-    """Smallest C(t,t)-stable row space containing the given rows."""
-    current = rows.row_basis()
+    """Smallest C(t,t)-stable row space containing the given rows.
+
+    Spins only the frontier: each round pushes through the end generators
+    just the rows of the new canonical basis whose pivot column is new.  The
+    pivots of a subspace are a subset of those of any larger space, so the
+    frontier and the previous basis span the new space, and the previous
+    space's images already lie in it.
+    """
+    current, pivots = rows.row_basis_pivots()
+    frontier = current
     gens = [V.gens[e] for e in V.cat.end_generators(t)]
-    if not gens:
-        return current
-    while True:
-        pieces = [current] + [current @ g for g in gens]
-        bigger = Mat.vstack(pieces).row_basis()
-        if bigger.nrows == current.nrows:
-            return bigger
-        current = bigger
+    while gens and frontier.nrows:
+        bigger, bigger_pivots = Mat.vstack([current] + [frontier @ g for g in gens]).row_basis_pivots()
+        old = set(pivots)
+        frontier = bigger.take_rows([i for i, c in enumerate(bigger_pivots) if c not in old])
+        current, pivots = bigger, bigger_pivots
+    return current
 
 
 def submodule_from_rows(V: TruncatedModule, rows_per_degree, horizon=None):

@@ -1,11 +1,20 @@
 """CLI behavior: subcommands, exit codes, formats, determinism."""
 
+import contextlib
+import io
 import json
+import re
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from catrep import cli
+from catrep import cli, matrices
+from catrep.category import make_category
 from catrep.cli import main
+from catrep.corpus import FUZZ_PROFILE, sample_presentation
+from catrep.fields import QQ, parse_field
+from catrep.presentations import emit_presentation_text
 from catrep.reports import make_report, to_json
 
 TORSION = """catrep-presentation v1
@@ -157,6 +166,73 @@ def test_bad_coefficient_exit_1(tmp_path, capsys, field, coeff, where):
     code, _, err = run(capsys, "info", str(p))
     assert code == 1
     assert err.startswith("error: ") and where in err
+
+
+@pytest.mark.parametrize("edit, where", [
+    (("rel 2: 1*1->2:[2]@u", "rel 2: 1*1->3:[2]@u"), "line 7, col 8: term 1->3:[2]"),
+    (("rel 2: 1*1->2:[2]@u", "rel 2: 1*1->2:[3]@u"), "line 7, col 8: image out of range"),
+    (("rel 2: 1*1->2:[2]@u", "rel 2: 1*1->2:[2]@u + 1*0->2:[]@u"), "line 7, col 23: morphism 0->2"),
+    (("horizon 6", "horizon 1"), "line 7, col 5: relation degree 2 above horizon 1"),
+    (("fp:101\nhorizon 6\ngen u deg 1\nrel 2: 1*", "fp:7\nhorizon 6\ngen u deg 1\nrel 2: 1/7*"),
+     "line 7, col 8: coefficient '1/7' has a zero denominator in fp:7"),
+    (("category oi\ngroup none", "category oi_g\ngroup cyclic:x"), "line 3, col 7: invalid literal"),
+    (("category oi\ngroup none", "category oi_g\ngroup none"), "line 3, col 7: oi_g requires"),
+    (("category oi", "category io"), "line 2, col 10: unknown category kind 'io'"),
+    (("field fp:101", "field fp:100"), "line 4, col 7: field modulus must be prime"),
+    (("horizon 6", "horizon -1"), "line 5, col 9: horizon must be >= 0"),
+    (("gen u deg 1", "gen u deg -1"), "line 6, col 11: negative generator degree"),
+])
+def test_later_errors_carry_line_and_column(tmp_path, capsys, edit, where):
+    p = tmp_path / "bad.pres"
+    p.write_text(TORSION.replace(*edit))
+    code, _, err = run(capsys, "info", str(p))
+    assert code == 1
+    assert err.startswith("error: ") and where in err
+
+
+# characters the file format is made of, and a few that it is not
+MUTATION_CHARS = "0123456789 :*@+-/>[](),#_\nabdfgilnoqux"
+
+
+@st.composite
+def mutated_file(draw):
+    """Emitted FI/OI presentation text with one to three characters inserted,
+    deleted or replaced."""
+    cat = make_category(draw(st.sampled_from(["fi", "oi"])))
+    field = draw(st.sampled_from([QQ, parse_field("fp:2"), parse_field("fp:101")]))
+    pres = sample_presentation(cat, field, draw(st.integers(0, 10**6)), FUZZ_PROFILE)
+    pres = replace(pres, relations=tuple(r for r in pres.relations if r.target <= 4))
+    text = emit_presentation_text(cat, field, 4, pres)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from(MUTATION_CHARS))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        text = text[:i] + (c if op != "delete" else "") + text[i + (op != "insert"):]
+    return cat, field, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_file())
+def test_malformed_file_exits_1_at_a_line(tmp_path_factory, case):
+    cat, field, text = case
+    path = tmp_path_factory.mktemp("mutated") / "m.pres"
+    path.write_text(text)
+    err = io.StringIO()
+    # flags supply the configuration (a horizon line mutated to 44 would
+    # ask for FI at degree 44), so only the file text is judged
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--cat", cat.kind, "--field", field.name, "--horizon", "4", "info", str(path)])
+    if code != 0:
+        assert code == 1 and re.match(r"error: line \d+, col \d+: ", err.getvalue()), err.getvalue()
+
+
+def test_inexact_product_exits_1(monkeypatch, files, capsys):
+    # with both exactness bounds at 1 every F_p product is refused; that is
+    # a usage error (exit 1), never a violation
+    monkeypatch.setattr(matrices, "_FLOAT_EXACT", 1)
+    monkeypatch.setattr(matrices, "_INT64_EXACT", 1)
+    code, _, err = run(capsys, "info", files["torsion"])
+    assert code == 1 and "is not exact in int64" in err
 
 
 def test_flag_overrides_field(files, capsys):

@@ -351,3 +351,55 @@ def test_int64_elimination_restarts_on_python_ints(monkeypatch):
     B = Mat.from_rows(QQ, [[big, 2 * big, 1], [3, 6, 2], [big - 1, 2 * big - 2, 5]])
     assert B.left_kernel() == _from_domain(QQ, _to_domain(B).transpose().nullspace()).row_basis()
     assert (False, True) in calls and (True, False) in calls
+
+
+# -- exact F_p products: float64 BLAS, int64 and a pure-Python oracle --
+
+F_BIG = PrimeField(1048573)  # the largest prime below 2^20
+
+
+def _python_product(A, B):
+    p = A.field.p
+    cols = B.transpose().rows()
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in A.rows()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fp_product_paths_agree(data):
+    field = data.draw(st.sampled_from((F2, F101, F_BIG)))
+    m, k, n = (data.draw(st.integers(0, 6)) for _ in range(3))
+    # p - 1 everywhere makes the longest dot products
+    pool = st.one_of(st.integers(0, field.p - 1), st.just(field.p - 1))
+    A, B = (Mat.from_rows(field, data.draw(st.lists(st.lists(pool, min_size=c, max_size=c),
+                                                    min_size=r, max_size=r)), c)
+            for r, c in ((m, k), (k, n)))
+    blas = matrices._float_product(A.data, B.data, field.p)
+    int64 = matrices._int64_product(A.data, B.data, field.p)
+    assert blas.dtype == int64.dtype == np.int64
+    assert blas.tolist() == int64.tolist() == _python_product(A, B)
+    assert (A @ B).rows() == _python_product(A, B)
+
+
+def test_fp_product_past_the_float_bound_takes_int64(monkeypatch):
+    p = F_BIG.p
+    assert 8192 * (p - 1) ** 2 < 1 << 53 <= 8193 * (p - 1) ** 2
+    calls = []
+    for name in ("_float_product", "_int64_product"):
+        def spy(x, y, q, name=name, original=getattr(matrices, name)):
+            calls.append((name, x.shape[1]))
+            return original(x, y, q)
+        monkeypatch.setattr(matrices, name, spy)
+    rng = np.random.default_rng(5)
+    for k in (8192, 8193):
+        # entries at p - 1 and p - 2 put the float sums right at the bound
+        A = Mat.from_rows(F_BIG, rng.integers(p - 2, p, (2, k)).tolist(), k)
+        B = Mat.from_rows(F_BIG, rng.integers(p - 2, p, (k, 3)).tolist(), 3)
+        assert (A @ B).rows() == _python_product(A, B)
+    assert calls == [("_float_product", 8192), ("_int64_product", 8193)]
+
+
+def test_fp_product_past_the_int64_bound_is_refused():
+    k = 1 << 24  # k (p-1)^2 >= 2^63; empty operands, so nothing is allocated
+    with pytest.raises(ValueError, match=r"F_1048573 product \(0, 16777216\) @ \(16777216, 0\)"):
+        Mat.zeros(F_BIG, 0, k) @ Mat.zeros(F_BIG, k, 0)

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from catrep import homology, trunc
 from catrep.category import Morphism, make_category
+from catrep.corpus import sample_presentation
 from catrep.fields import QQ, parse_field
 from catrep.matrices import Mat
 from catrep.presentations import Presentation, Relation, from_presentation
@@ -12,6 +14,7 @@ from catrep.trunc import (
     ModuleMap,
     TruncatedModule,
     direct_sum,
+    end_closure,
     free_module,
     generating_degree,
     h0_dims,
@@ -297,3 +300,38 @@ def test_module_rejects_a_table_off_the_generators():
         with pytest.raises(ValueError):
             TruncatedModule(FI, F101, 3, M.dims, gens)
     assert TruncatedModule(FI, F101, 3, M.dims, dict(M.gens)).act(swap) == M.act(swap)
+
+
+def _full_respin_closure(V, t, rows):
+    """Oracle for end_closure: push the whole basis through every end
+    generator each round, until the span stops growing."""
+    current = rows.row_basis()
+    gens = [V.gens[e] for e in V.cat.end_generators(t)]
+    if not gens:
+        return current
+    while True:
+        bigger = Mat.vstack([current] + [current @ g for g in gens]).row_basis()
+        if bigger.nrows == current.nrows:
+            return bigger
+        current = bigger
+
+
+@pytest.mark.parametrize("field", [parse_field("fp:2"), F101, QQ], ids=lambda f: f.name)
+@pytest.mark.parametrize("cat", [FI, OI, FIG, OIG], ids=lambda c: c.kind)
+def test_frontier_end_closure_matches_full_respin(monkeypatch, cat, field):
+    # every end_closure call of building corpus modules (relation closure,
+    # m_span) and of minimal_generators (the W + v calls) is checked
+    grown = []
+
+    def checked(V, t, rows):
+        out = end_closure(V, t, rows)
+        assert out == _full_respin_closure(V, t, rows), (cat.kind, field.name, t)
+        grown.append(out.nrows > rows.rank())
+        return out
+
+    monkeypatch.setattr(trunc, "end_closure", checked)
+    monkeypatch.setattr(homology, "end_closure", checked)
+    for seed in range(1, 7):
+        V, _ = from_presentation(cat, field, sample_presentation(cat, field, seed), 4)
+        homology.minimal_generators(V)
+    assert any(grown) or not cat.end_generators(2)
