@@ -13,7 +13,7 @@ from .homology import (
     verify_theorems,
     zeroth_homology,
 )
-from .matrices import Mat, NotInSpan, complement_basis, kernel_basis, membership, row_reduce
+from .matrices import Mat, NotInSpan
 from .presentations import (
     Presentation,
     PresentationError,

@@ -25,7 +25,11 @@ KINDS = ("fi", "oi", "fi_g", "oi_g")
 
 
 class FiniteGroup:
-    """A finite group given by a multiplication table; identity is element 0."""
+    """A finite group given by a multiplication table; identity is element 0.
+
+    Construction checks the table's shape, the identity and inverses;
+    from_table also checks associativity, which cyclic() has by construction.
+    """
 
     def __init__(self, table, spec: str):
         self.table = tuple(tuple(row) for row in table)
@@ -46,7 +50,9 @@ class FiniteGroup:
     @staticmethod
     def from_table(table) -> "FiniteGroup":
         flat = ",".join(str(x) for row in table for x in row)
-        return FiniteGroup(table, f"table:{len(table)}:{flat}")
+        group = FiniteGroup(table, f"table:{len(table)}:{flat}")
+        group._check_associative()
+        return group
 
     def _validate(self):
         n = self.order
@@ -57,13 +63,16 @@ class FiniteGroup:
             if self.table[a][0] != a or self.table[0][a] != a:
                 raise ValueError("element 0 is not an identity")
         for a in range(n):
+            if all(self.table[a][b] != 0 for b in range(n)):
+                raise ValueError(f"element {a} has no inverse")
+
+    def _check_associative(self):
+        n = self.order
+        for a in range(n):
             for b in range(n):
                 for c in range(n):
                     if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
                         raise ValueError("multiplication table is not associative")
-        for a in range(n):
-            if all(self.table[a][b] != 0 for b in range(n)):
-                raise ValueError(f"element {a} has no inverse")
 
     def _find_inverse(self, a: int) -> int:
         for b in range(self.order):
@@ -162,7 +171,7 @@ class CategoryDescriptor:
     idempotent caches, safe under concurrent use).
     """
 
-    def __init__(self, kind: str, group: FiniteGroup | None = None, provenance: str = ""):
+    def __init__(self, kind: str, group: FiniteGroup | None = None):
         kind = kind.lower()
         if kind not in KINDS:
             raise ValueError(f"unknown category kind {kind!r}")
@@ -173,7 +182,6 @@ class CategoryDescriptor:
             raise ValueError(f"{kind} does not carry a group")
         self.kind = kind
         self.group = group
-        self.provenance = provenance
         self.ordered = kind.startswith("oi")
         self._hom = {}
         self._index = {}
@@ -460,7 +468,7 @@ class CategoryDescriptor:
         return out
 
 
-def make_category(kind: str, group_spec=None, provenance: str = "") -> CategoryDescriptor:
+def make_category(kind: str, group_spec=None) -> CategoryDescriptor:
     """Build a descriptor from a kind and a group spec (int order or table)."""
     kind = kind.lower()
     group = None
@@ -475,7 +483,7 @@ def make_category(kind: str, group_spec=None, provenance: str = "") -> CategoryD
             group = parse_group_spec(str(group_spec))
     elif group_spec not in (None, "none"):
         raise ValueError(f"{kind} does not take a group")
-    return CategoryDescriptor(kind, group, provenance)
+    return CategoryDescriptor(kind, group)
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:

@@ -62,14 +62,8 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
@@ -138,14 +132,8 @@ class RationalField:
     def add(self, a, b):
         return _qnorm(a + b)
 
-    def sub(self, a, b):
-        return _qnorm(a - b)
-
     def mul(self, a, b):
         return _qnorm(a * b)
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:

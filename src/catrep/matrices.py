@@ -450,30 +450,33 @@ class Mat:
         """Canonical row basis of {v : v @ self = 0}."""
         R, pivots = self.transpose().echelon()
         n = self.nrows
-        free = [j for j in range(n) if j not in pivots]
-        if not free:
+        if len(pivots) == n:
             return Mat.zeros(self.field, 0, n)
-        # kernel row j is e_j minus the pivot columns' share of column j of R,
-        # all scaled by the lcm of the pivots so that it stays integral over Q
-        k = len(pivots)
-        pv = R.data[np.arange(k), list(pivots)]
-        m = lcm(*pv.tolist())
-        K = np.zeros((len(free), n), dtype=R.data.dtype)
-        K[np.arange(len(free)), free] = m
-        K[:, list(pivots)] = -(R.data[:k, free] * (m // pv)[:, None]).T
+        free, K, _ = _null_rows(R.data, pivots, n)
         return Mat(self.field, len(free), n, _canon(self.field, K)).row_basis()
 
-    def right_kernel_cols(self) -> "Mat":
-        """Matrix K with independent columns spanning ker(self), self @ K = 0."""
-        return self.transpose().left_kernel().transpose()
+    def quotient_projection(self):
+        """(free, P) for the quotient of k^ncols by the row space U of self.
 
-    def express_rows(self, basis: "Mat", pivots=None, verify: bool = True) -> "Mat":
+        free lists the non-pivot columns of U's canonical basis R; the
+        standard vectors e_j, j in free, are a basis of a complement of U.
+        P (ncols x len(free)) sends v to the coordinates of v mod U in that
+        basis: the identity on the free rows, -R[:, free]/pivot on the pivot
+        rows.  It equals the last columns of [B; complement_rows(B)].inverse()
+        for any basis B of U, from one echelon form and no inverse.
+        """
+        R, pivots = self.echelon()
+        free, K, m = _null_rows(R.data, pivots, self.ncols)
+        P = _divide(self.field, _canon(self.field, K.T), np.array([[m]], dtype=object))
+        return free, Mat(self.field, self.ncols, len(free), P)
+
+    def express_rows(self, basis: "Mat", pivots=None) -> "Mat":
         """Solve X @ basis = self; raises NotInSpan if any row is outside.
 
         When the basis is a canonical echelon basis (the package invariant
-        for submodule bases) the solution reads off the pivot columns;
-        ``pivots`` can be supplied to skip redetection, and ``verify=False``
-        skips the product check when membership is guaranteed by theory.
+        for submodule bases) the solution reads off the pivot columns, and
+        the product X @ basis is checked against self; ``pivots`` can be
+        supplied to skip redetection.
         """
         if self.ncols != basis.ncols or self.field != basis.field:
             raise ValueError("express_rows shape/field mismatch")
@@ -483,7 +486,7 @@ class Mat:
             pivots = _detect_echelon_pivots(basis)
         if pivots is not None:
             X = self._express_by_pivots(basis, pivots)
-            if verify and not _product_equals(X, basis, self):
+            if not _product_equals(X, basis, self):
                 raise NotInSpan("row outside the span of the basis")
             return X
         return self._express_general(basis)
@@ -520,6 +523,24 @@ class Mat:
         return R.take_cols(range(n, 2 * n))
 
 
+def _null_rows(R, pivots, n):
+    """Non-pivot columns of an echelon array R (n columns) and its null rows.
+
+    Row j of K is m e_{free[j]} minus the pivot columns' share of column
+    free[j] of R, with m the lcm of the pivots so that it stays integral
+    over Q; the rows of K span {v : R @ v^T = 0}.  Returns (free, K, m).
+    """
+    piv = set(pivots)
+    free = [j for j in range(n) if j not in piv]
+    k = len(pivots)
+    pv = R[np.arange(k), list(pivots)]
+    m = lcm(*pv.tolist())
+    K = np.zeros((len(free), n), dtype=R.dtype)
+    K[np.arange(len(free)), free] = m
+    K[:, list(pivots)] = -(R[:k, free] * (m // pv)[:, None]).T
+    return free, K, m
+
+
 def _detect_echelon_pivots(basis: Mat):
     """Pivot columns when basis rows are in clean echelon form, else None."""
     if basis.nrows == 0:
@@ -536,29 +557,3 @@ def _detect_echelon_pivots(basis: Mat):
 
 def _product_equals(X: Mat, B: Mat, M: Mat) -> bool:
     return (X @ B) == M
-
-
-# -- spec-facing operation names -------------------------------------
-
-
-def row_reduce(A: Mat):
-    """Reduced row echelon form of A plus its pivot columns."""
-    return A.rref()
-
-
-def kernel_basis(A: Mat) -> Mat:
-    """Columns spanning ker(A): A @ K = 0 with independent columns."""
-    return A.right_kernel_cols()
-
-
-def membership(A: Mat, b: Mat) -> Mat:
-    """Solve A @ x = b for a single column b; raises NotInSpan."""
-    if b.ncols != 1 or b.nrows != A.nrows:
-        raise ValueError("b must be a column with A's row count")
-    x_rows = b.transpose().express_rows(A.transpose())
-    return x_rows.transpose()
-
-
-def complement_basis(S: Mat) -> Mat:
-    """Columns completing span(columns of S) to the ambient space k^n."""
-    return S.transpose().complement_rows().transpose()

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .category import KINDS, CategoryDescriptor, make_category, parse_group_spec, parse_morphism
 from .fields import parse_field
 from .matrices import Mat
-from .trunc import FreeModule, module_closure_of_rows, quotient_by, submodule_from_rows
+from .trunc import FreeModule, module_closure_of_rows, quotient_by
 
 FORMAT_MAGIC = "catrep-presentation v1"
 
@@ -118,10 +118,7 @@ def from_presentation(cat: CategoryDescriptor, field, pres: Presentation, horizo
                 row[idx] = field.add(row[idx], coeff)
             rows.append(row)
         seeds[t] = Mat.from_rows(field, rows, F.dims[t])
-    closure = module_closure_of_rows(F, seeds)
-    _, incl = submodule_from_rows(F, closure)
-    module, proj = quotient_by(incl)
-    return module, proj
+    return quotient_by(F, module_closure_of_rows(F, seeds))
 
 
 # -- text format ------------------------------------------------------

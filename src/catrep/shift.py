@@ -7,11 +7,14 @@ m_t; its kernel KV and cokernel DV complete the exact sequence
 
     0 -> KV -> V -> SV -> DV -> 0
 
-checked degreewise by dimension count on every derive() call.  Iterating the
-kernel construction on successive quotients yields the increasing chain
-U^0 = 0 <= U^1 <= ... whose union is the singular part of V; each chain step
-consumes one degree of horizon, and all results carry explicit validity
-bounds instead of silently truncating.
+checked degreewise by dimension count on every derive() call.  DV is the
+quotient of SV by the rows of mu itself, with no image submodule built first.
+Iterating the kernel construction on successive quotients yields the
+increasing chain U^0 = 0 <= U^1 <= ... whose union is the singular part of V;
+step n+1 is the mu-preimage of S U^n, the left kernel of mu followed by the
+projection onto SV / S U^n.  Each chain step consumes one degree of horizon,
+and all results carry explicit validity bounds instead of silently
+truncating.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .trunc import (
     ModuleMap,
     TruncatedModule,
     generating_degree,
-    image_rows,
     kernel_of_map,
     quotient_by,
     submodule_from_rows,
@@ -83,9 +85,7 @@ def derive(V: TruncatedModule) -> KeySequence:
     SV = shift_module(V)
     mu = mu_map(V, SV)
     KV, incl = kernel_of_map(mu)
-    im = image_rows(mu)
-    _, im_incl = submodule_from_rows(SV, im)
-    DV, proj = quotient_by(im_incl)
+    DV, proj = quotient_by(SV, mu.mats)
     seq = KeySequence(V, KV, SV, DV, mu, incl, proj)
     defects = seq.euler_defects()
     if any(defects):
@@ -114,12 +114,9 @@ class ChainState:
 
 
 def _preimage_rows(A: Mat, target_rows: Mat) -> Mat:
-    """Rows spanning {v : v @ A in rowspace(target_rows)}."""
-    C = target_rows.complement_rows()
-    if C.nrows == 0:
-        return Mat.identity(A.field, A.nrows).row_basis()
-    full = Mat.vstack([target_rows, C]) if target_rows.nrows else C
-    P = full.inverse().take_cols(range(target_rows.nrows, A.ncols))
+    """Canonical basis of {v : v @ A in rowspace(target_rows)}: the left
+    kernel of A followed by the projection onto the quotient by the target."""
+    _, P = target_rows.quotient_projection()
     return (A @ P).left_kernel()
 
 
@@ -186,8 +183,9 @@ def sin_reg(V: TruncatedModule, max_steps: int | None = None) -> SinRegResult:
     n = chain.stabilized_at
     valid = V.horizon - n
     Vh = truncate(V, valid)
-    sin, incl = submodule_from_rows(Vh, chain.bases[n][: valid + 1])
-    reg, proj = quotient_by(incl)
+    rows = chain.bases[n][: valid + 1]
+    sin, incl = submodule_from_rows(Vh, rows)
+    reg, proj = quotient_by(Vh, rows)
     if reg.horizon >= 0:
         kreg, _ = kernel_of_map(mu_map(reg))
         k_dims = list(kreg.dims)

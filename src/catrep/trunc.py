@@ -13,6 +13,11 @@ matrix applied on the right.  Degreewise truncation is exact below the
 horizon because the categories are directed, so operations never fabricate
 data above what they were given; operations that consume a degree (shift,
 kernels of mu, ...) return modules with a strictly smaller horizon.
+
+Submodules are families of row spaces.  A kernel carries its inclusion
+(submodule_from_rows); a quotient takes any rows spanning an action-stable
+family and is coordinatised by the non-pivot columns of its canonical
+echelon basis (quotient_by), so neither a complement nor an inverse is built.
 """
 
 from __future__ import annotations
@@ -42,11 +47,6 @@ class TruncatedModule:
         for g, m in self.gens.items():
             if m.shape != (self.dims[g.src], self.dims[g.dst]):
                 raise ValueError(f"action matrix shape mismatch at {g}")
-
-    def dim(self, t: int) -> int:
-        if t < 0 or t > self.horizon:
-            raise ValueError(f"degree {t} outside horizon {self.horizon}")
-        return self.dims[t]
 
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims)
@@ -172,15 +172,6 @@ def free_module(cat, field, s: int, horizon: int) -> FreeModule:
     return FreeModule(cat, field, (s,), horizon)
 
 
-def identity_map(V: TruncatedModule) -> ModuleMap:
-    return ModuleMap(V, V, [Mat.identity(V.field, d) for d in V.dims])
-
-
-def zero_map(V: TruncatedModule, W: TruncatedModule) -> ModuleMap:
-    h = min(V.horizon, W.horizon)
-    return ModuleMap(V, W, [Mat.zeros(V.field, V.dims[t], W.dims[t]) for t in range(h + 1)])
-
-
 def end_closure(V: TruncatedModule, t: int, rows: Mat) -> Mat:
     """Smallest C(t,t)-stable row space containing the given rows.
 
@@ -228,42 +219,27 @@ def kernel_of_map(f: ModuleMap):
     return submodule_from_rows(f.domain, rows, horizon=h)
 
 
-def image_rows(f: ModuleMap):
-    """Canonical row bases of the degreewise image of f inside its codomain."""
-    return [f.mats[t].row_basis() for t in range(f.horizon + 1)]
+def quotient_by(V: TruncatedModule, rows_per_degree):
+    """Quotient of V by the submodule U that the given rows span; returns (Q, proj).
 
-
-def quotient_by(incl: ModuleMap):
-    """Quotient of incl.codomain by the submodule incl embeds; returns (Q, proj).
-
-    The inclusion must be degreewise injective and its image action-stable;
-    induced actions are checked to be well defined.
+    rows_per_degree[t], for t up to h = len(rows_per_degree) - 1, are rows of
+    V_t spanning U_t; they need not be independent or in echelon form, but
+    the family must be action-stable.  Q_t is coordinatised by the
+    non-pivot columns of U_t's canonical basis and proj_t is read off that
+    echelon form (Mat.quotient_projection), so no inverse is formed.  Each
+    induced action is checked to be well defined (rows @ A @ P = 0).
     """
-    V = incl.codomain
-    h = incl.horizon
-    field = V.field
-    sub_bases = []
-    comp = []
-    projs = []
-    for t in range(h + 1):
-        B = incl.mats[t]
-        if B.rank() != B.nrows:
-            raise ValueError(f"non-injective inclusion at degree {t}")
-        C = B.complement_rows()
-        full = Mat.vstack([B, C]) if B.nrows else C
-        inv = full.inverse()
-        P = inv.take_cols(range(B.nrows, V.dims[t]))
-        sub_bases.append(B)
-        comp.append(C)
-        projs.append(P)
-    dims = [c.nrows for c in comp]
+    h = len(rows_per_degree) - 1
+    pairs = [rows.quotient_projection() for rows in rows_per_degree]
+    frees = [free for free, _ in pairs]
+    projs = [P for _, P in pairs]
     gens = {}
     for g in V.cat.generators(h):
         A = V.gens[g]
-        if not (sub_bases[g.src] @ A @ projs[g.dst]).is_zero():
+        if not (rows_per_degree[g.src] @ A @ projs[g.dst]).is_zero():
             raise ValueError(f"induced action of {g} not well defined")
-        gens[g] = comp[g.src] @ A @ projs[g.dst]
-    Q = TruncatedModule(V.cat, field, h, dims, gens)
+        gens[g] = A.take_rows(frees[g.src]) @ projs[g.dst]
+    Q = TruncatedModule(V.cat, V.field, h, [len(f) for f in frees], gens)
     proj = ModuleMap(truncate(V, h), Q, projs)
     return Q, proj
 

@@ -196,6 +196,31 @@ def test_finite_group_cyclic_and_table():
         FiniteGroup.from_table([[0, 1], [1, 1]])
 
 
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_associativity_scan_only_for_given_tables(monkeypatch):
+    # Z/m is associative by construction, so cyclic() skips the order^3
+    # scan; tables from the user still get it
+    scanned = []
+    original = FiniteGroup._check_associative
+
+    def spy(self):
+        scanned.append(self.order)
+        original(self)
+
+    monkeypatch.setattr(FiniteGroup, "_check_associative", spy)
+    g = FiniteGroup.cyclic(300)
+    assert g.order == 300 and g.generators == (1,) and scanned == []
+    # an order-5 loop: identity and inverses, but (1*1)*2 = 2 != 1*(1*2) = 4
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup.from_table(LOOP5)
+    flat = ",".join(str(x) for row in LOOP5 for x in row)
+    with pytest.raises(ValueError, match="not associative"):
+        make_category("oi_g", f"table:5:{flat}")
+    assert scanned == [5, 5]
+
+
 def test_make_category_validation():
     with pytest.raises(ValueError):
         make_category("fi_g")

@@ -9,14 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from catrep import matrices
 from catrep.fields import PrimeField, QQ, RationalOverflowError, parse_field
-from catrep.matrices import (
-    Mat,
-    NotInSpan,
-    complement_basis,
-    kernel_basis,
-    membership,
-    row_reduce,
-)
+from catrep.matrices import Mat, NotInSpan
 
 F2 = parse_field("fp:2")
 F3 = parse_field("fp:3")
@@ -56,25 +49,26 @@ def test_rational_lowest_terms():
 
 def test_row_reduce_zero_and_identity():
     Z = Mat.zeros(QQ, 2, 3)
-    R, piv = row_reduce(Z)
+    R, piv = Z.rref()
     assert R == Z and piv == ()
     I3 = Mat.identity(F101, 3)
-    R, piv = row_reduce(I3)
+    R, piv = I3.rref()
     assert R == I3 and piv == (0, 1, 2)
 
 
 def test_row_reduce_rational_example():
     # hand Gaussian elimination of [[1,2],[2,4]]
     A = Mat.from_rows(QQ, [[1, 2], [2, 4]])
-    R, piv = row_reduce(A)
+    R, piv = A.rref()
     assert R.rows() == [[1, 2], [0, 0]]
     assert piv == (0,)
 
 
 def test_kernel_basis_identity_and_zero():
-    assert kernel_basis(Mat.identity(QQ, 3)).ncols == 0
-    K = kernel_basis(Mat.zeros(F3, 2, 4))
-    assert K.ncols == 4 and K.rank() == 4
+    # rows spanning {v : A @ v^T = 0}: the left kernel of the transpose
+    assert Mat.identity(QQ, 3).transpose().left_kernel().nrows == 0
+    K = Mat.zeros(F3, 2, 4).transpose().left_kernel()
+    assert K.nrows == 4 and K.rank() == 4
 
 
 def test_kernel_basis_f2_brute_force():
@@ -85,32 +79,33 @@ def test_kernel_basis_f2_brute_force():
         if (v[0] * 1 + v[1] * 1) % 2 == 0 and any(v)
     ]
     assert expected == [(1, 1)]
-    K = kernel_basis(A)
-    assert K.ncols == 1
-    assert [K.entry(0, 0), K.entry(1, 0)] == [1, 1]
+    K = A.transpose().left_kernel()
+    assert K.nrows == 1
+    assert K.row(0) == [1, 1]
 
 
 def test_membership_examples():
-    b = Mat.from_rows(QQ, [[5], [7]])
-    x = membership(Mat.identity(QQ, 2), b)
+    # solve x @ A = b for a row b, raising NotInSpan when b is outside
+    b = Mat.from_rows(QQ, [[5, 7]])
+    x = b.express_rows(Mat.identity(QQ, 2))
     assert x == b
     with pytest.raises(NotInSpan):
-        membership(Mat.zeros(QQ, 2, 2), b)
-    x = membership(Mat.from_rows(QQ, [[2]]), Mat.from_rows(QQ, [[3]]))
+        b.express_rows(Mat.zeros(QQ, 2, 2))
+    x = Mat.from_rows(QQ, [[3]]).express_rows(Mat.from_rows(QQ, [[2]]))
     assert x.entry(0, 0) == Fraction(3, 2)
 
 
 def test_complement_basis_examples():
     full = Mat.identity(F3, 2)
-    assert complement_basis(full).ncols == 0
-    zero = Mat.zeros(F3, 2, 0)
-    C = complement_basis(zero)
-    assert C.ncols == 2 and C.rank() == 2
+    assert full.complement_rows().nrows == 0
+    zero = Mat.zeros(F3, 0, 2)
+    C = zero.complement_rows()
+    assert C.nrows == 2 and C.rank() == 2
     # brute force over F_3^2: one vector outside span{(1,1)}
-    S = Mat.from_rows(F3, [[1], [1]])
-    C = complement_basis(S)
-    assert C.ncols == 1
-    assert Mat.hstack([S, C]).rank() == 2
+    S = Mat.from_rows(F3, [[1, 1]])
+    C = S.complement_rows()
+    assert C.nrows == 1
+    assert Mat.vstack([S, C]).rank() == 2
 
 
 def _random_mat(field, rows, cols, entries):
@@ -136,17 +131,17 @@ def test_rref_idempotent_and_rank_nullity(A):
     R, piv = A.rref()
     R2, piv2 = R.rref()
     assert R == R2 and piv == piv2
-    K = kernel_basis(A)
-    assert (A @ K).is_zero()
-    assert len(piv) + K.ncols == A.ncols
-    assert K.transpose().rank() == K.ncols
+    K = A.transpose().left_kernel()
+    assert (A @ K.transpose()).is_zero()
+    assert len(piv) + K.nrows == A.ncols
+    assert K.rank() == K.nrows
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix())
 def test_complement_completes(A):
-    C = complement_basis(A)
-    assert Mat.hstack([A, C]).rank() == A.nrows
+    C = A.transpose().complement_rows()
+    assert Mat.vstack([A.transpose(), C]).rank() == A.nrows
     assert A.take_cols([]).ncols == 0
 
 
@@ -327,6 +322,44 @@ def test_kernels_match_sympy(data):
         else:
             with pytest.raises(ValueError):
                 A.inverse()
+
+
+def _independent_rows(S):
+    """A basis of the row space of S picked from its own rows (not canonical)."""
+    keep = []
+    for i in range(S.nrows):
+        if S.take_rows(keep + [i]).rank() == len(keep) + 1:
+            keep.append(i)
+    return S.take_rows(keep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_quotient_projection_matches_inverse(data):
+    # oracle: the last columns of [B; C]^-1 for a basis B of the row space
+    # and C the standard vectors completing it
+    field = data.draw(st.sampled_from((QQ, F101, F2)))
+    n = data.draw(st.integers(1, 5))
+    pool = data.draw(st.sampled_from(Q_POOLS)) if field is QQ else st.integers(0, field.p - 1)
+    shape = data.draw(st.sampled_from(("random", "zero", "full", "dependent")))
+    rows = data.draw(st.lists(st.lists(pool, min_size=n, max_size=n), max_size=5))
+    S = Mat.from_rows(field, rows, n)
+    if shape == "zero":
+        S = Mat.zeros(field, data.draw(st.integers(0, 2)), n)
+    elif shape == "full":
+        S = Mat.vstack([S, Mat.identity(field, n)])
+    elif shape == "dependent" and S.nrows:
+        # repeats and combinations of the drawn rows
+        picks = data.draw(st.lists(st.integers(0, S.nrows - 1), min_size=1, max_size=4))
+        S = Mat.vstack([S, S.take_rows(picks).scale(2), S.take_rows(picks[:1]) - S.take_rows(picks[-1:])])
+    free, P = S.quotient_projection()
+    B = _independent_rows(S)
+    C = B.complement_rows()
+    expected = Mat.vstack([B, C]).inverse().take_cols(range(B.nrows, n))
+    assert P == expected
+    assert C == Mat.identity(field, n).take_rows(free)
+    assert (S @ P).is_zero()
+    assert_storage(P)
 
 
 def test_int64_elimination_restarts_on_python_ints(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from catrep.category import Morphism, make_category
 from catrep.corpus import sample_presentation
-from catrep.fields import parse_field
+from catrep.fields import QQ, parse_field
 from catrep.matrices import Mat
 from catrep.presentations import Presentation, Relation, from_presentation
 from catrep.shift import (
@@ -156,7 +156,7 @@ def test_chain_matches_defining_recursion():
             Vh = truncate(V, valid)
             prev = [chain.bases[n - 1][t] for t in range(valid + 1)]
             _, incl = submodule_from_rows(Vh, prev)
-            Q, proj = quotient_by(incl)
+            Q, proj = quotient_by(incl.codomain, incl.mats)
             if Q.horizon < 0:
                 continue
             K, kincl = kernel_of_map(mu_map(Q))
@@ -167,6 +167,30 @@ def test_chain_matches_defining_recursion():
                 # the projected chain step spans exactly the kernel inside V/U^{n-1}
                 pushed = (chain.bases[n][t] @ proj.mats[t]).row_basis()
                 assert pushed == kincl.mats[t].row_basis()
+
+
+def _preimage_rows_by_inverse(A, target_rows):
+    """Oracle for the mu-preimage step: a complement of the target, the
+    inverse of [target; complement], then a left kernel."""
+    C = target_rows.complement_rows()
+    if C.nrows == 0:
+        return Mat.identity(A.field, A.nrows).row_basis()
+    full = Mat.vstack([target_rows, C]) if target_rows.nrows else C
+    P = full.inverse().take_cols(range(target_rows.nrows, A.ncols))
+    return (A @ P).left_kernel()
+
+
+@pytest.mark.parametrize("field", [parse_field("fp:2"), F101, QQ], ids=lambda f: f.name)
+@pytest.mark.parametrize("cat", [FI, OI, make_category("fi_g", 2), OIG], ids=lambda c: c.kind)
+def test_un_chain_matches_inverse_preimages(cat, field):
+    for seed in range(1, 6):
+        V, _ = from_presentation(cat, field, sample_presentation(cat, field, seed), 4)
+        chain = un_chain(V, 4, stop_at_stabilization=False)
+        mu = mu_map(V)
+        for n in range(1, len(chain.bases)):
+            for t in range(chain.valid_horizons[n] + 1):
+                expected = _preimage_rows_by_inverse(mu.mats[t], chain.bases[n - 1][t + 1])
+                assert chain.bases[n][t] == expected, (cat.kind, field.name, seed, n, t)
 
 
 def test_sin_reg_examples():

@@ -18,13 +18,11 @@ from catrep.trunc import (
     free_module,
     generating_degree,
     h0_dims,
-    identity_map,
     kernel_of_map,
     m_span,
     quotient_by,
     submodule_from_rows,
     truncate,
-    zero_map,
     zero_module,
 )
 
@@ -164,9 +162,9 @@ def test_m_span_matches_brute_force():
 
 def test_kernel_of_identity_and_zero():
     M = free_module(OI, F101, 1, 4)
-    K, incl = kernel_of_map(identity_map(M))
+    K, incl = kernel_of_map(ModuleMap(M, M, [Mat.identity(F101, d) for d in M.dims]))
     assert K.dims == [0] * 5
-    K, incl = kernel_of_map(zero_map(M, M))
+    K, incl = kernel_of_map(ModuleMap(M, M, [Mat.zeros(F101, d, d) for d in M.dims]))
     assert K.dims == M.dims
     assert incl.is_injective()
 
@@ -185,11 +183,11 @@ def test_quotient_edges():
     M = free_module(OI, F101, 1, 4)
     zero_rows = [Mat.zeros(F101, 0, d) for d in M.dims]
     Z, incl = submodule_from_rows(M, zero_rows)
-    Q, proj = quotient_by(incl)
+    Q, proj = quotient_by(incl.codomain, incl.mats)
     assert Q.dims == M.dims
     full_rows = [Mat.identity(F101, d) for d in M.dims]
     W, incl = submodule_from_rows(M, full_rows)
-    Q, proj = quotient_by(incl)
+    Q, proj = quotient_by(incl.codomain, incl.mats)
     assert Q.dims == [0] * 5
 
 
@@ -199,17 +197,31 @@ def test_quotient_route_matches_presentation_route():
     V, proj = oi_torsion(horizon=5)
     M = free_module(OI, F101, 1, 5)
     K, incl = kernel_of_map(proj)
-    Q, qproj = quotient_by(incl)
+    Q, qproj = quotient_by(incl.codomain, incl.mats)
     assert Q.dims == V.dims[:6]
     assert qproj.commutation_defect() is None
 
 
-def test_quotient_rejects_non_injective():
-    one = free_module(OI, F101, 0, 3)
-    both = direct_sum(one, one)
-    collapse = ModuleMap(both, one, [Mat.from_rows(F101, [[1], [1]], 1) for _ in range(4)])
-    with pytest.raises(ValueError):
-        quotient_by(collapse)
+def test_quotient_by_dependent_rows_matches_canonical_basis():
+    # a spanning family with reordered and repeated rows gives the same
+    # quotient and projection as the canonical basis of its span
+    V, proj = oi_torsion(horizon=5)
+    K, incl = kernel_of_map(proj)
+    M = incl.codomain
+    Q, qproj = quotient_by(M, incl.mats)
+    family = [Mat.vstack([B.take_rows(range(B.nrows)[::-1]), B.scale(3), B]) for B in incl.mats]
+    assert any(B.nrows > 1 for B in incl.mats)
+    Q2, qproj2 = quotient_by(M, family)
+    assert (Q2.dims, Q2.gens, qproj2.mats) == (Q.dims, Q.gens, qproj.mats)
+
+
+def test_quotient_rejects_unstable_rows():
+    # span{e_1} in degree 1 of M(1) over OI is not closed under 1 -> 2
+    M = free_module(OI, F101, 1, 3)
+    rows = [Mat.zeros(F101, 0, d) for d in M.dims]
+    rows[1] = Mat.identity(F101, M.dims[1])
+    with pytest.raises(ValueError, match="not well defined"):
+        quotient_by(M, rows)
 
 
 def test_direct_sum_dims_and_actions():
