@@ -19,7 +19,10 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, perm
+
+import numpy as np
 
 KINDS = ("fi", "oi", "fi_g", "oi_g")
 
@@ -167,8 +170,9 @@ def parse_morphism(text: str) -> Morphism:
 class CategoryDescriptor:
     """One of the four category kinds, with its group decoration if any.
 
-    Immutable; hom-set enumeration and generator data are memoized (pure,
-    idempotent caches, safe under concurrent use).
+    Immutable; hom-set enumeration, generator data and the index tables
+    (compose_table, end_plan, step_plan) are memoized (pure, idempotent
+    caches, safe under concurrent use).
     """
 
     def __init__(self, kind: str, group: FiniteGroup | None = None):
@@ -189,6 +193,11 @@ class CategoryDescriptor:
         self._steps = {}
         self._gens = {}
         self._atoms = {}
+        self._arrays = {}
+        self._mul = np.array(group.table, dtype=np.int64) if group else None
+        self._compose_tables = {}
+        self._end_plans = {}
+        self._step_plans = {}
 
     def __eq__(self, other):
         return (
@@ -466,6 +475,138 @@ class CategoryDescriptor:
         out = tuple(out)
         self._atoms[alpha] = out
         return out
+
+    # -- index tables --------------------------------------------------
+    #
+    # Free modules and covers act on whole hom sets at once.  These tables
+    # give, as int arrays, the hom index of every composite or factor they
+    # need, so that no Morphism is built, composed or looked up per basis
+    # element.  Each is built once per category with numpy and memoized.
+
+    def hom_arrays(self, r: int, s: int):
+        """hom(r, s) as int arrays (images, labels) of shape (count, r), in
+        hom order; labels is None for the plain kinds."""
+        key = (r, s)
+        cached = self._arrays.get(key)
+        if cached is None:
+            homs = self.hom(r, s)
+            images = np.array([m.images for m in homs], dtype=np.int64).reshape(len(homs), r)
+            labels = None
+            if self.group:
+                labels = np.array([m.labels for m in homs], dtype=np.int64).reshape(len(homs), r)
+            cached = self._arrays[key] = (images, labels)
+        return cached
+
+    def _ranks(self, r: int, s: int, images, labels):
+        """hom_index of the morphisms r -> s with these image and label rows.
+
+        hom(r, s) lists images in lex order, then labels in lex order, so the
+        index is the lex rank of the images (a combination for OI kinds, an
+        arrangement for FI kinds) times |G|^r plus the labels read in base |G|.
+        """
+        out = np.zeros(len(images), dtype=np.int64)
+        for i in range(r):
+            a = images[:, i]
+            if self.ordered:
+                out -= _pascal(s)[s - a, r - i]
+            else:
+                # arrangements with a smaller unused value at slot i come first
+                out += (a - 1 - (images[:, :i] < a[:, None]).sum(axis=1)) * perm(s - i - 1, r - i - 1)
+        if self.ordered:
+            # the lex rank of a_0 < ... < a_{r-1} is C(s, r) - 1 - sum_i C(s - a_i, r - i)
+            out += comb(s, r) - 1
+        if self.group:
+            n = self.group.order
+            out *= n ** r
+            for i in range(r):
+                out += labels[:, i] * n ** (r - 1 - i)
+        return out
+
+    def compose_table(self, s: int, g: Morphism):
+        """hom_index(compose(g, m)) for every m in hom(s, g.src), as an int array."""
+        key = (s, g)
+        cached = self._compose_tables.get(key)
+        if cached is None:
+            images, labels = self.hom_arrays(s, g.src)
+            # one-based lookups: image point i goes to g.images[i - 1]
+            out_images = np.array((0,) + g.images)[images]
+            out_labels = None
+            if self.group:
+                out_labels = self._mul[np.array((0,) + g.labels)[images], labels]
+            cached = self._compose_tables[key] = self._ranks(s, g.dst, out_images, out_labels)
+        return cached
+
+    def end_plan(self, s: int):
+        """Breadth-first spanning tree of C(s, s) from the identity, over end_generators(s).
+
+        Returns (levels, position).  Each level lists (g, parents, children)
+        as hom indices, with children[i] = g o parents[i]; every parent lies
+        in an earlier level, and every element of C(s, s) but the identity
+        (index 0) is a child exactly once.  position[i] is the place of hom
+        element i in the order identity, then each entry's children in turn.
+        """
+        cached = self._end_plans.get(s)
+        if cached is None:
+            count = self.hom_count(s, s)
+            position = np.full(count, -1, dtype=np.int64)
+            position[0] = 0
+            reached = 1
+            frontier = np.zeros(1, dtype=np.int64)
+            levels = []
+            while True:
+                level = []
+                for g in self.end_generators(s):
+                    children = self.compose_table(s, g)[frontier]
+                    new = position[children] < 0
+                    if new.any():
+                        children = children[new]
+                        position[children] = np.arange(reached, reached + children.size)
+                        reached += children.size
+                        level.append((g, frontier[new], children))
+                if not level:
+                    break
+                levels.append(tuple(level))
+                frontier = np.concatenate([c for _, _, c in level])
+            if reached != count:
+                raise AssertionError(f"end generators of {s} reach {reached} of {count} morphisms")
+            cached = self._end_plans[s] = (tuple(levels), position)
+        return cached
+
+    def step_plan(self, s: int, t: int):
+        """Each alpha in C(s, t), t > s, factored as gamma o beta as in _factor_once.
+
+        gamma is the plain one-step t-1 -> t that misses alpha's largest
+        missed point.  Returns (entries, position): entries list (gamma,
+        betas, alphas), hom indices into C(s, t-1) and C(s, t) of the alphas
+        with that gamma; position[i] is the place of alpha = i once the
+        entries' alphas are concatenated in order.
+        """
+        key = (s, t)
+        cached = self._step_plans.get(key)
+        if cached is None:
+            images, labels = self.hom_arrays(s, t)
+            count = len(images)
+            present = np.zeros((count, t + 1), dtype=bool)
+            present[np.arange(count)[:, None], images] = True
+            # the first missing point scanning down from t
+            missed = t - np.argmin(present[:, :0:-1], axis=1)
+            betas = self._ranks(s, t - 1, images - (images > missed[:, None]), labels)
+            entries = []
+            for p in np.unique(missed).tolist():
+                alphas = np.flatnonzero(missed == p)
+                entries.append((self._skip_map(t - 1, p), betas[alphas], alphas))
+            position = np.empty(count, dtype=np.int64)
+            position[np.concatenate([alphas for _, _, alphas in entries])] = np.arange(count)
+            cached = self._step_plans[key] = (tuple(entries), position)
+        return cached
+
+
+@lru_cache(maxsize=None)
+def _pascal(n: int):
+    """Read-only table of C(a, b) for 0 <= a, b <= n."""
+    table = np.array([[comb(a, b) for b in range(n + 1)] for a in range(n + 1)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def make_category(kind: str, group_spec=None) -> CategoryDescriptor:

@@ -3,10 +3,16 @@
 Resolutions are built degreewise: each step covers the current syzygy module
 by a direct sum of representables placed exactly at the degrees where H_0 is
 nonzero (one summand per greedy end-orbit generator), so gd(P^i) = gd(Z^i)
-holds at every step by construction.  Tor is then computed by reducing the
-realized differentials modulo the ideal of positive-degree morphisms; this
-stays correct for non-minimal (padded) resolutions and over any field, which
-the resolution-independence tests exploit.
+holds at every step by construction.  The cover map is read through the
+category's index tables: at a generator's degree its rows follow the end
+plan (a spanning tree of C(s, s)), at each higher degree the step plan (the
+last one-step of every morphism), with one matrix product per tree edge
+group or one-step and the generators of one degree batched.
+
+Tor is then computed by reducing the realized differentials modulo the
+ideal of positive-degree morphisms; this stays correct for non-minimal
+(padded) resolutions and over any field, which the resolution-independence
+tests exploit.
 
 Directedness makes degreewise truncation exact, so a resolution loses no
 horizon: every homology number is valid up to the horizon of its module, and
@@ -15,11 +21,14 @@ reg is reported as computed within the built depth.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import factorial
 from types import SimpleNamespace
 from typing import Callable
+
+import numpy as np
 
 from .matrices import Mat
 from .trunc import (
@@ -80,33 +89,42 @@ def minimal_generators(V: TruncatedModule, pad: bool = False):
 
 
 def _cover(Z: TruncatedModule, gens):
-    """Free module on the given generators and the cover map onto Z."""
+    """Free module on the given generators and the cover map onto Z.
+
+    Row (k, alpha) of the map at degree t is v_k act(alpha) for alpha in
+    C(s_k, t).  Each run of consecutive generators of one degree s is done
+    at once: its degree-s rows walk the end plan of C(s, s) (one product per
+    generator and tree level), and each degree t > s follows from t - 1
+    through the step plan of C(s, t) (one product per last one-step gamma).
+    Blocks are kept position-major (row alpha * K + k for K generators) and
+    turned summand-major per degree.
+    """
     cat, field, h = Z.cat, Z.field, Z.horizon
     P = FreeModule(cat, field, tuple(t for t, _ in gens), h)
-    blocks = {}
-    for k, (s, v) in enumerate(gens):
-        # C(s, s) always holds the identity, so the orbit is never empty
-        blocks[(k, s)] = Mat.from_rows(field, [Z.act_vector(v, e) for e in cat.hom(s, s)], Z.dims[s])
-        for t in range(s + 1, h + 1):
-            prev = blocks[(k, t - 1)]
-            by_gamma = {}
-            for i, alpha in enumerate(cat.hom(s, t)):
-                beta, gamma = cat._factor_once(alpha)
-                by_gamma.setdefault(gamma, []).append((i, cat.hom_index(beta)))
-            # one product per last step gamma, then the rows go back to hom order
-            order = [i for pairs in by_gamma.values() for i, _ in pairs]
-            stacked = Mat.vstack([prev.take_rows([bi for _, bi in pairs]) @ Z.act(gamma)
-                                  for gamma, pairs in by_gamma.items()])
-            position = {i: r for r, i in enumerate(order)}
-            blocks[(k, t)] = stacked.take_rows([position[i] for i in range(len(order))])
-    mats = []
-    for t in range(h + 1):
-        pieces = [
-            blocks[(k, t)] if s <= t else Mat.zeros(field, 0, Z.dims[t])
-            for k, (s, _) in enumerate(gens)
-        ]
-        mats.append(Mat.vstack(pieces) if pieces else Mat.zeros(field, 0, Z.dims[t]))
+    pieces = [[] for _ in range(h + 1)]
+    for s, run in itertools.groupby(gens, key=lambda gen: gen[0]):
+        block = Mat.from_rows(field, [v for _, v in run], Z.dims[s])
+        K = block.nrows
+        levels, position = cat.end_plan(s)
+        for level in levels:
+            block = Mat.vstack([block] + [block.take_rows(_spread(position[parents], K)) @ Z.gens[g]
+                                          for g, parents, _ in level])
+        block = block.take_rows(_spread(position, K))
+        for t in range(s, h + 1):
+            if t > s:
+                entries, position = cat.step_plan(s, t)
+                block = Mat.vstack([block.take_rows(_spread(betas, K)) @ Z.act(gamma)
+                                    for gamma, betas, _ in entries])
+                block = block.take_rows(_spread(position, K))
+            summand_major = np.arange(K)[:, None] + K * np.arange(cat.hom_count(s, t))
+            pieces[t].append(block.take_rows(summand_major.ravel()))
+    mats = [Mat.vstack(p) if p else Mat.zeros(field, 0, Z.dims[t]) for t, p in enumerate(pieces)]
     return P, ModuleMap(P, Z, mats)
+
+
+def _spread(positions, K):
+    """Rows of a position-major block holding the given positions, each for all K generators."""
+    return (positions[:, None] * K + np.arange(K)).ravel()
 
 
 @dataclass
@@ -161,7 +179,8 @@ def resolve(V: TruncatedModule, depth: int, pad: bool = False) -> Resolution:
 
 def _reduced_indices(P: FreeModule, t: int):
     """Basis positions of P_t surviving reduction mod m (degree-t summands)."""
-    return [i for i, (k, _) in enumerate(P.basis(t)) if P.summands[k] == t]
+    n = P.cat.hom_count(t, t)
+    return [P.offsets[t][k] + i for k, s in enumerate(P.summands) if s == t for i in range(n)]
 
 
 @dataclass

@@ -264,7 +264,7 @@ class Mat:
     names its spans by ``field.kind``.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "data", "_unit_cols", "_npdata")
+    __slots__ = ("field", "nrows", "ncols", "data", "_unit_cols", "_npdata", "_basis_pivots")
 
     def __init__(self, field, nrows, ncols, data):
         self.field = field
@@ -273,6 +273,7 @@ class Mat:
         self.data = data
         self._unit_cols = _UNSET  # lazily computed basis-map tag
         self._npdata = _UNSET  # lazily computed int64 copy (Q fast path)
+        self._basis_pivots = None  # pivots, when this is a canonical row basis
 
     # -- constructors -------------------------------------------------
 
@@ -283,6 +284,21 @@ class Mat:
     @staticmethod
     def identity(field, n) -> "Mat":
         return Mat(field, n, n, np.eye(n, dtype=_dtype(field)))  # p >= 2: already reduced
+
+    @staticmethod
+    def unit_rows(field, cols, ncols) -> "Mat":
+        """The matrix whose row i is the unit vector e_{cols[i]}.
+
+        It carries the column-scatter tag that _basis_map_cols would find by
+        scanning: the columns when they are distinct, else None.
+        """
+        cols = np.asarray(cols, dtype=np.intp)
+        n = len(cols)
+        data = np.zeros((n, ncols), dtype=_dtype(field))
+        data[np.arange(n), cols] = 1
+        m = Mat(field, n, ncols, data)
+        m._unit_cols = cols if n and np.bincount(cols).max() == 1 else None
+        return m
 
     @staticmethod
     def from_rows(field, rows, ncols=None) -> "Mat":
@@ -335,7 +351,8 @@ class Mat:
         return f"Mat({self.field.name}, {self.nrows}x{self.ncols})"
 
     def take_rows(self, indices) -> "Mat":
-        return Mat(self.field, len(indices), self.ncols, self.data[list(indices)])
+        indices = np.asarray(indices, dtype=np.intp)
+        return Mat(self.field, len(indices), self.ncols, self.data[indices])
 
     def take_cols(self, indices) -> "Mat":
         return Mat(self.field, self.nrows, len(indices), self.data[:, list(indices)])
@@ -378,7 +395,7 @@ class Mat:
         return Mat(self.field, self.nrows, self.ncols, _canon(self.field, self.data * c))
 
     def _basis_map_cols(self):
-        """Column index per row when every row is a single unit entry, else None.
+        """Column index per row (an int array) when every row is a single unit entry, else None.
 
         Free-module action matrices have this shape (basis maps to basis
         injectively), which turns multiplication into a column scatter.
@@ -389,10 +406,9 @@ class Mat:
         if self.nrows and np.count_nonzero(self.data) == self.nrows:
             # nrows nonzeros and a 1 leading every row: one unit entry per row
             idx = (self.data != 0).argmax(axis=1)
-            lead = idx.tolist()
-            if (len(set(lead)) == self.nrows
+            if (np.bincount(idx).max() == 1
                     and self.data[np.arange(self.nrows), idx].tolist() == [1] * self.nrows):
-                cols = lead
+                cols = idx
         self._unit_cols = cols
         return cols
 
@@ -437,10 +453,19 @@ class Mat:
         return len(self.echelon()[1])
 
     def row_basis_pivots(self):
-        """Canonical row-space basis together with its pivot columns."""
+        """Canonical row-space basis together with its pivot columns.
+
+        The basis remembers its pivots, so asking a canonical basis (or a
+        matrix with no rows) for its own basis again runs no elimination.
+        """
+        if self._basis_pivots is not None:
+            return self, self._basis_pivots
+        if not self.nrows:
+            return self, ()
         R, pivots = self.echelon()
-        rk = len(pivots)
-        return R.take_rows(range(rk)), pivots
+        basis = R.take_rows(range(len(pivots)))
+        basis._basis_pivots = pivots
+        return basis, pivots
 
     def row_basis(self) -> "Mat":
         """Canonical basis of the row space (see echelon)."""
@@ -509,7 +534,7 @@ class Mat:
 
     def complement_rows(self) -> "Mat":
         """Standard basis vectors completing the row space to the full space."""
-        _, pivots = self.echelon()
+        pivots = self.row_basis_pivots()[1]
         other = [j for j in range(self.ncols) if j not in pivots]
         return Mat.identity(self.field, self.ncols).take_rows(other)
 

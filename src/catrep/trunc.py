@@ -6,7 +6,9 @@ the plain one-steps r -> r+1 and the end generators of each C(t, t).  Every
 other action matrix is the product of table entries along the category's
 decomposition of a morphism into generators (cat.atoms), which keeps storage
 linear in the horizon even for FI where hom sets grow factorially.  Every
-module construction below is one loop over that table.
+module construction below is one loop over that table.  A free module's
+table holds basis maps, read off the category's composition tables
+(cat.compose_table) with one gather per generator.
 
 Vectors are rows; act(V, alpha) for alpha: r -> s is a dims[r] x dims[s]
 matrix applied on the right.  Degreewise truncation is exact below the
@@ -21,6 +23,8 @@ echelon basis (quotient_by), so neither a complement nor an inverse is built.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .category import Morphism
 from .matrices import Mat
@@ -58,16 +62,11 @@ class TruncatedModule:
             cached = self._act_cache[alpha] = self._apply(alpha)
         return cached
 
-    def act_vector(self, row, alpha: Morphism):
-        """Apply alpha to a single row vector; cheaper than act() for one-offs."""
-        return self._apply(alpha, [row]).row(0)
-
-    def _apply(self, alpha: Morphism, rows=None) -> Mat:
-        """rows @ act(alpha), or act(alpha) itself for rows=None, one atom at a time."""
+    def _apply(self, alpha: Morphism) -> Mat:
+        """act(alpha) as the product of the generator matrices of its atoms."""
         if alpha.dst > self.horizon:
             raise ValueError(f"degree {alpha.dst} above horizon {self.horizon}")
-        n = self.dims[alpha.src]
-        out = Mat.identity(self.field, n) if rows is None else Mat.from_rows(self.field, rows, n)
+        out = Mat.identity(self.field, self.dims[alpha.src])
         for g in self.cat.atoms(alpha):
             out = out @ self.gens[g]
         return out
@@ -77,37 +76,37 @@ class TruncatedModule:
 
 
 class FreeModule(TruncatedModule):
-    """Direct sum of representables M(s); basis at degree t = (summand, morphism)."""
+    """Direct sum of representables M(s) over the given summand degrees.
+
+    The basis at degree t is summand-major: summand k contributes
+    C(summands[k], t) in hom order, starting at offsets[t][k].  A generator
+    g sends (k, m) to (k, g o m), so its matrix is a basis map whose columns
+    are the category's composition table for (summands[k], g) shifted by
+    the summand offsets: one gather per generator, no morphism composed.
+    """
 
     def __init__(self, cat, field, summands, horizon):
         self.summands = tuple(summands)
-        self._basis = {}
-        self._offsets = {}
+        self.offsets = []
         dims = []
         for t in range(horizon + 1):
-            basis = []
-            offsets = []
-            for k, s in enumerate(self.summands):
-                offsets.append(len(basis))
-                basis.extend((k, m) for m in cat.hom(s, t))
-            self._basis[t] = tuple(basis)
-            self._offsets[t] = tuple(offsets)
-            dims.append(len(basis))
-        units = [Mat.identity(field, d) for d in dims]
-        gens = {g: self._gen_matrix(cat, units, g) for g in cat.generators(horizon)}
+            offsets, n = [], 0
+            for s in self.summands:
+                offsets.append(n)
+                n += cat.hom_count(s, t)
+            self.offsets.append(tuple(offsets))
+            dims.append(n)
+        gens = {g: self._gen_matrix(cat, field, dims[g.dst], g) for g in cat.generators(horizon)}
         super().__init__(cat, field, horizon, dims, gens)
 
-    def _gen_matrix(self, cat, units, gamma) -> Mat:
-        """Basis map of gamma: basis element (k, m) goes to (k, gamma o m)."""
-        offsets = self._offsets[gamma.dst]
-        cols = [offsets[k] + cat.hom_index(cat.compose(gamma, m)) for k, m in self._basis[gamma.src]]
-        return units[gamma.dst].take_rows(cols)
-
-    def basis(self, t: int):
-        return self._basis[t]
+    def _gen_matrix(self, cat, field, ncols, g) -> Mat:
+        """Basis map of g: basis element (k, m) goes to (k, g o m)."""
+        offsets = self.offsets[g.dst]
+        cols = [offsets[k] + cat.compose_table(s, g) for k, s in enumerate(self.summands) if s <= g.src]
+        return Mat.unit_rows(field, np.concatenate(cols) if cols else [], ncols)
 
     def basis_index(self, t: int, k: int, m: Morphism) -> int:
-        return self._offsets[t][k] + self.cat.hom_index(m)
+        return self.offsets[t][k] + self.cat.hom_index(m)
 
 
 class ModuleMap:
@@ -270,7 +269,7 @@ def m_span(V: TruncatedModule):
             out.append(Mat.zeros(V.field, 0, V.dims[0]))
             continue
         pieces = [V.gens[g] for g in V.cat.step_generators(t - 1)]
-        seed = Mat.vstack(pieces).row_basis() if pieces else Mat.zeros(V.field, 0, V.dims[t])
+        seed = Mat.vstack(pieces) if pieces else Mat.zeros(V.field, 0, V.dims[t])
         out.append(end_closure(V, t, seed))
     return out
 

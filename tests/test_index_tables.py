@@ -1,0 +1,205 @@
+"""Index tables of a category and the free modules and covers read off them.
+
+The compose-based constructions they replaced are kept here as oracles:
+generator tables and cover matrices must be identical to theirs, dtype and
+Python entry types included.
+"""
+
+from itertools import permutations
+
+import numpy as np
+import pytest
+
+from catrep import homology
+from catrep.category import FiniteGroup, make_category
+from catrep.corpus import sample_presentation
+from catrep.fields import QQ, parse_field
+from catrep.matrices import Mat
+from catrep.presentations import from_presentation
+from catrep.trunc import FreeModule, ModuleMap, kernel_of_map, submodule_from_rows
+
+CATS = [make_category("fi"), make_category("oi"), make_category("fi_g", 2), make_category("oi_g", 3)]
+FIELDS = [parse_field("fp:2"), parse_field("fp:101"), QQ]
+# a non-abelian group, so that label products in the wrong order show
+_S3 = list(permutations(range(3)))
+S3 = FiniteGroup.from_table([[_S3.index(tuple(a[i] for i in b)) for b in _S3] for a in _S3])
+TABLE_CATS = CATS + [make_category("fi_g", S3), make_category("oi_g", S3)]
+
+
+def _identical(a: Mat, b: Mat) -> bool:
+    return (a.field == b.field and a.shape == b.shape and a.data.dtype == b.data.dtype
+            and np.array_equal(a.data, b.data)
+            and list(map(type, a.data.flat)) == list(map(type, b.data.flat)))
+
+
+def _oracle_gen_matrix(P: FreeModule, g):
+    """Basis map of g by composing and looking up every basis element."""
+    cat = P.cat
+    rows = []
+    for k, s in enumerate(P.summands):
+        for m in cat.hom(s, g.src):
+            rows.append(P.offsets[g.dst][k] + cat.hom_index(cat.compose(g, m)))
+    return Mat.identity(P.field, P.dims[g.dst]).take_rows(rows)
+
+
+def _oracle_act_vector(Z, row, alpha):
+    out = Mat.from_rows(Z.field, [row], Z.dims[alpha.src])
+    for g in Z.cat.atoms(alpha):
+        out = out @ Z.gens[g]
+    return out.row(0)
+
+
+def _oracle_cover(Z, gens):
+    """Cover map by the orbit of each end morphism and a factorization per alpha."""
+    cat, field, h = Z.cat, Z.field, Z.horizon
+    P = FreeModule(cat, field, tuple(t for t, _ in gens), h)
+    blocks = {}
+    for k, (s, v) in enumerate(gens):
+        blocks[(k, s)] = Mat.from_rows(field, [_oracle_act_vector(Z, v, e) for e in cat.hom(s, s)],
+                                       Z.dims[s])
+        for t in range(s + 1, h + 1):
+            prev = blocks[(k, t - 1)]
+            by_gamma = {}
+            for i, alpha in enumerate(cat.hom(s, t)):
+                beta, gamma = cat._factor_once(alpha)
+                by_gamma.setdefault(gamma, []).append((i, cat.hom_index(beta)))
+            order = [i for pairs in by_gamma.values() for i, _ in pairs]
+            stacked = Mat.vstack([prev.take_rows([bi for _, bi in pairs]) @ Z.act(gamma)
+                                  for gamma, pairs in by_gamma.items()])
+            position = {i: r for r, i in enumerate(order)}
+            blocks[(k, t)] = stacked.take_rows([position[i] for i in range(len(order))])
+    mats = []
+    for t in range(h + 1):
+        pieces = [blocks[(k, t)] if s <= t else Mat.zeros(field, 0, Z.dims[t])
+                  for k, (s, _) in enumerate(gens)]
+        mats.append(Mat.vstack(pieces) if pieces else Mat.zeros(field, 0, Z.dims[t]))
+    return P, ModuleMap(P, Z, mats)
+
+
+@pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
+def test_compose_table_is_hom_index_of_compose(cat):
+    h = 4 if cat.group is None else 3
+    for g in cat.generators(h):
+        for s in range(g.src + 1):
+            want = [cat.hom_index(cat.compose(g, m)) for m in cat.hom(s, g.src)]
+            assert cat.compose_table(s, g).tolist() == want, (s, g)
+
+
+def test_ranks_at_larger_degrees():
+    # OI hom sets stay small at high degrees, where the lex ranks are widest
+    oi = make_category("oi")
+    for s in range(9):
+        images, labels = oi.hom_arrays(s, 12)
+        assert oi._ranks(s, 12, images, labels).tolist() == list(range(oi.hom_count(s, 12)))
+    fi = make_category("fi_g", 2)
+    images, labels = fi.hom_arrays(3, 6)
+    assert fi._ranks(3, 6, images, labels).tolist() == list(range(fi.hom_count(3, 6)))
+
+
+@pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
+def test_end_plan_reaches_each_end_morphism_once(cat):
+    for s in range(5 if cat.group is None else 4):
+        homs = cat.hom(s, s)
+        assert homs[0] == cat.identity(s)
+        levels, position = cat.end_plan(s)
+        reached = [0]
+        for level in levels:
+            earlier = set(reached)
+            for g, parents, children in level:
+                assert set(parents.tolist()) <= earlier
+                for a, b in zip(parents.tolist(), children.tolist()):
+                    assert homs[b] == cat.compose(g, homs[a])
+                reached += children.tolist()
+        assert sorted(reached) == list(range(len(homs)))
+        assert position.tolist() == np.argsort(reached).tolist()
+
+
+@pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
+def test_step_plan_partitions_each_hom_set(cat):
+    for s in range(4):
+        for t in range(s + 1, 5 if cat.group is None else 4):
+            homs, lower = cat.hom(s, t), cat.hom(s, t - 1)
+            entries, position = cat.step_plan(s, t)
+            order = []
+            for gamma, betas, alphas in entries:
+                for b, a in zip(betas.tolist(), alphas.tolist()):
+                    assert cat._factor_once(homs[a]) == (lower[b], gamma)
+                order += alphas.tolist()
+            assert sorted(order) == list(range(len(homs)))
+            assert [order[p] for p in position.tolist()] == list(range(len(homs)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("cat", CATS, ids=lambda c: c.name)
+def test_free_module_matches_compose_oracle(cat, field):
+    h = 4 if cat.group is None else 3
+    for summands in [(0,), (2,), (1, 0, 1, 2, 2), (3, 1, 1)]:
+        P = FreeModule(cat, field, summands, h)
+        for g, m in P.gens.items():
+            assert _identical(m, _oracle_gen_matrix(P, g)), (summands, g)
+            # the column-scatter tag is what a scan of the dense matrix finds
+            scan = Mat(field, m.nrows, m.ncols, m.data)._basis_map_cols()
+            tag = m._basis_map_cols()
+            assert (tag is None) == (scan is None) and (scan is None or list(tag) == list(scan))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_unit_rows_tag_only_distinct_columns(field):
+    A = Mat.from_rows(field, [[1, 2, 3], [4, 5, 6]], 3)
+    for cols in ([2, 0, 1], [0, 0, 2], [1], []):
+        B = Mat.unit_rows(field, cols, 4)
+        plain = Mat(field, B.nrows, B.ncols, B.data.copy())
+        tag, scan = B._basis_map_cols(), plain._basis_map_cols()
+        assert (tag is None) == (scan is None) and (scan is None or list(tag) == list(scan))
+        if len(cols) == 3:
+            assert _identical(A @ B, A @ plain)
+            assert _identical(A @ B, A @ Mat.identity(field, 4).take_rows(cols))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("cat", CATS, ids=lambda c: c.name)
+def test_cover_matches_orbit_oracle(monkeypatch, cat, field):
+    # every cover of a padded depth-1 resolution, syzygy covers included
+    covers = []
+
+    def checked(Z, gens):
+        P, diff = homology_cover(Z, gens)
+        P_old, diff_old = _oracle_cover(Z, gens)
+        assert P.dims == P_old.dims and P.summands == P_old.summands
+        for m, o in zip(diff.mats, diff_old.mats):
+            assert _identical(m, o), (cat.name, field.name)
+        covers.append(tuple(t for t, _ in gens))
+        return P, diff
+
+    homology_cover = homology._cover
+    monkeypatch.setattr(homology, "_cover", checked)
+    for seed in range(1, 7):
+        V, _ = from_presentation(cat, field, sample_presentation(cat, field, seed), 4)
+        res = homology.resolve(V, 1, pad=True)
+        for Z in (V, res.steps[0].syzygy):
+            checked(Z, homology.minimal_generators(Z)[::-1])
+    # runs of several generators of one degree, and degrees out of order
+    assert any(len(d) > len(set(d)) for d in covers)
+    assert any(list(d) != sorted(d) for d in covers)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_kernel_rows_are_not_echeloned_again(monkeypatch, field):
+    cat = CATS[0]
+    V, _ = from_presentation(cat, field, sample_presentation(cat, field, 3), 4)
+    gens = homology.minimal_generators(V)
+    _, diff = homology._cover(V, gens)
+    rows = [m.left_kernel() for m in diff.mats]
+    # untagged copies of the same canonical rows take the full route
+    plain = [Mat(m.field, m.nrows, m.ncols, m.data.copy()) for m in rows]
+    K_old, incl_old = submodule_from_rows(diff.domain, plain)
+
+    calls = []
+    echelon = Mat.echelon
+    monkeypatch.setattr(Mat, "echelon", lambda m: calls.append(m.shape) or echelon(m))
+    K, incl = submodule_from_rows(diff.domain, rows)
+    assert calls == []
+    assert K.dims == K_old.dims
+    assert all(_identical(K.gens[g], K_old.gens[g]) for g in K.gens)
+    assert all(_identical(a, b) for a, b in zip(incl.mats, incl_old.mats))
+    assert kernel_of_map(diff)[0].dims == K.dims
