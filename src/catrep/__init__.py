@@ -11,7 +11,6 @@ from .homology import (
     resolve,
     tor_groups,
     verify_theorems,
-    zeroth_homology,
 )
 from .matrices import Mat, NotInSpan
 from .presentations import (

@@ -41,7 +41,6 @@ class FiniteGroup:
         self._validate()
         self.inverse = tuple(self._find_inverse(a) for a in range(self.order))
         self.generators = self._generating_set()
-        self._words = None
 
     @staticmethod
     def cyclic(m: int) -> "FiniteGroup":
@@ -108,21 +107,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    def word(self, a: int):
-        """Indices into ``generators`` whose left-to-right product is ``a``."""
-        if self._words is None:
-            words = {0: ()}
-            frontier = [0]
-            while frontier:
-                x = frontier.pop(0)
-                for gi, g in enumerate(self.generators):
-                    y = self.table[x][g]
-                    if y not in words:
-                        words[y] = words[x] + (gi,)
-                        frontier.append(y)
-            self._words = words
-        return self._words[a]
-
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and other.table == self.table
 
@@ -171,8 +155,9 @@ class CategoryDescriptor:
     """One of the four category kinds, with its group decoration if any.
 
     Immutable; hom-set enumeration, generator data and the index tables
-    (compose_table, end_plan, step_plan) are memoized (pure, idempotent
-    caches, safe under concurrent use).
+    (compose_table, end_plan and the parent tree split reads off it,
+    step_plan) are memoized (pure, idempotent caches, safe under concurrent
+    use).
     """
 
     def __init__(self, kind: str, group: FiniteGroup | None = None):
@@ -192,11 +177,11 @@ class CategoryDescriptor:
         self._ends = {}
         self._steps = {}
         self._gens = {}
-        self._atoms = {}
         self._arrays = {}
         self._mul = np.array(group.table, dtype=np.int64) if group else None
         self._compose_tables = {}
         self._end_plans = {}
+        self._end_trees = {}
         self._step_plans = {}
 
     def __eq__(self, other):
@@ -345,11 +330,24 @@ class CategoryDescriptor:
         )
         return beta, self._skip_map(s - 1, p)
 
-    def factor_through_predecessor(self, alpha: Morphism):
-        """Factor alpha: r -> s with s >= r+2 through s-1; labels ride on beta."""
-        if alpha.dst < alpha.src + 2:
-            raise ValueError("factor_through_predecessor needs dst >= src + 2")
-        return self._factor_once(alpha)
+    def split(self, alpha: Morphism):
+        """alpha = b o a as (a, b), each part nearer the generator table; None for identities.
+
+        Above the diagonal, b is alpha's last one-step and a the rest
+        (_factor_once).  A plain FI-kind one-step r -> r+1 other than m_r is
+        m_r followed by the end morphism sending r+1 to the missed point.  An
+        end morphism is its parent in end_plan(s) followed by one end
+        generator.  Repeated splitting reaches generators() from every
+        morphism, so a module's action is a product along these splits.
+        """
+        r, s = alpha.src, alpha.dst
+        if s == r:
+            return self._end_tree(s).get(self.hom_index(alpha))
+        beta, gamma = self._factor_once(alpha)
+        if self.ordered or beta != self.identity(r):
+            return beta, gamma
+        missed = next(iter(set(range(1, s + 1)) - set(alpha.images)))
+        return self.mu_witness(r), Morphism(s, s, alpha.images + (missed,), self._identity_labels(s))
 
     def step_generators(self, r: int):
         """Plain one-step morphisms r -> r+1 stored on every module.
@@ -405,83 +403,13 @@ class CategoryDescriptor:
         labels[j - 1] = g
         return Morphism(s, s, tuple(range(1, s + 1)), tuple(labels))
 
-    # -- decomposition into stored generators --------------------------
-
-    def _perm_atoms(self, images, level: int):
-        """Adjacent-transposition atoms (application order) for a permutation."""
-        swaps = self.end_generators(level)
-        line = list(images)
-        out = []
-        while True:
-            for j in range(len(line) - 1):
-                if line[j] > line[j + 1]:
-                    line[j], line[j + 1] = line[j + 1], line[j]
-                    out.append(swaps[j])
-                    break
-            else:
-                return out
-
-    def _end_atoms(self, eps: Morphism):
-        """Atoms for an end morphism; empty for identities."""
-        s = eps.src
-        out = []
-        if self.group:
-            gens = self.group.generators
-            for j in range(1, s + 1):
-                g = eps.labels[j - 1]
-                if g == 0:
-                    continue
-                # the unordered kinds store labels at slot 1 only
-                word = [self._label_generator(s, j if self.ordered else 1, gens[gi])
-                        for gi in reversed(self.group.word(g))]
-                if self.ordered or j == 1:
-                    out.extend(word)
-                else:
-                    # conjugate the slot-1 label by the transposition (1, j)
-                    swap = self._perm_atoms(
-                        (j,) + tuple(range(2, j)) + (1,) + tuple(range(j + 1, s + 1)), s
-                    )
-                    out.extend(swap + word + swap)
-        if not self.ordered and eps.images != tuple(range(1, s + 1)):
-            out.extend(self._perm_atoms(eps.images, s))
-        return out
-
-    def _step_atoms(self, gamma: Morphism):
-        """Atoms realizing a plain one-step t -> t+1."""
-        if self.ordered:
-            return [gamma]
-        t = gamma.src
-        p = next(iter(set(range(1, t + 2)) - set(gamma.images)))
-        swaps = self.end_generators(t + 1)
-        return [self.mu_witness(t)] + [swaps[j - 1] for j in range(t, p - 1, -1)]
-
-    def atoms(self, alpha: Morphism):
-        """Decompose alpha into generators (see generators()), in application order.
-
-        A module realizes act(alpha) as the ordered product of the action
-        matrices of these generators.
-        """
-        cached = self._atoms.get(alpha)
-        if cached is not None:
-            return cached
-        chain = []
-        a = alpha
-        while a.dst > a.src:
-            a, gamma = self._factor_once(a)
-            chain.append(gamma)
-        out = list(self._end_atoms(a))
-        for gamma in reversed(chain):
-            out.extend(self._step_atoms(gamma))
-        out = tuple(out)
-        self._atoms[alpha] = out
-        return out
-
     # -- index tables --------------------------------------------------
     #
     # Free modules and covers act on whole hom sets at once.  These tables
     # give, as int arrays, the hom index of every composite or factor they
     # need, so that no Morphism is built, composed or looked up per basis
     # element.  Each is built once per category with numpy and memoized.
+    # split factors single morphisms through the same end plan (_end_tree).
 
     def hom_arrays(self, r: int, s: int):
         """hom(r, s) as int arrays (images, labels) of shape (count, r), in
@@ -570,6 +498,19 @@ class CategoryDescriptor:
             if reached != count:
                 raise AssertionError(f"end generators of {s} reach {reached} of {count} morphisms")
             cached = self._end_plans[s] = (tuple(levels), position)
+        return cached
+
+    def _end_tree(self, s: int):
+        """end_plan(s) keyed by child: hom index -> (parent, g) with child = g o parent."""
+        cached = self._end_trees.get(s)
+        if cached is None:
+            homs = self.hom(s, s)
+            cached = self._end_trees[s] = {
+                child: (homs[parent], g)
+                for level in self.end_plan(s)[0]
+                for g, parents, children in level
+                for parent, child in zip(parents.tolist(), children.tolist())
+            }
         return cached
 
     def step_plan(self, s: int, t: int):

@@ -47,33 +47,16 @@ from .trunc import (
 from .shift import derive, shift_module
 
 
-@dataclass
-class H0Report:
-    """V/mV per degree plus chosen generator lifts (rows in V coordinates)."""
-
-    dims: list
-    lifts: list
-    gd: int
-    valid_to: int
-
-
-def zeroth_homology(V: TruncatedModule) -> H0Report:
-    """H_0(V) = V/mV; lifts are the canonical complement of (mV)_t in V_t."""
-    dims, spans = h0_dims(V)
-    lifts = [spans[t].complement_rows() for t in range(V.horizon + 1)]
-    return H0Report(dims, lifts, top_degree(dims), V.horizon)
-
-
-def minimal_generators(V: TruncatedModule, pad: bool = False):
+def minimal_generators(V: TruncatedModule, pad: bool = False, spans=None):
     """Greedy module generators: (degree, row) pairs whose orbits fill V.
 
     Each pick extends the span by the full end-orbit of one complement
     vector, so the generator count per degree can exceed dim H_0 only when
     the end algebra acts with non-cyclic quotients; gd is matched exactly
     either way.  pad=True appends one redundant generator for the
-    resolution-independence oracle.
+    resolution-independence oracle.  spans, if given, must be m_span(V).
     """
-    spans = m_span(V)
+    spans = m_span(V) if spans is None else spans
     gens = []
     for t in range(V.horizon + 1):
         W = spans[t]
@@ -162,8 +145,9 @@ def resolve(V: TruncatedModule, depth: int, pad: bool = False) -> Resolution:
     steps = []
     Z = V
     for i in range(depth + 1):
-        gens = minimal_generators(Z, pad=(pad and i == 0))
-        gd_z = generating_degree(Z)
+        spans = m_span(Z)
+        gens = minimal_generators(Z, pad=(pad and i == 0), spans=spans)
+        gd_z = top_degree(h0_dims(Z, spans))
         P, diff = _cover(Z, gens)
         gd_p = max((t for t, _ in gens), default=-1)
         if gd_p != gd_z:

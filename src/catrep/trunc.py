@@ -3,12 +3,12 @@
 A TruncatedModule stores dimensions for degrees 0..horizon and one table
 of action matrices, keyed by the generating morphisms cat.generators(horizon):
 the plain one-steps r -> r+1 and the end generators of each C(t, t).  Every
-other action matrix is the product of table entries along the category's
-decomposition of a morphism into generators (cat.atoms), which keeps storage
-linear in the horizon even for FI where hom sets grow factorially.  Every
-module construction below is one loop over that table.  A free module's
-table holds basis maps, read off the category's composition tables
-(cat.compose_table) with one gather per generator.
+other action matrix is built on demand as act(a) @ act(b) along the
+category's split alpha = b o a (cat.split) and cached with its parts, so the
+stored table stays linear in the horizon even for FI where hom sets grow
+factorially.  Every module construction below is one loop over that table.
+A free module's table holds basis maps, read off the category's composition
+tables (cat.compose_table) with one gather per generator.
 
 Vectors are rows; act(V, alpha) for alpha: r -> s is a dims[r] x dims[s]
 matrix applied on the right.  Degreewise truncation is exact below the
@@ -42,7 +42,7 @@ class TruncatedModule:
         self.dims = list(dims)
         # gens[g]: Mat dims[g.src] x dims[g.dst], for every g in cat.generators(horizon)
         self.gens = gens
-        self._act_cache = {}
+        self._act_cache = dict(gens)
         self._check_shapes()
 
     def _check_shapes(self):
@@ -56,20 +56,31 @@ class TruncatedModule:
         return all(d == 0 for d in self.dims)
 
     def act(self, alpha: Morphism) -> Mat:
-        """Action matrix of alpha (dims[src] x dims[dst]); dst must be inside."""
-        cached = self._act_cache.get(alpha)
-        if cached is None:
-            cached = self._act_cache[alpha] = self._apply(alpha)
-        return cached
+        """Action matrix of alpha (dims[src] x dims[dst]); dst must be inside.
 
-    def _apply(self, alpha: Morphism) -> Mat:
-        """act(alpha) as the product of the generator matrices of its atoms."""
+        A generator's matrix is its table entry and an identity's the
+        identity; any other alpha = b o a (cat.split) is act(a) @ act(b).
+        Every part is cached, so each new morphism costs one product.
+        """
+        cache = self._act_cache
+        if alpha in cache:
+            return cache[alpha]
         if alpha.dst > self.horizon:
             raise ValueError(f"degree {alpha.dst} above horizon {self.horizon}")
-        out = Mat.identity(self.field, self.dims[alpha.src])
-        for g in self.cat.atoms(alpha):
-            out = out @ self.gens[g]
-        return out
+        # an explicit stack: split chains through large end monoids run deep
+        todo = [alpha]
+        while todo:
+            m = todo.pop()
+            if m in cache:
+                continue
+            parts = self.cat.split(m)
+            if parts is None:
+                cache[m] = Mat.identity(self.field, self.dims[m.src])
+            elif parts[0] in cache and parts[1] in cache:
+                cache[m] = cache[parts[0]] @ cache[parts[1]]
+            else:
+                todo += [m, *parts]
+        return cache[alpha]
 
     def __repr__(self):
         return f"TruncatedModule({self.cat.name}, {self.field.name}, h={self.horizon}, dims={self.dims})"
@@ -274,10 +285,13 @@ def m_span(V: TruncatedModule):
     return out
 
 
-def h0_dims(V: TruncatedModule):
-    """Dimensions of V/mV per degree (the minimal-generator counts by degree)."""
-    spans = m_span(V)
-    return [V.dims[t] - spans[t].nrows for t in range(V.horizon + 1)], spans
+def h0_dims(V: TruncatedModule, spans=None):
+    """Dimensions of V/mV per degree (the minimal-generator counts by degree).
+
+    spans, if given, must be m_span(V); it is computed otherwise.
+    """
+    spans = m_span(V) if spans is None else spans
+    return [V.dims[t] - spans[t].nrows for t in range(V.horizon + 1)]
 
 
 def top_degree(values) -> int:
@@ -287,7 +301,7 @@ def top_degree(values) -> int:
 
 def generating_degree(V: TruncatedModule) -> int:
     """gd(V) within the horizon: top degree carrying a minimal generator, or -1."""
-    return top_degree(h0_dims(V)[0])
+    return top_degree(h0_dims(V))
 
 
 def module_closure_of_rows(V: TruncatedModule, seed_rows_per_degree):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import factorial
 
+from catrep import homology, trunc
 from catrep.category import Morphism, make_category
 from catrep.corpus import sample_presentation
 from catrep.fields import QQ, parse_field
@@ -12,10 +13,9 @@ from catrep.homology import (
     resolve,
     tor_groups,
     verify_theorems,
-    zeroth_homology,
 )
 from catrep.presentations import Presentation, Relation, from_presentation
-from catrep.trunc import free_module, generating_degree, zero_module
+from catrep.trunc import free_module, generating_degree, h0_dims, top_degree, zero_module
 
 F101 = parse_field("fp:101")
 FI = make_category("fi")
@@ -31,24 +31,35 @@ def test_h0_of_projectives():
     for cat, end_size in [(OI, lambda s: 1), (FI, factorial)]:
         for s in range(4):
             M = free_module(cat, F101, s, 5)
-            rep = zeroth_homology(M)
+            dims = h0_dims(M)
             expected = [0] * 6
             expected[s] = end_size(s)
-            assert rep.dims == expected, (cat.kind, s)
-            assert rep.gd == s
+            assert dims == expected, (cat.kind, s)
+            assert top_degree(dims) == s
 
 
 def test_h0_torsion_and_zero():
-    rep = zeroth_homology(oi_torsion())
-    assert rep.dims == [0, 1, 0, 0, 0, 0, 0] and rep.gd == 1
-    rep = zeroth_homology(zero_module(OI, F101, 4))
-    assert rep.dims == [0] * 5 and rep.gd == -1
+    dims = h0_dims(oi_torsion())
+    assert dims == [0, 1, 0, 0, 0, 0, 0] and top_degree(dims) == 1
+    dims = h0_dims(zero_module(OI, F101, 4))
+    assert dims == [0] * 5 and top_degree(dims) == -1
 
 
-def test_h0_lifts_complement_m_span():
-    V = oi_torsion()
-    rep = zeroth_homology(V)
-    assert rep.lifts[1].nrows == 1
+def test_resolve_spans_each_step_once(monkeypatch):
+    calls = []
+    m_span = trunc.m_span
+
+    def counted(V):
+        calls.append(V)
+        return m_span(V)
+
+    monkeypatch.setattr(trunc, "m_span", counted)
+    monkeypatch.setattr(homology, "m_span", counted)
+    V, _ = from_presentation(FI, F101, sample_presentation(FI, F101, 1), 4)
+    for d in range(3):
+        calls.clear()
+        resolve(V, d)
+        assert len(calls) == d + 1
 
 
 def test_resolve_projective_terminates():

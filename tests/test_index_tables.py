@@ -5,6 +5,7 @@ generator tables and cover matrices must be identical to theirs, dtype and
 Python entry types included.
 """
 
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -16,7 +17,7 @@ from catrep.corpus import sample_presentation
 from catrep.fields import QQ, parse_field
 from catrep.matrices import Mat
 from catrep.presentations import from_presentation
-from catrep.trunc import FreeModule, ModuleMap, kernel_of_map, submodule_from_rows
+from catrep.trunc import FreeModule, ModuleMap, kernel_of_map, submodule_from_rows, truncate
 
 CATS = [make_category("fi"), make_category("oi"), make_category("fi_g", 2), make_category("oi_g", 3)]
 FIELDS = [parse_field("fp:2"), parse_field("fp:101"), QQ]
@@ -42,11 +43,44 @@ def _oracle_gen_matrix(P: FreeModule, g):
     return Mat.identity(P.field, P.dims[g.dst]).take_rows(rows)
 
 
-def _oracle_act_vector(Z, row, alpha):
-    out = Mat.from_rows(Z.field, [row], Z.dims[alpha.src])
-    for g in Z.cat.atoms(alpha):
+@lru_cache(maxsize=None)
+def _word_tree(cat, h):
+    """Breadth-first tree, by compose alone, of every morphism with target <= h
+    over cat.generators(h): alpha -> (parent, g) with alpha = g o parent, or
+    None for an identity.  Insertion order puts each parent first."""
+    tree = {cat.identity(r): None for r in range(h + 1)}
+    frontier = list(tree)
+    while frontier:
+        found = []
+        for m in frontier:
+            for g in cat.generators(h):
+                if g.src == m.dst:
+                    y = cat.compose(g, m)
+                    if y not in tree:
+                        tree[y] = (m, g)
+                        found.append(y)
+        frontier = found
+    return tree
+
+
+def _word(cat, h, alpha):
+    """The generators along the tree path to alpha, in application order."""
+    tree, word = _word_tree(cat, h), []
+    while tree[alpha] is not None:
+        alpha, g = tree[alpha]
+        word.append(g)
+    return word[::-1]
+
+
+def _oracle_act(Z, alpha):
+    out = Mat.identity(Z.field, Z.dims[alpha.src])
+    for g in _word(Z.cat, Z.horizon, alpha):
         out = out @ Z.gens[g]
-    return out.row(0)
+    return out
+
+
+def _oracle_act_vector(Z, row, alpha):
+    return (Mat.from_rows(Z.field, [row], Z.dims[alpha.src]) @ _oracle_act(Z, alpha)).row(0)
 
 
 def _oracle_cover(Z, gens):
@@ -64,7 +98,7 @@ def _oracle_cover(Z, gens):
                 beta, gamma = cat._factor_once(alpha)
                 by_gamma.setdefault(gamma, []).append((i, cat.hom_index(beta)))
             order = [i for pairs in by_gamma.values() for i, _ in pairs]
-            stacked = Mat.vstack([prev.take_rows([bi for _, bi in pairs]) @ Z.act(gamma)
+            stacked = Mat.vstack([prev.take_rows([bi for _, bi in pairs]) @ _oracle_act(Z, gamma)
                                   for gamma, pairs in by_gamma.items()])
             position = {i: r for r, i in enumerate(order)}
             blocks[(k, t)] = stacked.take_rows([position[i] for i in range(len(order))])
@@ -94,6 +128,24 @@ def test_ranks_at_larger_degrees():
     fi = make_category("fi_g", 2)
     images, labels = fi.hom_arrays(3, 6)
     assert fi._ranks(3, 6, images, labels).tolist() == list(range(fi.hom_count(3, 6)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
+def test_act_matches_product_along_a_word(cat, field):
+    # FI_G over S3 stops at degree 3: C(4, 4) alone has 31,104 morphisms there
+    h = 3 if cat.kind == "fi_g" and cat.group.order == 6 else 4
+    V, _ = from_presentation(cat, field, sample_presentation(cat, field, 2), 4)
+    V = truncate(V, h)
+    for Z in (FreeModule(cat, field, (1, 0, 1), h), V, homology.resolve(V, 0).steps[0].syzygy):
+        # the product along each tree word, its prefix (the parent's word) shared
+        along = {}
+        for alpha, edge in _word_tree(cat, h).items():
+            if edge is None:
+                along[alpha] = Mat.identity(field, Z.dims[alpha.src])
+            else:
+                along[alpha] = along[edge[0]] @ Z.gens[edge[1]]
+            assert Z.act(alpha) == along[alpha], (Z, alpha)
 
 
 @pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)

@@ -66,12 +66,16 @@ def test_act_identity_and_composition_matrix():
 def test_act_factorization_independent():
     M = free_module(OI, QQ, 1, 4)
     a = Morphism(1, 4, (3,))
-    # two factorizations through degree 2 and 3 give the same matrix
-    b1, g1 = OI.factor_through_predecessor(a)
-    direct = M.act(b1) @ M.act(g1)
-    assert direct == M.act(a)
-    b2, g2 = OI.factor_through_predecessor(b1)
-    assert (M.act(b2) @ M.act(g2)) @ M.act(g1) == M.act(a)
+    # 1 -> 4 through degrees 2 and 3 along different routes gives one matrix
+    routes = [
+        (Morphism(1, 2, (2,)), Morphism(2, 3, (2, 3)), Morphism(3, 4, (1, 2, 3))),
+        (Morphism(1, 2, (1,)), Morphism(2, 3, (2, 3)), Morphism(3, 4, (2, 3, 4))),
+        (Morphism(1, 2, (2,)), Morphism(2, 3, (1, 2)), Morphism(3, 4, (1, 3, 4))),
+    ]
+    for f, g, h in routes:
+        assert OI.compose(h, OI.compose(g, f)) == a
+        assert (M.act(f) @ M.act(g)) @ M.act(h) == M.act(a)
+        assert M.act(f) @ M.act(OI.compose(h, g)) == M.act(a)
 
 
 def test_act_above_horizon_rejected():
@@ -251,7 +255,7 @@ def test_rank_nullity_degreewise():
 
 def test_generating_degree_and_h0():
     V, _ = oi_torsion()
-    dims, _ = h0_dims(V)
+    dims = h0_dims(V)
     assert dims == [0, 1, 0, 0, 0, 0, 0]
     assert generating_degree(V) == 1
     assert generating_degree(zero_module(OI, F101, 3)) == -1
@@ -290,16 +294,51 @@ def test_generator_table_is_steps_and_ends_by_degree(cat):
             want += (cat.step_generators(t - 1) if t else ()) + cat.end_generators(t)
         assert cat.generators(h) == tuple(want)
         assert len(set(want)) == len(want)
-    # every atom is a table entry below its target, and the atoms compose back
+    # every morphism off the table splits into two that compose back to it
     for s in range(4):
         table = set(cat.generators(s))
         for r in range(s + 1):
             for alpha in cat.hom(r, s):
-                acc = cat.identity(r)
-                for g in cat.atoms(alpha):
-                    assert g in table
-                    acc = cat.compose(g, acc)
-                assert acc == alpha
+                if alpha == cat.identity(r):
+                    assert cat.split(alpha) is None
+                elif alpha not in table:
+                    a, b = cat.split(alpha)
+                    assert (a.src, b.dst) == (r, s)
+                    assert cat.compose(b, a) == alpha
+
+
+@pytest.mark.parametrize("cat", [FI, OI, FIG, OIG], ids=lambda c: c.kind)
+def test_act_costs_one_product_per_new_morphism(monkeypatch, cat):
+    V = truncate(from_presentation(cat, F101, sample_presentation(cat, F101, 2), 4)[0], 3)
+    products = []
+    matmul = Mat.__matmul__
+    monkeypatch.setattr(Mat, "__matmul__", lambda a, b: products.append(a.shape) or matmul(a, b))
+    for g in cat.generators(3):
+        assert V.act(g) is V.gens[g]
+    for s in range(4):
+        assert V.act(cat.identity(s)) == Mat.identity(F101, V.dims[s])
+    assert products == []
+    for s in range(4):
+        for r in range(s + 1):
+            for alpha in cat.hom(r, s):
+                parts = cat.split(alpha)
+                if parts is None or alpha in V.gens:
+                    continue
+                W = TruncatedModule(cat, F101, 3, V.dims, V.gens)
+                a, b = (W.act(p) for p in parts)
+                products.clear()
+                out = W.act(alpha)
+                assert len(products) == 1
+                assert W.act(alpha) is out and len(products) == 1
+                assert out == a @ b
+
+
+def test_act_through_a_long_split_chain():
+    # label 599 of cyclic:600 lies 599 generator steps deep in end_plan(1),
+    # past what a recursive walk of the splits could reach
+    cat = make_category("fi_g", 600)
+    M = free_module(cat, F101, 0, 1)
+    assert M.act(Morphism(1, 1, (1,), (599,))) == Mat.identity(F101, 1)
 
 
 def test_module_rejects_a_table_off_the_generators():
