@@ -35,7 +35,9 @@ from .shift import (
 )
 from .trunc import (
     FreeModule,
+    InvariantViolation,
     ModuleMap,
+    ProjectiveModule,
     TruncatedModule,
     direct_sum,
     free_module,

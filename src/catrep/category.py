@@ -83,11 +83,17 @@ class FiniteGroup:
         raise AssertionError
 
     def _generating_set(self):
-        # prefer a single generator; fall back to all non-identity elements
+        """A single generator when one exists, else a greedy set: each
+        element joins only when it lies outside the closure of those before."""
         for a in range(1, self.order):
             if len(self._closure([a])) == self.order:
                 return (a,)
-        return tuple(range(1, self.order))
+        gens, seen = [], {0}
+        for a in range(1, self.order):
+            if a not in seen:
+                gens.append(a)
+                seen = self._closure(gens)
+        return tuple(gens)
 
     def _closure(self, gens):
         seen = {0}
@@ -156,8 +162,8 @@ class CategoryDescriptor:
 
     Immutable; hom-set enumeration, generator data and the index tables
     (compose_table, end_plan and the parent tree split reads off it,
-    step_plan) are memoized (pure, idempotent caches, safe under concurrent
-    use).
+    step_plan, orbit_table, end_inverse) are memoized (pure, idempotent
+    caches, safe under concurrent use).
     """
 
     def __init__(self, kind: str, group: FiniteGroup | None = None):
@@ -183,6 +189,8 @@ class CategoryDescriptor:
         self._end_plans = {}
         self._end_trees = {}
         self._step_plans = {}
+        self._orbit_tables = {}
+        self._end_inverses = {}
 
     def __eq__(self, other):
         return (
@@ -432,17 +440,14 @@ class CategoryDescriptor:
         index is the lex rank of the images (a combination for OI kinds, an
         arrangement for FI kinds) times |G|^r plus the labels read in base |G|.
         """
-        out = np.zeros(len(images), dtype=np.int64)
-        for i in range(r):
-            a = images[:, i]
-            if self.ordered:
-                out -= _pascal(s)[s - a, r - i]
-            else:
+        if self.ordered:
+            out = _subset_ranks(s, r, images)
+        else:
+            out = np.zeros(len(images), dtype=np.int64)
+            for i in range(r):
+                a = images[:, i]
                 # arrangements with a smaller unused value at slot i come first
                 out += (a - 1 - (images[:, :i] < a[:, None]).sum(axis=1)) * perm(s - i - 1, r - i - 1)
-        if self.ordered:
-            # the lex rank of a_0 < ... < a_{r-1} is C(s, r) - 1 - sum_i C(s - a_i, r - i)
-            out += comb(s, r) - 1
         if self.group:
             n = self.group.order
             out *= n ** r
@@ -540,6 +545,53 @@ class CategoryDescriptor:
             position[np.concatenate([alphas for _, _, alphas in entries])] = np.arange(count)
             cached = self._step_plans[key] = (tuple(entries), position)
         return cached
+
+    def orbit_table(self, t: int, n: int):
+        """Each alpha in C(t, n) as f o sigma, with sigma in C(t, t) and f an
+        orbit representative of C(t, n)/C(t, t).
+
+        C(t, t) acts freely on C(t, n) by precomposition, and each orbit holds
+        one increasing injection with identity labels: f has alpha's images
+        sorted, sigma sends i to the rank of alpha's i-th image and carries
+        alpha's labels.  Representatives are numbered in lex order of their
+        images, which is their hom order.  Returns (rep, end): int arrays over
+        hom(t, n) of f's number and sigma's hom index, so the representatives
+        are the alphas with end == 0.
+        """
+        key = (t, n)
+        cached = self._orbit_tables.get(key)
+        if cached is None:
+            images, labels = self.hom_arrays(t, n)
+            order = np.argsort(images, axis=1)
+            rep = _subset_ranks(n, t, np.take_along_axis(images, order, axis=1))
+            end = self._ranks(t, t, np.argsort(order, axis=1) + 1, labels)
+            cached = self._orbit_tables[key] = (rep, end)
+        return cached
+
+    def end_inverse(self, t: int):
+        """hom_index of sigma^-1 for every sigma in C(t, t), as an int array.
+
+        sigma = (pi, g) sends i to pi(i) with label g_i, so sigma^-1 sends
+        pi(i) back to i with label g_i^-1.
+        """
+        cached = self._end_inverses.get(t)
+        if cached is None:
+            images, labels = self.hom_arrays(t, t)
+            back = np.argsort(images, axis=1)
+            inv_labels = None
+            if self.group:
+                inv_labels = np.take_along_axis(np.array(self.group.inverse)[labels], back, axis=1)
+            cached = self._end_inverses[t] = self._ranks(t, t, back + 1, inv_labels)
+        return cached
+
+
+def _subset_ranks(s: int, r: int, images):
+    """Lex rank of each increasing row a_0 < ... < a_{r-1} among the r-subsets of 1..s:
+    C(s, r) - 1 - sum_i C(s - a_i, r - i)."""
+    out = np.full(len(images), comb(s, r) - 1, dtype=np.int64)
+    for i in range(r):
+        out -= _pascal(max(s, r))[s - images[:, i], r - i]
+    return out
 
 
 @lru_cache(maxsize=None)

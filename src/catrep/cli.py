@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = computation done / all checks passed, 1 = parse or config
-error, 2 = inconclusive within the horizon, 3 = invariant violation (witness
-printed).  All numeric output carries its validity horizon; JSON output is
+error, 2 = inconclusive within the horizon, 3 = violation (a lemma
+inequality or a checked mathematical invariant failed; witness printed),
+4 = internal error (a bare assertion failed: a bug, not a counterexample).  All numeric output carries its validity horizon; JSON output is
 versioned and byte-stable for a fixed config and seed.
 """
 
@@ -43,12 +44,13 @@ from .shift import (
     sin_reg,
     un_chain,
 )
-from .trunc import generating_degree
+from .trunc import InvariantViolation, generating_degree
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_VIOLATION = 3
+EXIT_INTERNAL = 4
 
 # the verify rows the fuzz battery runs: they need no resolution
 GD_LEMMAS = [lemma for lemma in LEMMAS if lemma.name in ("gd-derivative-drop", "gd-shift-window")]
@@ -120,9 +122,12 @@ def main(argv=None) -> int:
     except HorizonExhausted as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (VerificationViolation, AssertionError) as exc:
+    except (VerificationViolation, InvariantViolation) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _dispatch(args) -> int:

@@ -1,18 +1,27 @@
 """Homology of truncated modules: H_0, Tor, homological degrees, regularity.
 
 Resolutions are built degreewise: each step covers the current syzygy module
-by a direct sum of representables placed exactly at the degrees where H_0 is
-nonzero (one summand per greedy end-orbit generator), so gd(P^i) = gd(Z^i)
-holds at every step by construction.  The cover map is read through the
-category's index tables: at a generator's degree its rows follow the end
-plan (a spanning tree of C(s, s)), at each higher degree the step plan (the
-last one-step of every morphism), with one matrix product per tree edge
-group or one-step and the generators of one degree batched.
+Z by projectives generated exactly at the degrees where H_0(Z) is nonzero,
+so gd(P^i) = gd(Z^i) holds at every step by construction.  There are two
+routes:
 
-Tor is then computed by reducing the realized differentials modulo the
-ideal of positive-degree morphisms; this stays correct for non-minimal
-(padded) resolutions and over any field, which the resolution-independence
-tests exploit.
+* minimal, when |C(h, h)| is a unit in the field (h the horizon; it is a
+  multiple of every |C(t, t)|, t <= h, so each end algebra k[C(t, t)] is
+  semisimple): P = sum_t M(W_t), W_t = H_0(Z)_t, lifted into Z_t by an
+  equivariant section (_minimal_cover).  Its reduced differentials vanish,
+  so Tor_i is dim W^i, and the vanishing is checked.
+* free, otherwise (modular fields, and pad=True): one representable M(t)
+  per greedy end-orbit generator (minimal_generators, _cover).  Tor is then
+  computed by reducing the realized differentials modulo the ideal of
+  positive-degree morphisms, which stays correct for non-minimal (padded)
+  resolutions and over any field; the resolution-independence tests compare
+  it with the minimal route.
+
+Cover maps are read through the category's index tables: at a generator's
+degree the rows follow the end plan (a spanning tree of C(s, s)), at each
+higher degree the step plan (the last one-step of every morphism, or of
+every orbit representative), with one matrix product per tree edge group or
+one-step and the generators of one degree batched.
 
 Directedness makes degreewise truncation exact, so a resolution loses no
 horizon: every homology number is valid up to the horizon of its module, and
@@ -33,8 +42,11 @@ import numpy as np
 from .matrices import Mat
 from .trunc import (
     FreeModule,
+    InvariantViolation,
     ModuleMap,
+    ProjectiveModule,
     TruncatedModule,
+    _spread,
     end_closure,
     free_module,
     generating_degree,
@@ -71,16 +83,31 @@ def minimal_generators(V: TruncatedModule, pad: bool = False, spans=None):
     return gens
 
 
+def _end_orbit(Z: TruncatedModule, s: int, block: Mat) -> Mat:
+    """Rows v act(sigma) for every sigma in C(s, s) and every row v of block.
+
+    Walks the end plan of C(s, s), one product per generator and tree level,
+    and returns the rows position-major in hom order: row sigma * K + k is
+    block row k moved by sigma, for K = block.nrows.
+    """
+    K = block.nrows
+    levels, position = Z.cat.end_plan(s)
+    for level in levels:
+        block = Mat.vstack([block] + [block.take_rows(_spread(position[parents], K)) @ Z.gens[g]
+                                      for g, parents, _ in level])
+    return block.take_rows(_spread(position, K))
+
+
 def _cover(Z: TruncatedModule, gens):
     """Free module on the given generators and the cover map onto Z.
 
     Row (k, alpha) of the map at degree t is v_k act(alpha) for alpha in
     C(s_k, t).  Each run of consecutive generators of one degree s is done
-    at once: its degree-s rows walk the end plan of C(s, s) (one product per
-    generator and tree level), and each degree t > s follows from t - 1
-    through the step plan of C(s, t) (one product per last one-step gamma).
-    Blocks are kept position-major (row alpha * K + k for K generators) and
-    turned summand-major per degree.
+    at once: its degree-s rows walk the end plan of C(s, s) (_end_orbit),
+    and each degree t > s follows from t - 1 through the step plan of
+    C(s, t) (one product per last one-step gamma).  Blocks are kept
+    position-major (row alpha * K + k for K generators) and turned
+    summand-major per degree.
     """
     cat, field, h = Z.cat, Z.field, Z.horizon
     P = FreeModule(cat, field, tuple(t for t, _ in gens), h)
@@ -88,11 +115,7 @@ def _cover(Z: TruncatedModule, gens):
     for s, run in itertools.groupby(gens, key=lambda gen: gen[0]):
         block = Mat.from_rows(field, [v for _, v in run], Z.dims[s])
         K = block.nrows
-        levels, position = cat.end_plan(s)
-        for level in levels:
-            block = Mat.vstack([block] + [block.take_rows(_spread(position[parents], K)) @ Z.gens[g]
-                                          for g, parents, _ in level])
-        block = block.take_rows(_spread(position, K))
+        block = _end_orbit(Z, s, block)
         for t in range(s, h + 1):
             if t > s:
                 entries, position = cat.step_plan(s, t)
@@ -105,14 +128,79 @@ def _cover(Z: TruncatedModule, gens):
     return P, ModuleMap(P, Z, mats)
 
 
-def _spread(positions, K):
-    """Rows of a position-major block holding the given positions, each for all K generators."""
-    return (positions[:, None] * K + np.arange(K)).ravel()
+def _semisimple_ends(V: TruncatedModule) -> bool:
+    """Whether resolve(V) takes the minimal route: |C(h, h)| is a unit in
+    the field, so every k[C(t, t)] with t <= h is semisimple (Maschke)."""
+    return V.field.from_int(V.cat.hom_count(V.horizon, V.horizon)) != 0
+
+
+def _minimal_cover(Z: TruncatedModule, spans):
+    """The minimal cover sum_t M(W_t) -> Z with W_t = Z_t/(mZ)_t.
+
+    spans must be m_span(Z), and every |C(t, t)| a unit in the field.  The
+    quotient projection Q of (mZ)_t coordinatises W_t, and its free columns
+    give complement rows C with C Q = I.  Y = _end_orbit of C stacks
+    C act(sigma) over C(t, t), so Y Q stacks rho(sigma), the matrix of
+    sigma on W_t.  The unnormalised Reynolds sum
+    S = sum_sigma rho(sigma^-1) C act(sigma) is the one product R @ Y, with
+    R[:, sigma w + k] = rho(sigma^-1)[:, k]; it is equivariant,
+    S act(tau) = rho(tau) S, and S Q = |C(t, t)| I, so no division is
+    needed.  Both are checked (on the end generators); the second says the
+    cover is an isomorphism on H_0, hence minimal.  The cover row (f, j) is
+    row j of S act(f) for each orbit representative f of C(t, n)/C(t, t),
+    walked up from S along the step plan (_step_reps).
+    """
+    cat, field, h = Z.cat, Z.field, Z.horizon
+    summands = []
+    pieces = [[] for _ in range(h + 1)]
+    for t in range(h + 1):
+        free, Q = spans[t].quotient_projection()
+        w = len(free)
+        if not w:
+            continue
+        Y = _end_orbit(Z, t, Mat.unit_rows(field, free, Z.dims[t]))
+        rho = (Y @ Q).data.reshape(-1, w, w)
+        R = rho[cat.end_inverse(t)].transpose(1, 0, 2).reshape(w, Y.nrows)
+        S = Mat(field, w, Y.nrows, R) @ Y
+        for g in cat.end_generators(t):
+            if Mat(field, w, w, rho[cat.hom_index(g)]) @ S != S @ Z.gens[g]:
+                raise InvariantViolation(f"lift of H_0 at degree {t} is not equivariant under {g}")
+        if S @ Q != Mat.identity(field, w).scale(cat.hom_count(t, t)):
+            raise InvariantViolation(f"cover is not minimal at degree {t}: S Q != |C({t}, {t})| I")
+        summands.append((t, rho))
+        block = S
+        for n in range(t, h + 1):
+            if n > t:
+                block = _step_reps(Z, t, n, block, w)
+            pieces[n].append(block)
+    P = ProjectiveModule(cat, field, summands, h)
+    mats = [Mat.vstack(p) if p else Mat.zeros(field, 0, Z.dims[n]) for n, p in enumerate(pieces)]
+    return P, ModuleMap(P, Z, mats)
+
+
+def _step_reps(Z: TruncatedModule, s: int, t: int, block: Mat, K: int) -> Mat:
+    """Rows for the orbit representatives of C(s, t) from those of C(s, t - 1).
+
+    block holds K rows per representative f of C(s, t - 1), position-major
+    in representative order.  A representative's last one-step gamma leaves
+    a representative beta (increasing images, identity labels), so its rows
+    are beta's rows times act(gamma): one product per gamma.
+    """
+    cat = Z.cat
+    prev = cat.orbit_table(s, t - 1)[0]
+    rep, end = cat.orbit_table(s, t)
+    parts, order = [], []
+    for gamma, betas, alphas in cat.step_plan(s, t)[0]:
+        keep = end[alphas] == 0
+        if keep.any():
+            parts.append(block.take_rows(_spread(prev[betas[keep]], K)) @ Z.act(gamma))
+            order.append(rep[alphas[keep]])
+    return Mat.vstack(parts).take_rows(_spread(np.argsort(np.concatenate(order)), K))
 
 
 @dataclass
 class ResolutionStep:
-    free: FreeModule
+    free: FreeModule | ProjectiveModule
     gen_degrees: tuple
     diff: ModuleMap  # P^i -> Z^i (abstract syzygy coordinates)
     syzygy: TruncatedModule  # Z^{i+1}
@@ -123,11 +211,12 @@ class ResolutionStep:
 
 @dataclass
 class Resolution:
-    """An adaptable degreewise free resolution built to the requested depth."""
+    """An adaptable degreewise projective resolution built to the requested depth."""
 
     target: TruncatedModule
     steps: list
     depth: int
+    minimal: bool = False  # built by _minimal_cover, so every reduced differential is zero
 
     @property
     def horizon(self) -> int:
@@ -135,36 +224,37 @@ class Resolution:
 
 
 def resolve(V: TruncatedModule, depth: int, pad: bool = False) -> Resolution:
-    """Resolve V by free modules placed at minimal generator degrees.
+    """Resolve V by projectives generated at its minimal generator degrees.
 
-    Every step checks surjectivity of the cover and the adaptability
-    equality gd(P^i) = gd(Z^i); pad=True adds a redundant generator to P^0.
+    The minimal route (sum_t M(W_t), _minimal_cover) runs when the end
+    algebras are semisimple (_semisimple_ends) and pad is False; otherwise
+    the free route covers each syzygy by one M(t) per greedy generator,
+    and pad=True adds a redundant generator to P^0.  Every step checks
+    surjectivity of the cover and the adaptability equality
+    gd(P^i) = gd(Z^i), and raises InvariantViolation when one fails.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    minimal = not pad and _semisimple_ends(V)
     steps = []
     Z = V
     for i in range(depth + 1):
         spans = m_span(Z)
-        gens = minimal_generators(Z, pad=(pad and i == 0), spans=spans)
+        if minimal:
+            P, diff = _minimal_cover(Z, spans)
+        else:
+            P, diff = _cover(Z, minimal_generators(Z, pad=(pad and i == 0), spans=spans))
         gd_z = top_degree(h0_dims(Z, spans))
-        P, diff = _cover(Z, gens)
-        gd_p = max((t for t, _ in gens), default=-1)
+        gd_p = max(P.gen_degrees, default=-1)
         if gd_p != gd_z:
-            raise AssertionError(f"adaptability broken at step {i}: gd(P)={gd_p}, gd(Z)={gd_z}")
+            raise InvariantViolation(f"adaptability broken at step {i}: gd(P)={gd_p}, gd(Z)={gd_z}")
         syz, syz_incl = kernel_of_map(diff)
         for t in range(Z.horizon + 1):
             if P.dims[t] - syz.dims[t] != Z.dims[t]:
-                raise AssertionError(f"cover not surjective at step {i}, degree {t}")
-        steps.append(ResolutionStep(P, tuple(t for t, _ in gens), diff, syz, syz_incl, gd_p, gd_z))
+                raise InvariantViolation(f"cover not surjective at step {i}, degree {t}")
+        steps.append(ResolutionStep(P, P.gen_degrees, diff, syz, syz_incl, gd_p, gd_z))
         Z = syz
-    return Resolution(V, steps, depth)
-
-
-def _reduced_indices(P: FreeModule, t: int):
-    """Basis positions of P_t surviving reduction mod m (degree-t summands)."""
-    n = P.cat.hom_count(t, t)
-    return [P.offsets[t][k] + i for k, s in enumerate(P.summands) if s == t for i in range(n)]
+    return Resolution(V, steps, depth, minimal)
 
 
 @dataclass
@@ -191,27 +281,36 @@ def tor_groups(V: TruncatedModule, depth: int, pad: bool = False,
                resolution: Resolution | None = None) -> HomologyReport:
     """H_i(V) = Tor_i(C/m, V) for i <= depth from an explicit resolution.
 
-    The reduction mod m of a free module keeps exactly the basis elements
-    (summand, end morphism) sitting at the summand's own degree, so reduced
-    differentials are plain row/column selections of the realized ones.
+    Reducing P^i mod m keeps its top basis elements (P.top_indices(t): the
+    ones of the summands generated in degree t), so a reduced differential
+    is a row/column selection of a realized one; the reduced image of
+    d_{i+1} is that of Z^{i+1} = im d_{i+1} inside P^i.  On a minimal
+    resolution every reduced differential must vanish (InvariantViolation
+    otherwise), and H_i is the top part of P^i, dim W^i.
     """
     res = resolution if resolution is not None else resolve(V, depth, pad=pad)
     h = V.horizon
     dims = [[0] * (h + 1) for _ in range(depth + 1)]
-    sel = [[_reduced_indices(step.free, t) for t in range(h + 1)] for step in res.steps]
+    sel = [[step.free.top_indices(t) for t in range(h + 1)] for step in res.steps]
     for t in range(h + 1):
         for i in range(depth + 1):
             step = res.steps[i]
+            image_red = step.syzygy_incl.mats[t].take_cols(sel[i][t])
+            if res.minimal:
+                if not image_red.is_zero():
+                    raise InvariantViolation(f"reduced differential d_{i + 1} is nonzero at degree {t}")
+                dims[i][t] = len(sel[i][t])
+                continue
             if i == 0:
                 kernel_rows = Mat.identity(V.field, len(sel[0][t]))
             else:
                 realized = step.diff.mats[t] @ res.steps[i - 1].syzygy_incl.mats[t]
                 reduced = realized.take_rows(sel[i][t]).take_cols(sel[i - 1][t])
                 kernel_rows = reduced.left_kernel()
-            image_rows_red = step.syzygy_incl.mats[t].take_cols(sel[i][t]).row_basis()
-            if Mat.vstack([kernel_rows, image_rows_red]).rank() != kernel_rows.nrows:
-                raise AssertionError(f"reduced image escapes reduced kernel at i={i}, t={t}")
-            dims[i][t] = kernel_rows.nrows - image_rows_red.nrows
+            image_red = image_red.row_basis()
+            if Mat.vstack([kernel_rows, image_red]).rank() != kernel_rows.nrows:
+                raise InvariantViolation(f"reduced image escapes reduced kernel at i={i}, t={t}")
+            dims[i][t] = kernel_rows.nrows - image_red.nrows
     hd = [top_degree(row) for row in dims]
     reg = max((hd[i] - i for i in range(depth + 1)), default=-1)
     return HomologyReport(dims, hd, hd[0], reg, depth, h)
@@ -266,9 +365,9 @@ def hilbert_fit(V: TruncatedModule) -> HilbertFit:
     fit = HilbertFit(dims, g, "ok", onset, coeffs, top_degree(coeffs), h)
     for n in range(onset, h + 1):
         if fit.evaluate(n) != dims[n]:
-            raise AssertionError(f"hilbert fit mismatch at degree {n}")
+            raise InvariantViolation(f"hilbert fit mismatch at degree {n}")
     if fit.degree is not None and fit.degree > g:
-        raise AssertionError("fitted degree exceeds gd")
+        raise InvariantViolation("fitted degree exceeds gd")
     return fit
 
 

@@ -490,7 +490,7 @@ class Mat:
         rows.  It equals the last columns of [B; complement_rows(B)].inverse()
         for any basis B of U, from one echelon form and no inverse.
         """
-        R, pivots = self.echelon()
+        R, pivots = self.row_basis_pivots()
         free, K, m = _null_rows(R.data, pivots, self.ncols)
         P = _divide(self.field, _canon(self.field, K.T), np.array([[m]], dtype=object))
         return free, Mat(self.field, self.ncols, len(free), P)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .matrices import Mat
 from .trunc import (
+    InvariantViolation,
     ModuleMap,
     TruncatedModule,
     generating_degree,
@@ -89,7 +90,7 @@ def derive(V: TruncatedModule) -> KeySequence:
     seq = KeySequence(V, KV, SV, DV, mu, incl, proj)
     defects = seq.euler_defects()
     if any(defects):
-        raise AssertionError(f"key sequence inexact: defects {defects}")
+        raise InvariantViolation(f"key sequence inexact: defects {defects}")
     return seq
 
 
@@ -192,7 +193,7 @@ def sin_reg(V: TruncatedModule, max_steps: int | None = None) -> SinRegResult:
     else:
         k_dims = []
     if any(k_dims):
-        raise AssertionError(
+        raise InvariantViolation(
             f"K(V_reg) != 0: dims {k_dims} (singular-regular decomposition failed)"
         )
     return SinRegResult(chain, sin, incl, reg, proj, k_dims, valid)

@@ -8,7 +8,9 @@ category's split alpha = b o a (cat.split) and cached with its parts, so the
 stored table stays linear in the horizon even for FI where hom sets grow
 factorially.  Every module construction below is one loop over that table.
 A free module's table holds basis maps, read off the category's composition
-tables (cat.compose_table) with one gather per generator.
+tables (cat.compose_table) with one gather per generator; a projective
+M(W) = k[C(t, -)] (x)_{k[C(t, t)]} W places the blocks of W's representation
+along the orbit tables (cat.orbit_table) instead.
 
 Vectors are rows; act(V, alpha) for alpha: r -> s is a dims[r] x dims[s]
 matrix applied on the right.  Degreewise truncation is exact below the
@@ -28,6 +30,11 @@ import numpy as np
 
 from .category import Morphism
 from .matrices import Mat
+
+
+class InvariantViolation(Exception):
+    """A mathematical invariant the computation checks (exactness,
+    surjectivity, adaptability, minimality, a polynomial fit) failed."""
 
 
 class TruncatedModule:
@@ -118,6 +125,91 @@ class FreeModule(TruncatedModule):
 
     def basis_index(self, t: int, k: int, m: Morphism) -> int:
         return self.offsets[t][k] + self.cat.hom_index(m)
+
+    @property
+    def gen_degrees(self) -> tuple:
+        """Degree of each module generator: one per summand."""
+        return self.summands
+
+    def top_indices(self, t: int) -> list:
+        """Basis positions of degree t outside (mP)_t: (k, sigma) for the
+        degree-t summands k and every sigma in C(t, t)."""
+        n = self.cat.hom_count(t, t)
+        return [self.offsets[t][k] + i for k, s in enumerate(self.summands) if s == t for i in range(n)]
+
+
+class ProjectiveModule(TruncatedModule):
+    """Direct sum of the projectives M(W) = k[C(t, -)] (x)_{k[C(t, t)]} W.
+
+    Each summand is (t, rho): W = k^w with C(t, t) acting on row vectors,
+    rho an array of shape (|C(t, t)|, w, w) in hom order whose entry sigma
+    is the matrix of sigma (rho[0], the identity's, must be the identity).
+    M(W)_n has the basis (f, j), f an orbit representative of
+    C(t, n)/C(t, t) (cat.orbit_table) and j < w, representative-major; the
+    summands follow each other from offsets[n][k].  A generator g sends
+    (f, j) to row j of rho[sigma] placed at f', where g o f = f' o sigma.
+    With the regular representation this is M(t); over a trivial end monoid
+    it is M(t)^w.
+    """
+
+    def __init__(self, cat, field, summands, horizon):
+        self.summands = tuple(t for t, _ in summands)
+        self.rhos = tuple(rho for _, rho in summands)
+        self.widths = tuple(rho.shape[1] for rho in self.rhos)
+        for t, rho in summands:
+            w = rho.shape[1]
+            if rho.shape != (cat.hom_count(t, t), w, w) or \
+                    not np.array_equal(rho[0], Mat.identity(field, w).data):
+                raise ValueError(f"not a representation of C({t}, {t}) in hom order")
+        self.offsets = []
+        dims = []
+        for n in range(horizon + 1):
+            offsets, size = [], 0
+            for t, w in zip(self.summands, self.widths):
+                offsets.append(size)
+                size += w * (cat.hom_count(t, n) // cat.hom_count(t, t))
+            self.offsets.append(tuple(offsets))
+            dims.append(size)
+        gens = {g: self._gen_matrix(cat, field, dims, g) for g in cat.generators(horizon)}
+        super().__init__(cat, field, horizon, dims, gens)
+
+    def _gen_matrix(self, cat, field, dims, g) -> Mat:
+        """Block rows (f, .) of g: rho[sigma] at (f', .), where g o f = f' o sigma.
+
+        A basis map (Mat.unit_rows) when every sigma is the identity."""
+        a, b = g.src, g.dst
+        blocks = []  # (summand, rep numbers f' of the g o f, their sigmas)
+        for k, t in enumerate(self.summands):
+            if t <= a:
+                rep, end = cat.orbit_table(t, b)
+                composed = cat.compose_table(t, g)[np.flatnonzero(cat.orbit_table(t, a)[1] == 0)]
+                blocks.append((k, rep[composed], end[composed]))
+        if all(not ends.any() for _, _, ends in blocks):
+            cols = [self.offsets[b][k] + _spread(reps, self.widths[k]) for k, reps, _ in blocks]
+            return Mat.unit_rows(field, np.concatenate(cols) if cols else [], dims[b])
+        data = Mat.zeros(field, dims[a], dims[b]).data
+        for k, reps, ends in blocks:
+            w = self.widths[k]
+            j = np.arange(w)
+            rows = self.offsets[a][k] + (np.arange(len(reps))[:, None] * w + j)[:, :, None]
+            cols = self.offsets[b][k] + (reps[:, None] * w + j)[:, None, :]
+            data[rows, cols] = self.rhos[k][ends]
+        return Mat(field, dims[a], dims[b], data)
+
+    @property
+    def gen_degrees(self) -> tuple:
+        """Degree of each module generator: w of them per summand (t, W)."""
+        return tuple(t for t, w in zip(self.summands, self.widths) for _ in range(w))
+
+    def top_indices(self, t: int) -> list:
+        """Basis positions of degree t outside (mP)_t: (id, j) of the degree-t summands."""
+        return [self.offsets[t][k] + j for k, s in enumerate(self.summands) if s == t
+                for j in range(self.widths[k])]
+
+
+def _spread(positions, K):
+    """Rows of a position-major block holding the given positions, each for all K entries."""
+    return (np.asarray(positions)[:, None] * K + np.arange(K)).ravel()
 
 
 class ModuleMap:

@@ -1,5 +1,6 @@
 """Category kernels: hom enumeration, composition, embedding, generators."""
 
+import itertools
 from math import comb, perm
 
 import pytest
@@ -188,6 +189,31 @@ def test_finite_group_cyclic_and_table():
     assert len(k4.generators) >= 2
     with pytest.raises(ValueError):
         FiniteGroup.from_table([[0, 1], [1, 1]])
+
+
+_S3 = list(itertools.permutations(range(3)))
+S3 = FiniteGroup.from_table([[_S3.index(tuple(a[i] for i in b)) for b in _S3] for a in _S3])
+K4 = FiniteGroup.from_table([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+# Z/6 listed so that element 1 has order 2: the single generator is 2
+Z6 = FiniteGroup.from_table([[[0, 3, 1, 4, 2, 5].index((a + b) % 6) for b in [0, 3, 1, 4, 2, 5]]
+                             for a in [0, 3, 1, 4, 2, 5]])
+
+
+@pytest.mark.parametrize("group, count", [(FiniteGroup.cyclic(1), 0), (FiniteGroup.cyclic(7), 1),
+                                          (Z6, 1), (K4, 2), (S3, 2)], ids=repr)
+def test_generating_set_is_greedy_and_generates(group, count):
+    gens = group.generators
+    assert len(gens) == count
+    assert group._closure(gens) == set(range(group.order))
+    # each generator lies outside the closure of the ones before it
+    assert all(g not in group._closure(gens[:i]) for i, g in enumerate(gens))
+
+
+def test_label_generator_counts_over_s3():
+    assert S3.generators == (1, 2)
+    assert len(make_category("oi_g", S3).end_generators(3)) == 6  # two per slot
+    assert len(make_category("fi_g", S3).end_generators(3)) == 4  # two swaps, two labels at slot 1
+    assert len(make_category("oi_g", 5).end_generators(3)) == 3
 
 
 LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]

@@ -9,11 +9,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catrep import cli, matrices
+from catrep import cli, homology, matrices
 from catrep.category import make_category
 from catrep.cli import main
 from catrep.corpus import FUZZ_PROFILE, sample_presentation
 from catrep.fields import QQ, parse_field
+from catrep.homology import VerificationViolation
+from catrep.matrices import Mat
 from catrep.presentations import emit_presentation_text
 from catrep.reports import make_report, to_json
 
@@ -285,3 +287,34 @@ def test_fuzz_gd_checks_come_from_verify_table(monkeypatch, capsys, gds, violati
 def test_fuzz_requires_config(capsys):
     code, _, err = run(capsys, "fuzz", "--seed", "1")
     assert code == 1
+
+
+def _raises(exc):
+    def command(*args, **kwargs):
+        raise exc
+    return command
+
+
+def test_exit_codes(files, capsys, monkeypatch, tmp_path):
+    # 0 done, 1 usage, 2 inconclusive: each on a real input
+    assert run(capsys, "homology", files["torsion"])[0] == cli.EXIT_OK == 0
+    missing = str(tmp_path / "missing.pres")
+    assert run(capsys, "homology", missing)[0] == cli.EXIT_USAGE == 1
+    assert run(capsys, "--horizon", "2", "decompose", files["torsion"])[0] == cli.EXIT_INCONCLUSIVE == 2
+    # 3: a checked invariant fails.  With every (mV)_t claimed empty, the
+    # cover is no longer minimal and a reduced differential is nonzero
+    with monkeypatch.context() as m:
+        m.setattr(homology, "m_span", lambda V: [Mat.zeros(V.field, 0, d) for d in V.dims])
+        code, _, err = run(capsys, "homology", files["torsion"])
+    assert code == cli.EXIT_VIOLATION == 3
+    assert err.startswith("violation: reduced differential")
+    # 3 also for a lemma violation raised out of a command
+    with monkeypatch.context() as m:
+        m.setattr(cli, "tor_groups", _raises(VerificationViolation("lemma")))
+        assert run(capsys, "homology", files["torsion"])[0] == 3
+    # 4: a bare assertion is a bug in the program, not a counterexample
+    with monkeypatch.context() as m:
+        m.setattr(cli, "tor_groups", _raises(AssertionError("broken")))
+        code, _, err = run(capsys, "homology", files["torsion"])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert err.startswith("internal error: broken")

@@ -255,3 +255,23 @@ def test_kernel_rows_are_not_echeloned_again(monkeypatch, field):
     assert all(_identical(K.gens[g], K_old.gens[g]) for g in K.gens)
     assert all(_identical(a, b) for a, b in zip(incl.mats, incl_old.mats))
     assert kernel_of_map(diff)[0].dims == K.dims
+
+
+@pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
+def test_orbit_table_and_end_inverse_match_compose(cat):
+    h = 4 if cat.group is None or cat.group.order < 3 else 3
+    for t in range(h + 1):
+        ends = cat.hom(t, t)
+        inverse = cat.end_inverse(t)
+        for i, sigma in enumerate(ends):
+            assert cat.compose(ends[inverse[i]], sigma) == cat.identity(t) == cat.compose(sigma, ends[inverse[i]])
+        for n in range(h + 1):
+            rep, end = cat.orbit_table(t, n)
+            homs = cat.hom(t, n)
+            reps = np.flatnonzero(end == 0)
+            assert len(rep) == len(homs) and rep[reps].tolist() == list(range(len(reps)))
+            assert len(reps) * len(ends) == len(homs)
+            for i, alpha in enumerate(homs):
+                f = homs[reps[rep[i]]]
+                assert list(f.images) == sorted(f.images) and not any(f.labels or ())
+                assert cat.compose(f, ends[end[i]]) == alpha
