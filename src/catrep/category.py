@@ -191,6 +191,7 @@ class CategoryDescriptor:
         self._step_plans = {}
         self._orbit_tables = {}
         self._end_inverses = {}
+        self._coset_plans = {}
 
     def __eq__(self, other):
         return (
@@ -582,6 +583,52 @@ class CategoryDescriptor:
             if self.group:
                 inv_labels = np.take_along_axis(np.array(self.group.inverse)[labels], back, axis=1)
             cached = self._end_inverses[t] = self._ranks(t, t, back + 1, inv_labels)
+        return cached
+
+    def coset_plan(self, t: int):
+        """Left transversals along the chain H_0 < H_1 < ... < H_t = C(t, t).
+
+        H_i is the subgroup of ends fixing every point above i with the
+        identity label, a copy of C(i, i).  The left coset c H_{i-1} of c in
+        H_i is fixed by the image and label of point i, so every sigma in
+        C(t, t) is c_t o ... o c_1 in exactly one way with c_i in the i-th
+        transversal, and a sum over C(t, t) is t nested sums of sizes
+        |C(i, i)|/|C(i-1, i-1)|.  Each transversal is grown from the
+        identity by the end generators lying in H_i, as in end_plan: level
+        i - 1 lists (g, parents, children) as hom indices with
+        children[j] = g o parents[j], every coset but H_{i-1} met once as a
+        child.
+        """
+        cached = self._coset_plans.get(t)
+        if cached is None:
+            images, labels = self.hom_arrays(t, t)
+            fixed = images == np.arange(1, t + 1)
+            key = images
+            if self.group:
+                fixed &= labels == 0
+                key = images * self.group.order + labels
+            levels = []
+            for i in range(1, t + 1):
+                gens = [g for g in self.end_generators(t) if fixed[self.hom_index(g), i:].all()]
+                seen = {key[0, i - 1]}
+                frontier, level = [0], []
+                while frontier:
+                    grown = []
+                    for g in gens:
+                        parents, children = [], []
+                        for parent, child in zip(frontier, self.compose_table(t, g)[frontier].tolist()):
+                            if key[child, i - 1] not in seen:
+                                seen.add(key[child, i - 1])
+                                parents.append(parent)
+                                children.append(child)
+                        if children:
+                            level.append((g, np.array(parents), np.array(children)))
+                            grown += children
+                    frontier = grown
+                if len(seen) * self.hom_count(i - 1, i - 1) != self.hom_count(i, i):
+                    raise AssertionError(f"end generators reach {len(seen)} cosets of C({i - 1}, {i - 1}) in C({i}, {i})")
+                levels.append(tuple(level))
+            cached = self._coset_plans[t] = tuple(levels)
         return cached
 
 

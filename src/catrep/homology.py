@@ -8,8 +8,10 @@ routes:
 * minimal, when |C(h, h)| is a unit in the field (h the horizon; it is a
   multiple of every |C(t, t)|, t <= h, so each end algebra k[C(t, t)] is
   semisimple): P = sum_t M(W_t), W_t = H_0(Z)_t, lifted into Z_t by an
-  equivariant section (_minimal_cover).  Its reduced differentials vanish,
-  so Tor_i is dim W^i, and the vanishing is checked.
+  equivariant section (_minimal_cover): the coordinate complement when it
+  is already stable, else a Reynolds sum taken along a chain of subgroups
+  of C(t, t), so no step enumerates an end monoid.  Its reduced
+  differentials vanish, so Tor_i is dim W^i, and the vanishing is checked.
 * free, otherwise (modular fields, and pad=True): one representable M(t)
   per greedy end-orbit generator (minimal_generators, _cover).  Tor is then
   computed by reducing the realized differentials modulo the ideal of
@@ -48,6 +50,7 @@ from .trunc import (
     TruncatedModule,
     _spread,
     end_closure,
+    end_representation,
     free_module,
     generating_degree,
     h0_dims,
@@ -83,31 +86,16 @@ def minimal_generators(V: TruncatedModule, pad: bool = False, spans=None):
     return gens
 
 
-def _end_orbit(Z: TruncatedModule, s: int, block: Mat) -> Mat:
-    """Rows v act(sigma) for every sigma in C(s, s) and every row v of block.
-
-    Walks the end plan of C(s, s), one product per generator and tree level,
-    and returns the rows position-major in hom order: row sigma * K + k is
-    block row k moved by sigma, for K = block.nrows.
-    """
-    K = block.nrows
-    levels, position = Z.cat.end_plan(s)
-    for level in levels:
-        block = Mat.vstack([block] + [block.take_rows(_spread(position[parents], K)) @ Z.gens[g]
-                                      for g, parents, _ in level])
-    return block.take_rows(_spread(position, K))
-
-
 def _cover(Z: TruncatedModule, gens):
     """Free module on the given generators and the cover map onto Z.
 
     Row (k, alpha) of the map at degree t is v_k act(alpha) for alpha in
     C(s_k, t).  Each run of consecutive generators of one degree s is done
-    at once: its degree-s rows walk the end plan of C(s, s) (_end_orbit),
-    and each degree t > s follows from t - 1 through the step plan of
-    C(s, t) (one product per last one-step gamma).  Blocks are kept
-    position-major (row alpha * K + k for K generators) and turned
-    summand-major per degree.
+    at once: its degree-s rows walk the end plan of C(s, s) (one product per
+    generator and tree level), and each degree t > s follows from t - 1
+    through the step plan of C(s, t) (one product per last one-step gamma).
+    Blocks are kept position-major (row alpha * K + k for K generators) and
+    turned summand-major per degree.
     """
     cat, field, h = Z.cat, Z.field, Z.horizon
     P = FreeModule(cat, field, tuple(t for t, _ in gens), h)
@@ -115,7 +103,11 @@ def _cover(Z: TruncatedModule, gens):
     for s, run in itertools.groupby(gens, key=lambda gen: gen[0]):
         block = Mat.from_rows(field, [v for _, v in run], Z.dims[s])
         K = block.nrows
-        block = _end_orbit(Z, s, block)
+        levels, position = cat.end_plan(s)
+        for level in levels:
+            block = Mat.vstack([block] + [block.take_rows(_spread(position[parents], K)) @ Z.gens[g]
+                                          for g, parents, _ in level])
+        block = block.take_rows(_spread(position, K))
         for t in range(s, h + 1):
             if t > s:
                 entries, position = cat.step_plan(s, t)
@@ -139,16 +131,13 @@ def _minimal_cover(Z: TruncatedModule, spans):
 
     spans must be m_span(Z), and every |C(t, t)| a unit in the field.  The
     quotient projection Q of (mZ)_t coordinatises W_t, and its free columns
-    give complement rows C with C Q = I.  Y = _end_orbit of C stacks
-    C act(sigma) over C(t, t), so Y Q stacks rho(sigma), the matrix of
-    sigma on W_t.  The unnormalised Reynolds sum
-    S = sum_sigma rho(sigma^-1) C act(sigma) is the one product R @ Y, with
-    R[:, sigma w + k] = rho(sigma^-1)[:, k]; it is equivariant,
-    S act(tau) = rho(tau) S, and S Q = |C(t, t)| I, so no division is
-    needed.  Both are checked (on the end generators); the second says the
-    cover is an isomorphism on H_0, hence minimal.  The cover row (f, j) is
-    row j of S act(f) for each orbit representative f of C(t, n)/C(t, t),
-    walked up from S along the step plan (_step_reps).
+    give complement rows C with C Q = I, so rho(g) = C act(g) Q is the
+    matrix of the end generator g on W_t (kept as end_representation).
+    _equivariant_lift gives S with S act(tau) = rho(tau) S and S Q = c I
+    for a unit c; both are checked on the end generators, and the second
+    says the cover is an isomorphism on H_0, hence minimal.  The cover row
+    (f, j) is row j of S act(f) for each orbit representative f of
+    C(t, n)/C(t, t), walked up from S along the step plan (_step_reps).
     """
     cat, field, h = Z.cat, Z.field, Z.horizon
     summands = []
@@ -158,16 +147,15 @@ def _minimal_cover(Z: TruncatedModule, spans):
         w = len(free)
         if not w:
             continue
-        Y = _end_orbit(Z, t, Mat.unit_rows(field, free, Z.dims[t]))
-        rho = (Y @ Q).data.reshape(-1, w, w)
-        R = rho[cat.end_inverse(t)].transpose(1, 0, 2).reshape(w, Y.nrows)
-        S = Mat(field, w, Y.nrows, R) @ Y
+        moved = {g: Z.gens[g].take_rows(free) for g in cat.end_generators(t)}
+        W = end_representation(cat, field, t, w, {g: m @ Q for g, m in moved.items()})
+        S, c = _equivariant_lift(Z, t, free, W, moved)
         for g in cat.end_generators(t):
-            if Mat(field, w, w, rho[cat.hom_index(g)]) @ S != S @ Z.gens[g]:
+            if W.gens[g] @ S != S @ Z.gens[g]:
                 raise InvariantViolation(f"lift of H_0 at degree {t} is not equivariant under {g}")
-        if S @ Q != Mat.identity(field, w).scale(cat.hom_count(t, t)):
-            raise InvariantViolation(f"cover is not minimal at degree {t}: S Q != |C({t}, {t})| I")
-        summands.append((t, rho))
+        if S @ Q != Mat.identity(field, w).scale(c):
+            raise InvariantViolation(f"cover is not minimal at degree {t}: S Q != {c} I")
+        summands.append((t, W))
         block = S
         for n in range(t, h + 1):
             if n > t:
@@ -176,6 +164,34 @@ def _minimal_cover(Z: TruncatedModule, spans):
     P = ProjectiveModule(cat, field, summands, h)
     mats = [Mat.vstack(p) if p else Mat.zeros(field, 0, Z.dims[n]) for n, p in enumerate(pieces)]
     return P, ModuleMap(P, Z, mats)
+
+
+def _equivariant_lift(Z: TruncatedModule, t: int, free, W: TruncatedModule, moved):
+    """(S, c): rows S lifting W_t into Z_t equivariantly, with S Q = c I.
+
+    The complement rows C = unit rows at free already span a stable
+    complement of (mZ)_t when no C act(g) (moved[g]) reaches a pivot
+    column; then S = C and c = 1.  Otherwise S is the unnormalised Reynolds
+    sum over C(t, t) of T(sigma) C, T(sigma) X = rho(sigma^-1) X act(sigma),
+    and c = |C(t, t)|.  It is taken along cat.coset_plan(t): X_i is the sum
+    of T(c_i) X_{i-1} over the i-th transversal, each term T(g) of its
+    parent's, so C(t, t) costs one product pair per transversal element
+    instead of one row block per end.
+    """
+    cat = Z.cat
+    pivots = np.setdiff1d(np.arange(Z.dims[t]), free)
+    X = Mat.unit_rows(Z.field, free, Z.dims[t])
+    if all(m.take_cols(pivots).is_zero() for m in moved.values()):
+        return X, 1
+    ends, inverse = cat.hom(t, t), cat.end_inverse(t)
+    for level in cat.coset_plan(t):
+        terms = {0: X}
+        for g, parents, children in level:
+            back = W.act(ends[inverse[cat.hom_index(g)]])
+            for parent, child in zip(parents.tolist(), children.tolist()):
+                terms[child] = back @ terms[parent] @ Z.gens[g]
+        X = sum(terms.values(), Mat.zeros(Z.field, *X.shape))
+    return X, cat.hom_count(t, t)
 
 
 def _step_reps(Z: TruncatedModule, s: int, t: int, block: Mat, K: int) -> Mat:
@@ -216,11 +232,15 @@ class Resolution:
     target: TruncatedModule
     steps: list
     depth: int
-    minimal: bool = False  # built by _minimal_cover, so every reduced differential is zero
 
     @property
     def horizon(self) -> int:
         return self.target.horizon
+
+    @property
+    def minimal(self) -> bool:
+        """Built by _minimal_cover, so every reduced differential must vanish."""
+        return all(isinstance(step.free, ProjectiveModule) for step in self.steps)
 
 
 def resolve(V: TruncatedModule, depth: int, pad: bool = False) -> Resolution:
@@ -254,7 +274,7 @@ def resolve(V: TruncatedModule, depth: int, pad: bool = False) -> Resolution:
                 raise InvariantViolation(f"cover not surjective at step {i}, degree {t}")
         steps.append(ResolutionStep(P, P.gen_degrees, diff, syz, syz_incl, gd_p, gd_z))
         Z = syz
-    return Resolution(V, steps, depth, minimal)
+    return Resolution(V, steps, depth)
 
 
 @dataclass

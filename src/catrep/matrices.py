@@ -386,6 +386,10 @@ class Mat:
 
     # -- arithmetic ---------------------------------------------------
 
+    def __add__(self, other) -> "Mat":
+        self._check_same_shape(other)
+        return Mat(self.field, self.nrows, self.ncols, _canon(self.field, self.data + other.data))
+
     def __sub__(self, other) -> "Mat":
         self._check_same_shape(other)
         return Mat(self.field, self.nrows, self.ncols, _canon(self.field, self.data - other.data))

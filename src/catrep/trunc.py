@@ -10,7 +10,9 @@ factorially.  Every module construction below is one loop over that table.
 A free module's table holds basis maps, read off the category's composition
 tables (cat.compose_table) with one gather per generator; a projective
 M(W) = k[C(t, -)] (x)_{k[C(t, t)]} W places the blocks of W's representation
-along the orbit tables (cat.orbit_table) instead.
+along the orbit tables (cat.orbit_table) instead; W itself is a module
+concentrated in degree t (end_representation), so the matrix of any end is
+built by act from those of the end generators.
 
 Vectors are rows; act(V, alpha) for alpha: r -> s is a dims[r] x dims[s]
 matrix applied on the right.  Degreewise truncation is exact below the
@@ -141,26 +143,24 @@ class FreeModule(TruncatedModule):
 class ProjectiveModule(TruncatedModule):
     """Direct sum of the projectives M(W) = k[C(t, -)] (x)_{k[C(t, t)]} W.
 
-    Each summand is (t, rho): W = k^w with C(t, t) acting on row vectors,
-    rho an array of shape (|C(t, t)|, w, w) in hom order whose entry sigma
-    is the matrix of sigma (rho[0], the identity's, must be the identity).
-    M(W)_n has the basis (f, j), f an orbit representative of
-    C(t, n)/C(t, t) (cat.orbit_table) and j < w, representative-major; the
-    summands follow each other from offsets[n][k].  A generator g sends
-    (f, j) to row j of rho[sigma] placed at f', where g o f = f' o sigma.
-    With the regular representation this is M(t); over a trivial end monoid
-    it is M(t)^w.
+    Each summand is (t, W): W a representation of C(t, t) on k^w, given as
+    the module concentrated in degree t (end_representation), whose act
+    gives the matrix of any end sigma on row vectors.  M(W)_n has the basis
+    (f, j), f an orbit representative of C(t, n)/C(t, t) (cat.orbit_table)
+    and j < w, representative-major; the summands follow each other from
+    offsets[n][k].  A generator g sends (f, j) to row j of W.act(sigma)
+    placed at f', where g o f = f' o sigma, so only the sigmas met there
+    are ever multiplied out.  With the regular representation this is M(t);
+    over a trivial end monoid it is M(t)^w.
     """
 
     def __init__(self, cat, field, summands, horizon):
         self.summands = tuple(t for t, _ in summands)
-        self.rhos = tuple(rho for _, rho in summands)
-        self.widths = tuple(rho.shape[1] for rho in self.rhos)
-        for t, rho in summands:
-            w = rho.shape[1]
-            if rho.shape != (cat.hom_count(t, t), w, w) or \
-                    not np.array_equal(rho[0], Mat.identity(field, w).data):
-                raise ValueError(f"not a representation of C({t}, {t}) in hom order")
+        self.representations = tuple(W for _, W in summands)
+        self.widths = tuple(W.dims[-1] for W in self.representations)
+        for t, W in summands:
+            if W.cat != cat or W.field != field or W.horizon != t or any(W.dims[:t]):
+                raise ValueError(f"not a representation of C({t}, {t}) concentrated in degree {t}")
         self.offsets = []
         dims = []
         for n in range(horizon + 1):
@@ -174,7 +174,7 @@ class ProjectiveModule(TruncatedModule):
         super().__init__(cat, field, horizon, dims, gens)
 
     def _gen_matrix(self, cat, field, dims, g) -> Mat:
-        """Block rows (f, .) of g: rho[sigma] at (f', .), where g o f = f' o sigma.
+        """Block rows (f, .) of g: W.act(sigma) at (f', .), where g o f = f' o sigma.
 
         A basis map (Mat.unit_rows) when every sigma is the identity."""
         a, b = g.src, g.dst
@@ -189,11 +189,13 @@ class ProjectiveModule(TruncatedModule):
             return Mat.unit_rows(field, np.concatenate(cols) if cols else [], dims[b])
         data = Mat.zeros(field, dims[a], dims[b]).data
         for k, reps, ends in blocks:
-            w = self.widths[k]
+            t, w = self.summands[k], self.widths[k]
             j = np.arange(w)
-            rows = self.offsets[a][k] + (np.arange(len(reps))[:, None] * w + j)[:, :, None]
-            cols = self.offsets[b][k] + (reps[:, None] * w + j)[:, None, :]
-            data[rows, cols] = self.rhos[k][ends]
+            for e in np.unique(ends).tolist():
+                at = np.flatnonzero(ends == e)
+                rows = self.offsets[a][k] + (at[:, None] * w + j)[:, :, None]
+                cols = self.offsets[b][k] + (reps[at][:, None] * w + j)[:, None, :]
+                data[rows, cols] = self.representations[k].act(cat.hom(t, t)[e]).data
         return Mat(field, dims[a], dims[b], data)
 
     @property
@@ -205,6 +207,19 @@ class ProjectiveModule(TruncatedModule):
         """Basis positions of degree t outside (mP)_t: (id, j) of the degree-t summands."""
         return [self.offsets[t][k] + j for k, s in enumerate(self.summands) if s == t
                 for j in range(self.widths[k])]
+
+
+def end_representation(cat, field, t: int, w: int, ends) -> TruncatedModule:
+    """The representation of C(t, t) on k^w whose end generators act by ends[g].
+
+    It is the module concentrated in degree t, truncated there: every
+    other generator acts on zero spaces.  Its act(sigma) multiplies the
+    generator matrices out along cat.split and caches what it builds.
+    """
+    dims = [0] * t + [w]
+    gens = {g: ends[g] if g.src == g.dst == t else Mat.zeros(field, dims[g.src], dims[g.dst])
+            for g in cat.generators(t)}
+    return TruncatedModule(cat, field, t, dims, gens)
 
 
 def _spread(positions, K):

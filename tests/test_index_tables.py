@@ -275,3 +275,26 @@ def test_orbit_table_and_end_inverse_match_compose(cat):
                 f = homs[reps[rep[i]]]
                 assert list(f.images) == sorted(f.images) and not any(f.labels or ())
                 assert cat.compose(f, ends[end[i]]) == alpha
+
+
+@pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
+def test_coset_plan_factors_every_end_once(cat):
+    # the i-th transversal is a tree of children g o parent inside H_i, and
+    # c_t o ... o c_1 over the transversals meets each end of t exactly once
+    h = 4 if cat.group is None or cat.group.order < 3 else 3
+    for t in range(h + 1):
+        ends = cat.hom(t, t)
+        plan = cat.coset_plan(t)
+        assert len(plan) == t
+        products = [cat.identity(t)]
+        for i, level in enumerate(plan, start=1):
+            reps = [0]
+            for g, parents, children in level:
+                assert [cat.hom_index(cat.compose(g, ends[p])) for p in parents] == children.tolist()
+                reps += children.tolist()
+            for c in reps:
+                moved = ends[c]
+                assert moved.images[i:] == tuple(range(i + 1, t + 1)) and not any((moved.labels or ())[i:])
+            assert len(reps) * cat.hom_count(i - 1, i - 1) == cat.hom_count(i, i)
+            products = [cat.compose(ends[c], p) for c in reps for p in products]
+        assert sorted(cat.hom_index(m) for m in products) == list(range(len(ends)))

@@ -16,7 +16,7 @@ from catrep.corpus import sample_presentation
 from catrep.fields import QQ, parse_field
 from catrep.matrices import Mat
 from catrep.presentations import from_presentation
-from catrep.trunc import FreeModule, ModuleMap, ProjectiveModule
+from catrep.trunc import FreeModule, ModuleMap, ProjectiveModule, TruncatedModule, end_representation
 
 F101 = parse_field("fp:101")
 CATS = [make_category("fi"), make_category("oi"), make_category("fi_g", 2), make_category("oi_g", 3)]
@@ -25,6 +25,21 @@ CATS = [make_category("fi"), make_category("oi"), make_category("fi_g", 2), make
 def _corpus(cat, field, seeds):
     h = 5 if cat.group is None else 4
     return [from_presentation(cat, field, sample_presentation(cat, field, s), h)[0] for s in seeds]
+
+
+def _scrambled(V, seed):
+    """V in the basis rows of B_t = I + u v, u and v on the even and the odd
+    coordinates, so B_t^-1 = I - u v: an isomorphic module whose (mV)_t
+    rarely has a C(t, t)-stable complement among the coordinate vectors."""
+    rng = np.random.default_rng(seed)
+    B, back = [], []
+    for d in V.dims:
+        u = Mat.from_rows(V.field, [[int(x) * (i % 2 == 0)] for i, x in enumerate(rng.integers(1, 9, d))], 1)
+        v = Mat.from_rows(V.field, [[int(x) * (i % 2) for i, x in enumerate(rng.integers(1, 9, d))]], d)
+        B.append(Mat.identity(V.field, d) + u @ v)
+        back.append(Mat.identity(V.field, d) - u @ v)
+    gens = {g: B[g.src] @ m @ back[g.dst] for g, m in V.gens.items()}
+    return TruncatedModule(V.cat, V.field, V.horizon, V.dims, gens)
 
 
 def _free_route_tor(monkeypatch, V, depth):
@@ -38,22 +53,28 @@ def _free_route_tor(monkeypatch, V, depth):
 @pytest.mark.parametrize("field", [F101, QQ], ids=lambda f: f.name)
 @pytest.mark.parametrize("cat", CATS, ids=lambda c: c.name)
 def test_minimal_route_matches_free_route(monkeypatch, cat, field):
-    covers = []
-    minimal_cover = homology._minimal_cover
+    covers, counts = [], []
+    minimal_cover, equivariant_lift = homology._minimal_cover, homology._equivariant_lift
 
     def checked(Z, spans):
         P, diff = minimal_cover(Z, spans)
         ModuleMap(P, Z, diff.mats, check=True)
         for k, t in enumerate(P.summands):
-            S, rho = diff.mats[t].take_rows(P.top_indices(t)), P.rhos[k]
+            S, W = diff.mats[t].take_rows(P.top_indices(t)), P.representations[k]
             for g in cat.end_generators(t):
-                sigma = Mat(field, S.nrows, S.nrows, rho[cat.hom_index(g)])
-                assert sigma @ S == S @ Z.gens[g], (t, g)
+                assert W.gens[g] @ S == S @ Z.gens[g], (t, g)
         covers.append(P.widths)
         return P, diff
 
+    def counted(*args):
+        S, c = equivariant_lift(*args)
+        counts.append(c)
+        return S, c
+
     monkeypatch.setattr(homology, "_minimal_cover", checked)
-    for V in _corpus(cat, field, (1, 2, 3)):
+    monkeypatch.setattr(homology, "_equivariant_lift", counted)
+    modules = _corpus(cat, field, (1, 2, 3)) + [FreeModule(cat, field, (1, 2), 4 if cat.group is None else 3)]
+    for V in modules + [_scrambled(V, seed) for seed, V in enumerate(modules)]:
         res = homology.resolve(V, 2)
         assert res.minimal
         rep = homology.tor_groups(V, 2, resolution=res)
@@ -63,6 +84,9 @@ def test_minimal_route_matches_free_route(monkeypatch, cat, field):
             for t in range(V.horizon + 1):
                 assert rep.dims[i][t] == sum(w for s, w in zip(step.free.summands, step.free.widths) if s == t)
     assert any(w for ws in covers for w in ws)
+    # both ways to the lift ran: a stable complement (c = 1) and, where the
+    # ends are nontrivial, the Reynolds sum along the coset plan
+    assert 1 in counts and (cat.kind == "oi" or max(counts) > 1)
 
 
 def test_minimal_route_runs_no_greedy_generators(monkeypatch):
@@ -125,13 +149,14 @@ def test_route_runs_exactly_when_the_end_count_is_a_unit():
 @pytest.mark.parametrize("cat", CATS, ids=lambda c: c.name)
 def test_projective_on_the_regular_representation_is_free(cat, field):
     # M(k[C(t, t)]) = M(t): basis (f, tau) <-> f o tau carries one module
-    # structure onto the other, dense (non-identity sigma) blocks included
+    # structure onto the other, dense (non-identity sigma) blocks included;
+    # only the end generators' matrices are given, the rest come from act
     h = 4 if cat.group is None else 3
     for t in range(3):
         ends = cat.hom(t, t)
-        rho = np.stack([Mat.identity(field, len(ends)).take_cols(np.argsort(cat.compose_table(t, s))).data
-                        for s in ends])
-        P = ProjectiveModule(cat, field, [(t, rho)], h)
+        regular = {g: Mat.identity(field, len(ends)).take_cols(np.argsort(cat.compose_table(t, g)))
+                   for g in cat.end_generators(t)}
+        P = ProjectiveModule(cat, field, [(t, end_representation(cat, field, t, len(ends), regular))], h)
         F = FreeModule(cat, field, (t,), h)
         assert P.dims == F.dims and P.gen_degrees == (t,) * len(ends)
         perm = []
@@ -144,9 +169,27 @@ def test_projective_on_the_regular_representation_is_free(cat, field):
         assert P.top_indices(t) == list(range(len(ends)))
 
 
-def test_projective_rejects_a_non_representation():
+def test_projective_rejects_a_misplaced_representation():
     cat = CATS[0]
+    W = end_representation(cat, F101, 2, 1, {g: Mat.identity(F101, 1) for g in cat.end_generators(2)})
+    ProjectiveModule(cat, F101, [(2, W)], 3)
     with pytest.raises(ValueError):
-        ProjectiveModule(cat, F101, [(2, np.zeros((2, 1, 1), dtype=np.int64))], 3)
+        ProjectiveModule(cat, F101, [(1, W)], 3)
     with pytest.raises(ValueError):
-        ProjectiveModule(cat, F101, [(2, np.ones((3, 1, 1), dtype=np.int64))], 3)
+        ProjectiveModule(cat, F101, [(2, FreeModule(cat, F101, (1,), 2))], 3)
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=lambda f: f.name)
+def test_generator_at_the_horizon_stays_small(monkeypatch, field):
+    # M(6) over FI at horizon 6: W_6 is the regular representation of S_6
+    # (w = 720).  No matrix larger than the module itself may be built: an
+    # orbit block over all of C(6, 6) would hold 720 * 720 rows.
+    cat = CATS[0]
+    V = FreeModule(cat, field, (6,), 6)
+    largest = []
+    matmul = Mat.__matmul__
+    monkeypatch.setattr(Mat, "__matmul__", lambda a, b: largest.append(max(a.nrows, b.nrows)) or matmul(a, b))
+    res = homology.resolve(V, 1)
+    assert res.minimal and res.steps[0].free.widths == (720,)
+    assert homology.tor_groups(V, 1, resolution=res).dims == [[0] * 6 + [720], [0] * 7]
+    assert max(largest) <= 720
