@@ -12,14 +12,18 @@ The matching witness family m_s: s -> s+1 is the standard inclusion for FI
 kinds and i |-> i+1 for OI kinds, with identity labels.  Naturality and
 functoriality of these choices are enforced by the test suite rather than
 assumed.
+
+Hom sets, generator lists and index tables are memoised in one cache per
+descriptor (_memo); end_plan and each transversal of coset_plan are grown
+by one breadth-first builder (_tree).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, perm
 
 import numpy as np
@@ -145,6 +149,21 @@ class Morphism:
 _MOR_RE = re.compile(r"^(\d+)->(\d+):\[([0-9,]*)\](?:\(([0-9,]*)\))?$")
 
 
+def _memo(method):
+    """Memoise a CategoryDescriptor method in the descriptor's cache, keyed by
+    the method and its arguments; every memoised result is not None."""
+
+    @functools.wraps(method)
+    def memoised(self, *args):
+        key = (method, args)
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = method(self, *args)
+        return out
+
+    return memoised
+
+
 def parse_morphism(text: str) -> Morphism:
     m = _MOR_RE.match(text.strip())
     if not m:
@@ -162,8 +181,8 @@ class CategoryDescriptor:
 
     Immutable; hom-set enumeration, generator data and the index tables
     (compose_table, end_plan and the parent tree split reads off it,
-    step_plan, orbit_table, end_inverse) are memoized (pure, idempotent
-    caches, safe under concurrent use).
+    step_plan, orbit_table, end_inverse, coset_plan) are pure and memoised
+    in this descriptor's one cache (_memo), safe under concurrent use.
     """
 
     def __init__(self, kind: str, group: FiniteGroup | None = None):
@@ -178,20 +197,8 @@ class CategoryDescriptor:
         self.kind = kind
         self.group = group
         self.ordered = kind.startswith("oi")
-        self._hom = {}
-        self._index = {}
-        self._ends = {}
-        self._steps = {}
-        self._gens = {}
-        self._arrays = {}
         self._mul = np.array(group.table, dtype=np.int64) if group else None
-        self._compose_tables = {}
-        self._end_plans = {}
-        self._end_trees = {}
-        self._step_plans = {}
-        self._orbit_tables = {}
-        self._end_inverses = {}
-        self._coset_plans = {}
+        self._cache = {}
 
     def __eq__(self, other):
         return (
@@ -249,31 +256,23 @@ class CategoryDescriptor:
         elif m.labels is not None:
             raise ValueError(f"unexpected labels in {m}")
 
+    @_memo
     def hom(self, r: int, s: int):
         """All morphisms r -> s in canonical order (lex on images then labels)."""
-        key = (r, s)
-        cached = self._hom.get(key)
-        if cached is not None:
-            return cached
         if r > s or r < 0 or s < 0:
-            out = ()
+            return ()
+        if self.ordered:
+            image_iter = itertools.combinations(range(1, s + 1), r)
         else:
-            if self.ordered:
-                image_iter = itertools.combinations(range(1, s + 1), r)
-            else:
-                image_iter = itertools.permutations(range(1, s + 1), r)
-            if self.group:
-                n = self.group.order
-                out = tuple(
-                    Morphism(r, s, images, labels)
-                    for images in image_iter
-                    for labels in itertools.product(range(n), repeat=r)
-                )
-            else:
-                out = tuple(Morphism(r, s, images) for images in image_iter)
-        self._hom[key] = out
-        self._index[key] = {m: i for i, m in enumerate(out)}
-        return out
+            image_iter = itertools.permutations(range(1, s + 1), r)
+        if self.group:
+            n = self.group.order
+            return tuple(
+                Morphism(r, s, images, labels)
+                for images in image_iter
+                for labels in itertools.product(range(n), repeat=r)
+            )
+        return tuple(Morphism(r, s, images) for images in image_iter)
 
     def hom_count(self, r: int, s: int) -> int:
         if r > s or r < 0 or s < 0:
@@ -282,10 +281,12 @@ class CategoryDescriptor:
         return base * (self.group.order ** r if self.group else 1)
 
     def hom_index(self, m: Morphism) -> int:
-        key = (m.src, m.dst)
-        if key not in self._index:
-            self.hom(*key)
-        return self._index[key][m]
+        return self._hom_positions(m.src, m.dst)[m]
+
+    @_memo
+    def _hom_positions(self, r: int, s: int):
+        """Each morphism of hom(r, s) to its place there."""
+        return {m: i for i, m in enumerate(self.hom(r, s))}
 
     def compose(self, beta: Morphism, alpha: Morphism) -> Morphism:
         """beta o alpha for alpha: r -> s, beta: s -> t."""
@@ -358,26 +359,20 @@ class CategoryDescriptor:
         missed = next(iter(set(range(1, s + 1)) - set(alpha.images)))
         return self.mu_witness(r), Morphism(s, s, alpha.images + (missed,), self._identity_labels(s))
 
+    @_memo
     def step_generators(self, r: int):
         """Plain one-step morphisms r -> r+1 stored on every module.
 
         FI kinds store only m_r (ends act transitively on one-steps); OI kinds
         store all r+1 strictly increasing one-steps.
         """
-        cached = self._steps.get(r)
-        if cached is None:
-            if self.ordered:
-                cached = tuple(self._skip_map(r, p) for p in range(r + 1, 0, -1))
-            else:
-                cached = (self.mu_witness(r),)
-            self._steps[r] = cached
-        return cached
+        if self.ordered:
+            return tuple(self._skip_map(r, p) for p in range(r + 1, 0, -1))
+        return (self.mu_witness(r),)
 
+    @_memo
     def end_generators(self, s: int):
         """Generators of the end monoid C(s, s) under composition."""
-        cached = self._ends.get(s)
-        if cached is not None:
-            return cached
         gens = []
         ident = tuple(range(1, s + 1))
         if not self.ordered:
@@ -390,21 +385,16 @@ class CategoryDescriptor:
             for j in slots:
                 for g in self.group.generators:
                     gens.append(self._label_generator(s, j, g))
-        cached = tuple(gens)
-        self._ends[s] = cached
-        return cached
+        return tuple(gens)
 
+    @_memo
     def generators(self, h: int):
         """Every stored generator with target <= h: for each degree t, the
         one-steps into t, then the end generators of C(t, t)."""
-        cached = self._gens.get(h)
-        if cached is None:
-            cached = tuple(
-                g for t in range(h + 1)
-                for g in (self.step_generators(t - 1) if t else ()) + self.end_generators(t)
-            )
-            self._gens[h] = cached
-        return cached
+        return tuple(
+            g for t in range(h + 1)
+            for g in (self.step_generators(t - 1) if t else ()) + self.end_generators(t)
+        )
 
     def _label_generator(self, s: int, j: int, g: int) -> Morphism:
         """The end generator of C(s, s) carrying label g at slot j, identity elsewhere."""
@@ -417,22 +407,19 @@ class CategoryDescriptor:
     # Free modules and covers act on whole hom sets at once.  These tables
     # give, as int arrays, the hom index of every composite or factor they
     # need, so that no Morphism is built, composed or looked up per basis
-    # element.  Each is built once per category with numpy and memoized.
+    # element.  Each is built once per descriptor with numpy and memoised.
     # split factors single morphisms through the same end plan (_end_tree).
 
+    @_memo
     def hom_arrays(self, r: int, s: int):
         """hom(r, s) as int arrays (images, labels) of shape (count, r), in
         hom order; labels is None for the plain kinds."""
-        key = (r, s)
-        cached = self._arrays.get(key)
-        if cached is None:
-            homs = self.hom(r, s)
-            images = np.array([m.images for m in homs], dtype=np.int64).reshape(len(homs), r)
-            labels = None
-            if self.group:
-                labels = np.array([m.labels for m in homs], dtype=np.int64).reshape(len(homs), r)
-            cached = self._arrays[key] = (images, labels)
-        return cached
+        homs = self.hom(r, s)
+        images = np.array([m.images for m in homs], dtype=np.int64).reshape(len(homs), r)
+        labels = None
+        if self.group:
+            labels = np.array([m.labels for m in homs], dtype=np.int64).reshape(len(homs), r)
+        return images, labels
 
     def _ranks(self, r: int, s: int, images, labels):
         """hom_index of the morphisms r -> s with these image and label rows.
@@ -456,97 +443,98 @@ class CategoryDescriptor:
                 out += labels[:, i] * n ** (r - 1 - i)
         return out
 
+    @_memo
     def compose_table(self, s: int, g: Morphism):
         """hom_index(compose(g, m)) for every m in hom(s, g.src), as an int array."""
-        key = (s, g)
-        cached = self._compose_tables.get(key)
-        if cached is None:
-            images, labels = self.hom_arrays(s, g.src)
-            # one-based lookups: image point i goes to g.images[i - 1]
-            out_images = np.array((0,) + g.images)[images]
-            out_labels = None
-            if self.group:
-                out_labels = self._mul[np.array((0,) + g.labels)[images], labels]
-            cached = self._compose_tables[key] = self._ranks(s, g.dst, out_images, out_labels)
-        return cached
+        images, labels = self.hom_arrays(s, g.src)
+        # one-based lookups: image point i goes to g.images[i - 1]
+        out_images = np.array((0,) + g.images)[images]
+        out_labels = None
+        if self.group:
+            out_labels = self._mul[np.array((0,) + g.labels)[images], labels]
+        return self._ranks(s, g.dst, out_images, out_labels)
 
+    def _tree(self, t: int, gens, classes):
+        """Breadth-first tree in C(t, t) from the identity over gens, keeping
+        the first end met in each class not met before.
+
+        classes gives a small nonnegative class number per hom index of
+        C(t, t).  Returns the levels: each lists (g, parents, children) as hom
+        indices with children[j] = g o parents[j], every parent the identity
+        (index 0) or a child of an earlier level, and each reachable class
+        but the identity's met once as a child.
+        """
+        seen = np.zeros(classes.max() + 1, dtype=bool)
+        seen[classes[0]] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        levels = []
+        while True:
+            level = []
+            for g in gens:
+                children = self.compose_table(t, g)[frontier]
+                fresh = np.flatnonzero(~seen[classes[children]])
+                # frontier order decides which child stands for a class
+                first = np.unique(classes[children[fresh]], return_index=True)[1]
+                fresh = fresh[np.sort(first)]
+                if fresh.size:
+                    seen[classes[children[fresh]]] = True
+                    level.append((g, frontier[fresh], children[fresh]))
+            if not level:
+                return tuple(levels)
+            levels.append(tuple(level))
+            frontier = np.concatenate([c for _, _, c in level])
+
+    @_memo
     def end_plan(self, s: int):
         """Breadth-first spanning tree of C(s, s) from the identity, over end_generators(s).
 
         Returns (levels, position).  Each level lists (g, parents, children)
         as hom indices, with children[i] = g o parents[i]; every parent lies
         in an earlier level, and every element of C(s, s) but the identity
-        (index 0) is a child exactly once.  position[i] is the place of hom
-        element i in the order identity, then each entry's children in turn.
+        (index 0) is a child exactly once (_tree with each end its own
+        class).  position[i] is the place of hom element i in the order
+        identity, then each entry's children in turn.
         """
-        cached = self._end_plans.get(s)
-        if cached is None:
-            count = self.hom_count(s, s)
-            position = np.full(count, -1, dtype=np.int64)
-            position[0] = 0
-            reached = 1
-            frontier = np.zeros(1, dtype=np.int64)
-            levels = []
-            while True:
-                level = []
-                for g in self.end_generators(s):
-                    children = self.compose_table(s, g)[frontier]
-                    new = position[children] < 0
-                    if new.any():
-                        children = children[new]
-                        position[children] = np.arange(reached, reached + children.size)
-                        reached += children.size
-                        level.append((g, frontier[new], children))
-                if not level:
-                    break
-                levels.append(tuple(level))
-                frontier = np.concatenate([c for _, _, c in level])
-            if reached != count:
-                raise AssertionError(f"end generators of {s} reach {reached} of {count} morphisms")
-            cached = self._end_plans[s] = (tuple(levels), position)
-        return cached
+        count = self.hom_count(s, s)
+        levels = self._tree(s, self.end_generators(s), np.arange(count))
+        order = np.concatenate([[0]] + [c for level in levels for _, _, c in level])
+        if order.size != count:
+            raise AssertionError(f"end generators of {s} reach {order.size} of {count} morphisms")
+        return levels, np.argsort(order)
 
+    @_memo
     def _end_tree(self, s: int):
         """end_plan(s) keyed by child: hom index -> (parent, g) with child = g o parent."""
-        cached = self._end_trees.get(s)
-        if cached is None:
-            homs = self.hom(s, s)
-            cached = self._end_trees[s] = {
-                child: (homs[parent], g)
-                for level in self.end_plan(s)[0]
-                for g, parents, children in level
-                for parent, child in zip(parents.tolist(), children.tolist())
-            }
-        return cached
+        homs = self.hom(s, s)
+        return {
+            child: (homs[parent], g)
+            for level in self.end_plan(s)[0]
+            for g, parents, children in level
+            for parent, child in zip(parents.tolist(), children.tolist())
+        }
 
+    @_memo
     def step_plan(self, s: int, t: int):
         """Each alpha in C(s, t), t > s, factored as gamma o beta as in _factor_once.
 
         gamma is the plain one-step t-1 -> t that misses alpha's largest
-        missed point.  Returns (entries, position): entries list (gamma,
-        betas, alphas), hom indices into C(s, t-1) and C(s, t) of the alphas
-        with that gamma; position[i] is the place of alpha = i once the
-        entries' alphas are concatenated in order.
+        missed point.  Returns the entries (gamma, betas, alphas): hom
+        indices into C(s, t-1) and C(s, t) of the alphas with that gamma.
         """
-        key = (s, t)
-        cached = self._step_plans.get(key)
-        if cached is None:
-            images, labels = self.hom_arrays(s, t)
-            count = len(images)
-            present = np.zeros((count, t + 1), dtype=bool)
-            present[np.arange(count)[:, None], images] = True
-            # the first missing point scanning down from t
-            missed = t - np.argmin(present[:, :0:-1], axis=1)
-            betas = self._ranks(s, t - 1, images - (images > missed[:, None]), labels)
-            entries = []
-            for p in np.unique(missed).tolist():
-                alphas = np.flatnonzero(missed == p)
-                entries.append((self._skip_map(t - 1, p), betas[alphas], alphas))
-            position = np.empty(count, dtype=np.int64)
-            position[np.concatenate([alphas for _, _, alphas in entries])] = np.arange(count)
-            cached = self._step_plans[key] = (tuple(entries), position)
-        return cached
+        images, labels = self.hom_arrays(s, t)
+        count = len(images)
+        present = np.zeros((count, t + 1), dtype=bool)
+        present[np.arange(count)[:, None], images] = True
+        # the first missing point scanning down from t
+        missed = t - np.argmin(present[:, :0:-1], axis=1)
+        betas = self._ranks(s, t - 1, images - (images > missed[:, None]), labels)
+        entries = []
+        for p in np.unique(missed).tolist():
+            alphas = np.flatnonzero(missed == p)
+            entries.append((self._skip_map(t - 1, p), betas[alphas], alphas))
+        return tuple(entries)
 
+    @_memo
     def orbit_table(self, t: int, n: int):
         """Each alpha in C(t, n) as f o sigma, with sigma in C(t, t) and f an
         orbit representative of C(t, n)/C(t, t).
@@ -559,32 +547,27 @@ class CategoryDescriptor:
         hom(t, n) of f's number and sigma's hom index, so the representatives
         are the alphas with end == 0.
         """
-        key = (t, n)
-        cached = self._orbit_tables.get(key)
-        if cached is None:
-            images, labels = self.hom_arrays(t, n)
-            order = np.argsort(images, axis=1)
-            rep = _subset_ranks(n, t, np.take_along_axis(images, order, axis=1))
-            end = self._ranks(t, t, np.argsort(order, axis=1) + 1, labels)
-            cached = self._orbit_tables[key] = (rep, end)
-        return cached
+        images, labels = self.hom_arrays(t, n)
+        order = np.argsort(images, axis=1)
+        rep = _subset_ranks(n, t, np.take_along_axis(images, order, axis=1))
+        end = self._ranks(t, t, np.argsort(order, axis=1) + 1, labels)
+        return rep, end
 
+    @_memo
     def end_inverse(self, t: int):
         """hom_index of sigma^-1 for every sigma in C(t, t), as an int array.
 
         sigma = (pi, g) sends i to pi(i) with label g_i, so sigma^-1 sends
         pi(i) back to i with label g_i^-1.
         """
-        cached = self._end_inverses.get(t)
-        if cached is None:
-            images, labels = self.hom_arrays(t, t)
-            back = np.argsort(images, axis=1)
-            inv_labels = None
-            if self.group:
-                inv_labels = np.take_along_axis(np.array(self.group.inverse)[labels], back, axis=1)
-            cached = self._end_inverses[t] = self._ranks(t, t, back + 1, inv_labels)
-        return cached
+        images, labels = self.hom_arrays(t, t)
+        back = np.argsort(images, axis=1)
+        inv_labels = None
+        if self.group:
+            inv_labels = np.take_along_axis(np.array(self.group.inverse)[labels], back, axis=1)
+        return self._ranks(t, t, back + 1, inv_labels)
 
+    @_memo
     def coset_plan(self, t: int):
         """Left transversals along the chain H_0 < H_1 < ... < H_t = C(t, t).
 
@@ -593,43 +576,27 @@ class CategoryDescriptor:
         H_i is fixed by the image and label of point i, so every sigma in
         C(t, t) is c_t o ... o c_1 in exactly one way with c_i in the i-th
         transversal, and a sum over C(t, t) is t nested sums of sizes
-        |C(i, i)|/|C(i-1, i-1)|.  Each transversal is grown from the
-        identity by the end generators lying in H_i, as in end_plan: level
-        i - 1 lists (g, parents, children) as hom indices with
-        children[j] = g o parents[j], every coset but H_{i-1} met once as a
-        child.
+        |C(i, i)|/|C(i-1, i-1)|.  Each transversal is a _tree grown by the
+        end generators lying in H_i, classed by the image and label of
+        point i: level i - 1 lists (g, parents, children) as hom indices
+        with children[j] = g o parents[j], every coset but H_{i-1} met once
+        as a child.
         """
-        cached = self._coset_plans.get(t)
-        if cached is None:
-            images, labels = self.hom_arrays(t, t)
-            fixed = images == np.arange(1, t + 1)
-            key = images
-            if self.group:
-                fixed &= labels == 0
-                key = images * self.group.order + labels
-            levels = []
-            for i in range(1, t + 1):
-                gens = [g for g in self.end_generators(t) if fixed[self.hom_index(g), i:].all()]
-                seen = {key[0, i - 1]}
-                frontier, level = [0], []
-                while frontier:
-                    grown = []
-                    for g in gens:
-                        parents, children = [], []
-                        for parent, child in zip(frontier, self.compose_table(t, g)[frontier].tolist()):
-                            if key[child, i - 1] not in seen:
-                                seen.add(key[child, i - 1])
-                                parents.append(parent)
-                                children.append(child)
-                        if children:
-                            level.append((g, np.array(parents), np.array(children)))
-                            grown += children
-                    frontier = grown
-                if len(seen) * self.hom_count(i - 1, i - 1) != self.hom_count(i, i):
-                    raise AssertionError(f"end generators reach {len(seen)} cosets of C({i - 1}, {i - 1}) in C({i}, {i})")
-                levels.append(tuple(level))
-            cached = self._coset_plans[t] = tuple(levels)
-        return cached
+        images, labels = self.hom_arrays(t, t)
+        fixed = images == np.arange(1, t + 1)
+        key = images
+        if self.group:
+            fixed &= labels == 0
+            key = images * self.group.order + labels
+        levels = []
+        for i in range(1, t + 1):
+            gens = [g for g in self.end_generators(t) if fixed[self.hom_index(g), i:].all()]
+            level = tuple(entry for grown in self._tree(t, gens, key[:, i - 1]) for entry in grown)
+            cosets = 1 + sum(children.size for _, _, children in level)
+            if cosets * self.hom_count(i - 1, i - 1) != self.hom_count(i, i):
+                raise AssertionError(f"end generators reach {cosets} cosets of C({i - 1}, {i - 1}) in C({i}, {i})")
+            levels.append(level)
+        return tuple(levels)
 
 
 def _subset_ranks(s: int, r: int, images):
@@ -641,7 +608,7 @@ def _subset_ranks(s: int, r: int, images):
     return out
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _pascal(n: int):
     """Read-only table of C(a, b) for 0 <= a, b <= n."""
     table = np.array([[comb(a, b) for b in range(n + 1)] for a in range(n + 1)], dtype=np.int64)

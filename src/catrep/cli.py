@@ -208,7 +208,7 @@ def _cmd_decompose(args, module, cfg) -> int:
                                 f"undecidable within horizon {module.horizon}"))
         print(emit(make_report("decompose", cfg, items), args.format), end="")
         return EXIT_INCONCLUSIVE
-    result = sin_reg(module, max_steps)
+    result = sin_reg(chain)
     items.append(value_item("stabilized_at", chain.stabilized_at))
     items.append(dims_item("V_sin", result.sin.dims, result.valid_to))
     items.append(dims_item("V_reg", result.reg.dims, result.valid_to))
@@ -326,7 +326,7 @@ def _fuzz_one(cat, field, horizon, seed):
         notes.append("hilbert inconclusive")
     chain = un_chain(module, max(horizon, 1))
     if chain.status == "stabilized":
-        result = sin_reg(module)
+        sin_reg(chain)  # raises unless K(V_reg) = 0
         notes.append(f"stabilized at {chain.stabilized_at}")
         top_n = min(3, len(chain.bases) - 1)
         for n in range(1, top_n + 1):

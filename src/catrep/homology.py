@@ -19,11 +19,11 @@ routes:
   resolutions and over any field; the resolution-independence tests compare
   it with the minimal route.
 
-Cover maps are read through the category's index tables: at a generator's
-degree the rows follow the end plan (a spanning tree of C(s, s)), at each
-higher degree the step plan (the last one-step of every morphism, or of
-every orbit representative), with one matrix product per tree edge group or
-one-step and the generators of one degree batched.
+Cover maps are read through the category's index tables.  Both routes walk
+the orbit representatives of C(s, t)/C(s, s) up from a generator degree s
+along the step plan (_step_reps, one product per last one-step): the free
+route from its generators' end orbits, grown along the end plan (a spanning
+tree of C(s, s)), the minimal route from its lift of W_s.
 
 Directedness makes degreewise truncation exact, so a resolution loses no
 horizon: every homology number is valid up to the horizon of its module, and
@@ -91,11 +91,11 @@ def _cover(Z: TruncatedModule, gens):
 
     Row (k, alpha) of the map at degree t is v_k act(alpha) for alpha in
     C(s_k, t).  Each run of consecutive generators of one degree s is done
-    at once: its degree-s rows walk the end plan of C(s, s) (one product per
-    generator and tree level), and each degree t > s follows from t - 1
-    through the step plan of C(s, t) (one product per last one-step gamma).
-    Blocks are kept position-major (row alpha * K + k for K generators) and
-    turned summand-major per degree.
+    at once: its orbit block (v_k act(sigma) for sigma in C(s, s), row
+    position[sigma] * K + k) walks the end plan of C(s, s), one product per
+    generator and tree level.  As v act(f o sigma) = v act(sigma) act(f),
+    each degree t > s walks only the orbit representatives f (_step_reps),
+    and orbit_table puts the rows summand-major in hom order.
     """
     cat, field, h = Z.cat, Z.field, Z.horizon
     P = FreeModule(cat, field, tuple(t for t, _ in gens), h)
@@ -107,15 +107,10 @@ def _cover(Z: TruncatedModule, gens):
         for level in levels:
             block = Mat.vstack([block] + [block.take_rows(_spread(position[parents], K)) @ Z.gens[g]
                                           for g, parents, _ in level])
-        block = block.take_rows(_spread(position, K))
-        for t in range(s, h + 1):
-            if t > s:
-                entries, position = cat.step_plan(s, t)
-                block = Mat.vstack([block.take_rows(_spread(betas, K)) @ Z.act(gamma)
-                                    for gamma, betas, _ in entries])
-                block = block.take_rows(_spread(position, K))
-            summand_major = np.arange(K)[:, None] + K * np.arange(cat.hom_count(s, t))
-            pieces[t].append(block.take_rows(summand_major.ravel()))
+        for t, reps in _step_reps(Z, s, block):
+            rep, end = cat.orbit_table(s, t)
+            first = rep * block.nrows + position[end] * K  # the row of (0, alpha)
+            pieces[t].append(reps.take_rows((np.arange(K)[:, None] + first).ravel()))
     mats = [Mat.vstack(p) if p else Mat.zeros(field, 0, Z.dims[t]) for t, p in enumerate(pieces)]
     return P, ModuleMap(P, Z, mats)
 
@@ -137,7 +132,7 @@ def _minimal_cover(Z: TruncatedModule, spans):
     for a unit c; both are checked on the end generators, and the second
     says the cover is an isomorphism on H_0, hence minimal.  The cover row
     (f, j) is row j of S act(f) for each orbit representative f of
-    C(t, n)/C(t, t), walked up from S along the step plan (_step_reps).
+    C(t, n)/C(t, t), walked up from S (_step_reps).
     """
     cat, field, h = Z.cat, Z.field, Z.horizon
     summands = []
@@ -156,10 +151,7 @@ def _minimal_cover(Z: TruncatedModule, spans):
         if S @ Q != Mat.identity(field, w).scale(c):
             raise InvariantViolation(f"cover is not minimal at degree {t}: S Q != {c} I")
         summands.append((t, W))
-        block = S
-        for n in range(t, h + 1):
-            if n > t:
-                block = _step_reps(Z, t, n, block, w)
+        for n, block in _step_reps(Z, t, S):
             pieces[n].append(block)
     P = ProjectiveModule(cat, field, summands, h)
     mats = [Mat.vstack(p) if p else Mat.zeros(field, 0, Z.dims[n]) for n, p in enumerate(pieces)]
@@ -194,24 +186,29 @@ def _equivariant_lift(Z: TruncatedModule, t: int, free, W: TruncatedModule, move
     return X, cat.hom_count(t, t)
 
 
-def _step_reps(Z: TruncatedModule, s: int, t: int, block: Mat, K: int) -> Mat:
-    """Rows for the orbit representatives of C(s, t) from those of C(s, t - 1).
+def _step_reps(Z: TruncatedModule, s: int, block: Mat):
+    """(t, rows) for the orbit representatives of C(s, t), t = s..horizon.
 
-    block holds K rows per representative f of C(s, t - 1), position-major
-    in representative order.  A representative's last one-step gamma leaves
-    a representative beta (increasing images, identity labels), so its rows
-    are beta's rows times act(gamma): one product per gamma.
+    block holds the K rows of the identity, the one representative of
+    C(s, s).  Each yielded block holds K rows per representative f of
+    C(s, t), position-major in representative order.  A representative's
+    last one-step gamma leaves a representative beta of C(s, t - 1)
+    (increasing images, identity labels), so its rows are beta's rows times
+    act(gamma): one product per gamma.
     """
-    cat = Z.cat
-    prev = cat.orbit_table(s, t - 1)[0]
-    rep, end = cat.orbit_table(s, t)
-    parts, order = [], []
-    for gamma, betas, alphas in cat.step_plan(s, t)[0]:
-        keep = end[alphas] == 0
-        if keep.any():
-            parts.append(block.take_rows(_spread(prev[betas[keep]], K)) @ Z.act(gamma))
-            order.append(rep[alphas[keep]])
-    return Mat.vstack(parts).take_rows(_spread(np.argsort(np.concatenate(order)), K))
+    cat, K = Z.cat, block.nrows
+    yield s, block
+    for t in range(s + 1, Z.horizon + 1):
+        prev = cat.orbit_table(s, t - 1)[0]
+        rep, end = cat.orbit_table(s, t)
+        parts, order = [], []
+        for gamma, betas, alphas in cat.step_plan(s, t):
+            keep = end[alphas] == 0
+            if keep.any():
+                parts.append(block.take_rows(_spread(prev[betas[keep]], K)) @ Z.act(gamma))
+                order.append(rep[alphas[keep]])
+        block = Mat.vstack(parts).take_rows(_spread(np.argsort(np.concatenate(order)), K))
+        yield t, block
 
 
 @dataclass
@@ -287,7 +284,6 @@ class HomologyReport:
     reg: int
     depth: int
     valid_to: int
-    reg_is_lower_bound: bool = True
 
     def hd_within(self, i: int, w: int) -> int:
         """Top degree <= w where H_i is nonzero, or -1."""

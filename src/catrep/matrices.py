@@ -344,9 +344,6 @@ class Mat:
             return False
         return bool(np.array_equal(self.data, other.data))
 
-    def __hash__(self):
-        return hash((self.field, self.shape, tuple(tuple(r) for r in self.rows())))
-
     def __repr__(self):
         return f"Mat({self.field.name}, {self.nrows}x{self.ncols})"
 

@@ -171,11 +171,10 @@ class SinRegResult:
     valid_to: int
 
 
-def sin_reg(V: TruncatedModule, max_steps: int | None = None) -> SinRegResult:
-    """Split V into V_sin = U^n and V_reg = V / V_sin once the chain stabilizes."""
-    if max_steps is None:
-        max_steps = max(V.horizon, 1)
-    chain = un_chain(V, max_steps)
+def sin_reg(chain: ChainState) -> SinRegResult:
+    """Split V = chain.V into V_sin = U^n and V_reg = V / V_sin, n where the
+    chain (un_chain(V, ...)) stabilized; HorizonExhausted if it did not."""
+    V = chain.V
     if chain.status != "stabilized":
         raise HorizonExhausted(
             f"chain did not stabilize within horizon {V.horizon} "

@@ -258,6 +258,32 @@ def test_criterion_08_inequality_battery(corpus, hypothesis_by_config):
     assert not violations, violations
 
 
+# the paper's group categories: (kind, group, horizon, expected pass,
+# inconclusive and skipped counts) over F_101, corpus seeds 1-10; each horizon
+# is the smallest at which items are conclusive
+GROUP_LANES = [("fi_g", "cyclic:2", 5, (33, 31, 16)), ("oi_g", "cyclic:3", 6, (49, 21, 10))]
+
+
+@pytest.mark.parametrize("kind, group, horizon, counts", GROUP_LANES,
+                         ids=[f"{kind}-{group}" for kind, group, _, _ in GROUP_LANES])
+def test_group_lane_inequality_battery(kind, group, horizon, counts):
+    cat, field = make_category(kind, group), parse_field("fp:101")
+    t0 = time.monotonic()
+    statuses = []
+    violations = []
+    for seed in range(1, 11):
+        module, _ = from_presentation(cat, field, sample_presentation(cat, field, seed, profile_for(field)),
+                                      horizon)
+        report = verify_theorems(module, 3, halt_on_violation=False, check_hypothesis=False)
+        statuses += [item.status for item in report.items]
+        violations += [(seed, item.name, item.detail) for item in report.items if item.status == "violation"]
+    got = tuple(statuses.count(status) for status in ("pass", "inconclusive", "skipped"))
+    print(f"ACCEPTANCE {cat.name}/{field.name} horizon {horizon}: {got[0]} pass, {got[1]} inconclusive, "
+          f"{got[2]} skipped, {len(violations)} violations ({time.monotonic() - t0:.1f}s)")
+    assert not violations, violations
+    assert got == counts
+
+
 def test_criterion_09_k_of_regular_part_vanishes(corpus):
     stabilized = 0
     skipped = 0
@@ -267,7 +293,7 @@ def test_criterion_09_k_of_regular_part_vanishes(corpus):
             if chain.status != "stabilized":
                 skipped += 1
                 continue
-            result = sin_reg(module)  # raises if K(V_reg) != 0 degreewise
+            result = sin_reg(chain)  # raises if K(V_reg) != 0 degreewise
             assert not any(result.k_reg_dims)
             stabilized += 1
     _report(

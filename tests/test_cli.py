@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catrep import cli, homology, matrices
+from catrep import cli, homology, matrices, shift
 from catrep.category import make_category
 from catrep.cli import main
 from catrep.corpus import FUZZ_PROFILE, sample_presentation
@@ -18,6 +18,7 @@ from catrep.homology import VerificationViolation
 from catrep.matrices import Mat
 from catrep.presentations import emit_presentation_text
 from catrep.reports import make_report, to_json
+from catrep.shift import un_chain
 
 TORSION = """catrep-presentation v1
 category oi
@@ -97,6 +98,21 @@ def test_decompose_torsion0(files, capsys):
     assert code == 0
     assert "stabilized_at  1" in out
     assert "V_sin          dims=[1, 0, 0, 0, 0]" in out
+
+
+def test_decompose_builds_the_chain_once(files, capsys, monkeypatch):
+    # sin_reg splits the chain decompose already built instead of building it again
+    calls = []
+
+    def spy(V, max_steps, **kwargs):
+        calls.append(max_steps)
+        return un_chain(V, max_steps, **kwargs)
+
+    monkeypatch.setattr(cli, "un_chain", spy)
+    monkeypatch.setattr(shift, "un_chain", spy)
+    code, out, _ = run(capsys, "decompose", files["torsion0"])
+    assert code == 0 and "V_reg" in out
+    assert calls == [5]
 
 
 def test_decompose_inconclusive_exit_2(files, capsys):

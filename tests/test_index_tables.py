@@ -11,8 +11,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from catrep import homology
-from catrep.category import FiniteGroup, make_category
+from catrep import category, homology
+from catrep.category import CategoryDescriptor, FiniteGroup, make_category
 from catrep.corpus import sample_presentation
 from catrep.fields import QQ, parse_field
 from catrep.matrices import Mat
@@ -25,6 +25,63 @@ FIELDS = [parse_field("fp:2"), parse_field("fp:101"), QQ]
 _S3 = list(permutations(range(3)))
 S3 = FiniteGroup.from_table([[_S3.index(tuple(a[i] for i in b)) for b in _S3] for a in _S3])
 TABLE_CATS = CATS + [make_category("fi_g", S3), make_category("oi_g", S3)]
+
+
+def _oracle_end_plan(cat, s):
+    """end_plan(s) as its own breadth-first loop over the end generators."""
+    count = cat.hom_count(s, s)
+    position = np.full(count, -1, dtype=np.int64)
+    position[0] = 0
+    reached = 1
+    frontier = np.zeros(1, dtype=np.int64)
+    levels = []
+    while True:
+        level = []
+        for g in cat.end_generators(s):
+            children = cat.compose_table(s, g)[frontier]
+            new = position[children] < 0
+            if new.any():
+                children = children[new]
+                position[children] = np.arange(reached, reached + children.size)
+                reached += children.size
+                level.append((g, frontier[new], children))
+        if not level:
+            break
+        levels.append(tuple(level))
+        frontier = np.concatenate([c for _, _, c in level])
+    assert reached == count
+    return tuple(levels), position
+
+
+def _oracle_coset_plan(cat, t):
+    """coset_plan(t) grown one element at a time, with a set of seen cosets."""
+    images, labels = cat.hom_arrays(t, t)
+    fixed = images == np.arange(1, t + 1)
+    key = images
+    if cat.group:
+        fixed &= labels == 0
+        key = images * cat.group.order + labels
+    levels = []
+    for i in range(1, t + 1):
+        gens = [g for g in cat.end_generators(t) if fixed[cat.hom_index(g), i:].all()]
+        seen = {key[0, i - 1]}
+        frontier, level = [0], []
+        while frontier:
+            grown = []
+            for g in gens:
+                parents, children = [], []
+                for parent, child in zip(frontier, cat.compose_table(t, g)[frontier].tolist()):
+                    if key[child, i - 1] not in seen:
+                        seen.add(key[child, i - 1])
+                        parents.append(parent)
+                        children.append(child)
+                if children:
+                    level.append((g, np.array(parents), np.array(children)))
+                    grown += children
+            frontier = grown
+        assert len(seen) * cat.hom_count(i - 1, i - 1) == cat.hom_count(i, i)
+        levels.append(tuple(level))
+    return tuple(levels)
 
 
 def _identical(a: Mat, b: Mat) -> bool:
@@ -166,19 +223,70 @@ def test_end_plan_reaches_each_end_morphism_once(cat):
         assert position.tolist() == np.argsort(reached).tolist()
 
 
+def _same_levels(got, want):
+    assert len(got) == len(want)
+    for level, old in zip(got, want):
+        assert [g for g, _, _ in level] == [g for g, _, _ in old]
+        for (_, parents, children), (_, old_parents, old_children) in zip(level, old):
+            assert parents.dtype == old_parents.dtype and np.array_equal(parents, old_parents)
+            assert children.dtype == old_children.dtype and np.array_equal(children, old_children)
+
+
+@pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
+def test_tree_builder_matches_the_plans_it_replaced(cat):
+    # FI_G over S3 stops at degree 3: C(4, 4) alone has 31,104 morphisms there
+    h = 3 if cat.kind == "fi_g" and cat.group.order == 6 else 4
+    for t in range(h + 1):
+        levels, position = cat.end_plan(t)
+        old_levels, old_position = _oracle_end_plan(cat, t)
+        _same_levels(levels, old_levels)
+        assert np.array_equal(position, old_position)
+        plan, old_plan = cat.coset_plan(t), _oracle_coset_plan(cat, t)
+        assert len(plan) == len(old_plan) == t
+        for level, old in zip(plan, old_plan):
+            _same_levels((level,), (old,))
+
+
+def test_memo_runs_each_body_once_per_descriptor(monkeypatch):
+    memoised = {name: f for name, f in vars(CategoryDescriptor).items() if hasattr(f, "__wrapped__")}
+    assert {"hom", "_hom_positions", "compose_table", "end_plan", "step_plan", "orbit_table",
+            "end_inverse", "coset_plan"} <= set(memoised)
+    runs = []
+
+    def counted(name, body):
+        def run(self, *args):
+            runs.append((id(self), name, args))
+            return body(self, *args)
+        return run
+
+    for name, f in memoised.items():
+        monkeypatch.setattr(CategoryDescriptor, name, category._memo(counted(name, f.__wrapped__)))
+    field = parse_field("fp:101")
+    a, b = make_category("fi_g", 2), make_category("fi_g", 2)
+    assert a == b
+    for cat in (a, b, a):
+        V, _ = from_presentation(cat, field, sample_presentation(cat, field, 1), 4)
+        homology.tor_groups(V, 1)
+        for t in range(4):
+            cat.coset_plan(t), cat.end_inverse(t), cat.hom_index(cat.hom(t, t)[-1])
+    assert len(runs) == len(set(runs)), "a memoised body ran twice for one argument tuple"
+    assert {name for _, name, _ in runs} == set(memoised)
+    tables = [{(name, args) for i, name, args in runs if i == id(cat)} for cat in (a, b)]
+    assert tables[0] == tables[1], "equal descriptors share tables"
+    assert a._cache is not b._cache and a.end_plan(3)[1] is not b.end_plan(3)[1]
+
+
 @pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
 def test_step_plan_partitions_each_hom_set(cat):
     for s in range(4):
         for t in range(s + 1, 5 if cat.group is None else 4):
             homs, lower = cat.hom(s, t), cat.hom(s, t - 1)
-            entries, position = cat.step_plan(s, t)
             order = []
-            for gamma, betas, alphas in entries:
+            for gamma, betas, alphas in cat.step_plan(s, t):
                 for b, a in zip(betas.tolist(), alphas.tolist()):
                     assert cat._factor_once(homs[a]) == (lower[b], gamma)
                 order += alphas.tolist()
             assert sorted(order) == list(range(len(homs)))
-            assert [order[p] for p in position.tolist()] == list(range(len(homs)))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)

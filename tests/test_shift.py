@@ -141,7 +141,7 @@ def test_un_chain_horizon_exhausted():
     chain = un_chain(V, 5)
     assert chain.status == "horizon_exhausted"
     with pytest.raises(HorizonExhausted):
-        sin_reg(V)
+        sin_reg(chain)
 
 
 def test_chain_matches_defining_recursion():
@@ -195,11 +195,11 @@ def test_un_chain_matches_inverse_preimages(cat, field):
 
 def test_sin_reg_examples():
     M = free_module(OI, F101, 1, 5)
-    res = sin_reg(M)
+    res = sin_reg(un_chain(M, M.horizon))
     assert res.sin.dims == [0] * (res.valid_to + 1)
     assert res.reg.dims == M.dims[: res.valid_to + 1]
     V = oi_torsion()
-    res = sin_reg(V)
+    res = sin_reg(un_chain(V, V.horizon))
     assert res.sin.dims == V.dims[: res.valid_to + 1]
     assert res.reg.dims == [0] * (res.valid_to + 1)
 
@@ -210,7 +210,7 @@ def test_sin_reg_mixed_direct_sum():
     M0 = free_module(FI, F101, 0, 5)
     V = direct_sum(M0, T)
     assert V.dims == [2, 1, 1, 1, 1, 1]
-    res = sin_reg(V)
+    res = sin_reg(un_chain(V, V.horizon))
     assert res.sin.dims == [1, 0, 0, 0, 0]
     assert res.reg.dims == [1] * 5
 
@@ -303,7 +303,7 @@ def test_derivative_exactness_when_kw_vanishes():
     # Lemma (4): 0 -> U -> V -> W -> 0 with KW = 0 gives exact
     # 0 -> DU -> DV -> DW -> 0, checked by dimension count
     for V in (oi_torsion(), fi_degree0_torsion(horizon=6)):
-        res = sin_reg(V)
+        res = sin_reg(un_chain(V, V.horizon))
         U, W = res.sin, res.reg
         Vh = truncate(V, res.valid_to)
         if min(U.horizon, W.horizon, Vh.horizon) < 1:
