@@ -107,10 +107,10 @@ def _cover(Z: TruncatedModule, gens):
         for level in levels:
             block = Mat.vstack([block] + [block.take_rows(_spread(position[parents], K)) @ Z.gens[g]
                                           for g, parents, _ in level])
-        for t, reps in _step_reps(Z, s, block):
+        for t, rows in _step_reps(Z, s, block):
             rep, end = cat.orbit_table(s, t)
             first = rep * block.nrows + position[end] * K  # the row of (0, alpha)
-            pieces[t].append(reps.take_rows((np.arange(K)[:, None] + first).ravel()))
+            pieces[t].append(rows.take_rows((np.arange(K)[:, None] + first).ravel()))
     mats = [Mat.vstack(p) if p else Mat.zeros(field, 0, Z.dims[t]) for t, p in enumerate(pieces)]
     return P, ModuleMap(P, Z, mats)
 
