@@ -227,7 +227,7 @@ def _cmd_shift(args, module, cfg) -> int:
         dims_item("DV", seq.DV.dims, seq.DV.horizon),
         check_item("key-sequence-exact", "pass",
                    "alternating dim sum vanishes at every valid degree"),
-        value_item("mu-injective", seq.mu.is_injective(), seq.KV.horizon),
+        value_item("mu-injective", not any(seq.KV.dims), seq.KV.horizon),
     ]
     print(emit(make_report("shift", cfg, items), args.format), end="")
     return EXIT_OK

@@ -588,7 +588,7 @@ def verify_theorems(V: TruncatedModule, depth: int, s_bound: int = 3,
     support_top = top_degree(V.dims)
     values = SimpleNamespace(
         h=h, w=w, depth=depth, big_n=big_n, support_top=support_top,
-        reg_sm=hypothesis_ok, mu_injective=seq.mu.is_injective(), finite_support=support_top < h,
+        reg_sm=hypothesis_ok, mu_injective=not any(seq.KV.dims), finite_support=support_top < h,
         gd_v=hd_v[0], gd_sv=hd_sv[0], gd_dv=hd_dv[0], hd_v=hd_v, hd_sv=hd_sv, hd_dv=hd_dv,
         reg_v=rep_v.reg_within(w), reg_sv=rep_sv.reg_within(w), reg_dv=rep_dv.reg_within(w),
     )

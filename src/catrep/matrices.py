@@ -473,13 +473,28 @@ class Mat:
         return self.row_basis_pivots()[0]
 
     def left_kernel(self) -> "Mat":
-        """Canonical row basis of {v : v @ self = 0}."""
-        R, pivots = self.transpose().echelon()
+        """Canonical row basis of {v : v @ self = 0}, from one echelon.
+
+        The echelon is of self^T with its columns reversed.  A null row of
+        it is m at its free column f, plus entries at pivot columns left of
+        f, and zero at every other free column; reversed back, the rows
+        lead at distinct columns that are zero in every other row.  So they
+        are the canonical basis once scaled: over F_p the lead m is 1
+        already, over Q each row is divided by its gcd (m stays positive).
+        """
         n = self.nrows
+        R, pivots = Mat(self.field, self.ncols, n, self.data.T[:, ::-1]).echelon()
         if len(pivots) == n:
             return Mat.zeros(self.field, 0, n)
         free, K, _ = _null_rows(R.data, pivots, n)
-        return Mat(self.field, len(free), n, _canon(self.field, K)).row_basis()
+        K = K[::-1, ::-1]
+        if self.field.kind == "fp":
+            K = K % self.field.p
+        else:
+            K = K // np.gcd.reduce(np.abs(K), axis=1)[:, None]
+        basis = Mat(self.field, len(free), n, K)
+        basis._basis_pivots = tuple(n - 1 - f for f in reversed(free))
+        return basis
 
     def quotient_projection(self):
         """(free, P) for the quotient of k^ncols by the row space U of self.
@@ -501,8 +516,9 @@ class Mat:
 
         When the basis is a canonical echelon basis (the package invariant
         for submodule bases) the solution reads off the pivot columns, and
-        the product X @ basis is checked against self; ``pivots`` can be
-        supplied to skip redetection.
+        the product X @ basis is checked against self on the other columns
+        (on the pivot columns, where the basis is diagonal, it holds by
+        construction); ``pivots`` can be supplied to skip redetection.
         """
         if self.ncols != basis.ncols or self.field != basis.field:
             raise ValueError("express_rows shape/field mismatch")
@@ -512,7 +528,7 @@ class Mat:
             pivots = _detect_echelon_pivots(basis)
         if pivots is not None:
             X = self._express_by_pivots(basis, pivots)
-            if not _product_equals(X, basis, self):
+            if not _product_equals(X, basis, self, pivots):
                 raise NotInSpan("row outside the span of the basis")
             return X
         return self._express_general(basis)
@@ -581,5 +597,11 @@ def _detect_echelon_pivots(basis: Mat):
     return tuple(pivots.tolist())
 
 
-def _product_equals(X: Mat, B: Mat, M: Mat) -> bool:
-    return (X @ B) == M
+def _product_equals(X: Mat, B: Mat, M: Mat, pivots) -> bool:
+    """X @ B == M on the columns of B outside its pivots."""
+    piv = set(pivots)
+    other = np.array([j for j in range(B.ncols) if j not in piv], dtype=np.intp)
+    if not other.size:
+        return True
+    B_other = Mat(B.field, B.nrows, other.size, B.data.take(other, axis=1))
+    return bool(np.array_equal((X @ B_other).data, M.data.take(other, axis=1)))

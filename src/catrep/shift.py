@@ -20,6 +20,8 @@ truncating.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import groupby
+from operator import attrgetter
 
 from .matrices import Mat
 from .trunc import (
@@ -223,10 +225,12 @@ def annihilator_oracle(V: TruncatedModule, n: int) -> OracleResult:
     bases = []
     for s in range(valid + 1):
         J = Mat.identity(V.field, V.dims[s]).row_basis()
-        for alpha in _oracle_morphisms(cat, s, n, h):
+        # one left kernel per target degree: of the side-by-side actions of
+        # every morphism s -> t, restricted to the current joint kernel
+        for _, group in groupby(_oracle_morphisms(cat, s, n, h), key=attrgetter("dst")):
             if J.nrows == 0:
                 break
-            X = (J @ V.act(alpha)).left_kernel()
+            X = (J @ Mat.hstack([V.act(alpha) for alpha in group])).left_kernel()
             J = (X @ J).row_basis()
         bases.append(J)
     return OracleResult(n, bases, valid)
@@ -260,6 +264,7 @@ def sd_commutation_probe(V: TruncatedModule) -> SDProbe:
     """Compare S(DV) against D(SV); FI kinds commute, OI kinds need not."""
     if V.horizon < 2:
         raise ValueError("probe needs horizon >= 2")
-    sd = shift_module(derive(V).DV)
-    ds = derive(shift_module(V)).DV
+    seq = derive(V)
+    sd = shift_module(seq.DV)
+    ds = derive(seq.SV).DV
     return SDProbe(list(sd.dims), list(ds.dims), sd.dims == ds.dims, V.horizon - 2)

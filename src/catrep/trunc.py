@@ -257,9 +257,6 @@ class ModuleMap:
                 return (g.src, g)
         return None
 
-    def is_injective(self) -> bool:
-        return all(m.rank() == m.nrows for m in self.mats)
-
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.mats)
 

@@ -151,6 +151,32 @@ def test_oracle(files, capsys):
     assert "[PASS]" in out
 
 
+def test_oracle_takes_one_left_kernel_per_target_degree(files, capsys, monkeypatch):
+    # counts the left kernels taken inside the oracle, not those of the chain
+    targets, kernels, inside = [], [], []
+    oracle, left_kernel = shift.annihilator_oracle, Mat.left_kernel
+
+    def oracle_spy(V, n):
+        targets.append(len({(s, alpha.dst) for s in range(V.horizon - n + 1)
+                            for alpha in shift._oracle_morphisms(V.cat, s, n, V.horizon)}))
+        inside.append(n)
+        try:
+            return oracle(V, n)
+        finally:
+            inside.pop()
+
+    def kernel_spy(self):
+        if inside:
+            kernels.append(self.shape)
+        return left_kernel(self)
+
+    monkeypatch.setattr(cli, "annihilator_oracle", oracle_spy)
+    monkeypatch.setattr(Mat, "left_kernel", kernel_spy)
+    code, out, _ = run(capsys, "oracle", files["torsion"])
+    assert code == 0 and "[PASS]" in out
+    assert targets and 0 < len(kernels) <= sum(targets)
+
+
 def test_json_byte_stable(files, capsys):
     code, out1, _ = run(capsys, "--format", "json", "homology", files["torsion"])
     code2, out2, _ = run(capsys, "--format", "json", "homology", files["torsion"])

@@ -324,6 +324,91 @@ def test_kernels_match_sympy(data):
                 A.inverse()
 
 
+# -- the one-echelon left kernel against the two-echelon reference ----
+
+def _left_kernel_two_echelons(A):
+    """Reference: echelon A^T, build its null rows, then echelon those rows again."""
+    R, pivots = A.transpose().echelon()
+    n = A.nrows
+    if len(pivots) == n:
+        return Mat.zeros(A.field, 0, n)
+    free, K, _ = matrices._null_rows(R.data, pivots, n)
+    return Mat(A.field, len(free), n, matrices._canon(A.field, K)).row_basis()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_left_kernel_matches_the_two_echelon_reference(data):
+    field = data.draw(st.sampled_from((F2, F101, QQ)))
+    rows, cols = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    A = data.draw(exact_matrix(field, rows=rows, cols=cols))
+    shape = data.draw(st.sampled_from(("random", "zero", "full", "dependent")))
+    if shape == "zero":
+        A = Mat.zeros(field, rows, cols)
+    elif shape == "full":  # full row rank: the kernel is empty
+        A = Mat.hstack([A, Mat.identity(field, rows)])
+    elif shape == "dependent":
+        A = Mat.vstack([A, A.scale(2), A])
+    K, ref = A.left_kernel(), _left_kernel_two_echelons(A)
+    assert K.shape == ref.shape == (A.nrows - A.rank(), A.nrows)
+    assert K.data.dtype == ref.data.dtype
+    assert K == ref
+    assert [type(x) for x in K.data.flat] == [type(x) for x in ref.data.flat]
+    assert K.row_basis_pivots()[1] == ref.row_basis_pivots()[1]
+    assert (K @ A).is_zero()
+    assert_storage(K)
+
+
+def test_left_kernel_runs_one_echelon(monkeypatch):
+    calls = []
+    original = Mat.echelon
+
+    def spy(self):
+        calls.append(self.shape)
+        return original(self)
+
+    monkeypatch.setattr(Mat, "echelon", spy)
+    for field in (F2, F101, QQ):
+        A = Mat.from_rows(field, [[1, 2, 0], [2, 4, 0], [0, 1, 1], [1, 3, 1]])
+        calls.clear()
+        K = A.left_kernel()
+        assert calls == [(3, 4)] and K.nrows == 2
+        # the kernel is a canonical basis already and knows its pivots
+        basis, pivots = K.row_basis_pivots()
+        assert calls == [(3, 4)] and basis is K
+        assert pivots == _left_kernel_two_echelons(A).row_basis_pivots()[1]
+
+
+# -- express_rows checks the product on the non-pivot columns only ----
+
+@pytest.mark.parametrize("field", [F2, F101, QQ], ids=lambda f: f.name)
+def test_express_rows_checks_every_non_pivot_column(field):
+    basis = Mat.from_rows(field, [[1, 1, 0, 0], [0, 0, 1, 1]])  # pivots (0, 2)
+    assert Mat.from_rows(field, [[1, 1, 1, 1]]).express_rows(basis) == Mat.from_rows(field, [[1, 1]])
+    # each row agrees with a span element on the pivot columns and differs in one other column
+    for bad in ([1, 0, 1, 1], [1, 1, 1, 0]):
+        for pivots in (None, (0, 2)):
+            with pytest.raises(NotInSpan):
+                Mat.from_rows(field, [bad]).express_rows(basis, pivots=pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reduced_product_check_agrees_with_the_full_product(data):
+    A = data.draw(exact_matrix())
+    field = A.field
+    basis, pivots = A.row_basis_pivots()
+    X = data.draw(exact_matrix(field, cols=basis.nrows))
+    M = X @ basis
+    if data.draw(st.booleans()):  # move one entry, perhaps off the span
+        i, j = data.draw(st.integers(0, M.nrows - 1)), data.draw(st.integers(0, M.ncols - 1))
+        bump = [[0] * M.ncols for _ in range(M.nrows)]
+        bump[i][j] = data.draw(st.integers(1, 3))
+        M = M + Mat.from_rows(field, bump, M.ncols)
+    Y = M._express_by_pivots(basis, pivots)
+    assert matrices._product_equals(Y, basis, M, pivots) == ((Y @ basis) == M)
+
+
 def _independent_rows(S):
     """A basis of the row space of S picked from its own rows (not canonical)."""
     keep = []

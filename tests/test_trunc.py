@@ -33,6 +33,11 @@ OIG = make_category("oi_g", 2)
 FIG = make_category("fi_g", 2)
 
 
+def _injective(f):
+    """Every degree of the map has full row rank."""
+    return all(m.rank() == m.nrows for m in f.mats)
+
+
 def oi_torsion(field=F101, horizon=6):
     """M(1)/IM(1): the torsion module on which the natural map to the shift vanishes."""
     pres = Presentation((("u", 1),), (Relation(2, ((field.one(), Morphism(1, 2, (2,)), 0),)),))
@@ -88,7 +93,7 @@ def test_from_presentation_no_relations_is_free():
     pres = Presentation((("a", 2),), ())
     V, proj = from_presentation(FI, F101, pres, 5)
     assert V.dims == free_module(FI, F101, 2, 5).dims
-    assert proj.is_injective()
+    assert _injective(proj)
 
 
 def test_from_presentation_oi_torsion_dims():
@@ -170,7 +175,7 @@ def test_kernel_of_identity_and_zero():
     assert K.dims == [0] * 5
     K, incl = kernel_of_map(ModuleMap(M, M, [Mat.zeros(F101, d, d) for d in M.dims]))
     assert K.dims == M.dims
-    assert incl.is_injective()
+    assert _injective(incl)
 
 
 def test_kernel_im1_dims():
