@@ -264,7 +264,8 @@ class Mat:
     names its spans by ``field.kind``.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "data", "_unit_cols", "_npdata", "_basis_pivots")
+    __slots__ = ("field", "nrows", "ncols", "data", "_unit_cols", "_npdata", "_basis_pivots",
+                 "_off_pivots")
 
     def __init__(self, field, nrows, ncols, data):
         self.field = field
@@ -274,6 +275,7 @@ class Mat:
         self._unit_cols = _UNSET  # lazily computed basis-map tag
         self._npdata = _UNSET  # lazily computed int64 copy (Q fast path)
         self._basis_pivots = None  # pivots, when this is a canonical row basis
+        self._off_pivots = None  # (pivots, other columns, block of them) for _product_equals
 
     # -- constructors -------------------------------------------------
 
@@ -552,8 +554,7 @@ class Mat:
     def complement_rows(self) -> "Mat":
         """Standard basis vectors completing the row space to the full space."""
         pivots = self.row_basis_pivots()[1]
-        other = [j for j in range(self.ncols) if j not in pivots]
-        return Mat.identity(self.field, self.ncols).take_rows(other)
+        return Mat.identity(self.field, self.ncols).take_rows(_non_pivots(self.ncols, pivots))
 
     def inverse(self) -> "Mat":
         if self.nrows != self.ncols:
@@ -565,6 +566,12 @@ class Mat:
         return R.take_cols(range(n, 2 * n))
 
 
+def _non_pivots(n, pivots) -> list:
+    """The columns 0..n-1 outside pivots, ascending."""
+    piv = set(pivots)
+    return [j for j in range(n) if j not in piv]
+
+
 def _null_rows(R, pivots, n):
     """Non-pivot columns of an echelon array R (n columns) and its null rows.
 
@@ -572,8 +579,7 @@ def _null_rows(R, pivots, n):
     free[j] of R, with m the lcm of the pivots so that it stays integral
     over Q; the rows of K span {v : R @ v^T = 0}.  Returns (free, K, m).
     """
-    piv = set(pivots)
-    free = [j for j in range(n) if j not in piv]
+    free = _non_pivots(n, pivots)
     k = len(pivots)
     pv = R[np.arange(k), list(pivots)]
     m = lcm(*pv.tolist())
@@ -598,10 +604,15 @@ def _detect_echelon_pivots(basis: Mat):
 
 
 def _product_equals(X: Mat, B: Mat, M: Mat, pivots) -> bool:
-    """X @ B == M on the columns of B outside its pivots."""
-    piv = set(pivots)
-    other = np.array([j for j in range(B.ncols) if j not in piv], dtype=np.intp)
-    if not other.size:
+    """X @ B == M on the columns of B outside its pivots.
+
+    The block of those columns is kept on B: callers check many row blocks
+    against one basis, and the block keeps its int64 copy across them.
+    """
+    if B._off_pivots is None or B._off_pivots[0] != pivots:
+        other = _non_pivots(B.ncols, pivots)
+        B._off_pivots = (pivots, other, Mat(B.field, B.nrows, len(other), B.data.take(other, axis=1)))
+    _, other, B_other = B._off_pivots
+    if not other:
         return True
-    B_other = Mat(B.field, B.nrows, other.size, B.data.take(other, axis=1))
     return bool(np.array_equal((X @ B_other).data, M.data.take(other, axis=1)))

@@ -225,15 +225,41 @@ def annihilator_oracle(V: TruncatedModule, n: int) -> OracleResult:
     bases = []
     for s in range(valid + 1):
         J = Mat.identity(V.field, V.dims[s]).row_basis()
-        # one left kernel per target degree: of the side-by-side actions of
-        # every morphism s -> t, restricted to the current joint kernel
+        # one left kernel per chunk of the morphisms s -> t into one target
+        # degree t: of their side-by-side actions, restricted to the current
+        # joint kernel J.  The first chunk has just enough columns to empty
+        # J; once J outlives a chunk, chunks are wide enough to pay for their
+        # kernel, and a small module takes one per target degree.
+        wide = False
         for _, group in groupby(_oracle_morphisms(cat, s, n, h), key=attrgetter("dst")):
-            if J.nrows == 0:
+            while J.nrows:
+                width = max(J.nrows, _CHUNK_ENTRIES // J.nrows) if wide else J.nrows
+                acts = _oracle_chunk(V, group, width)
+                if not acts:
+                    break
+                A = acts[0] if len(acts) == 1 else Mat.hstack(acts)
+                X = (J @ A).left_kernel()
+                J = (X @ J).row_basis()
+                wide = True
+            if J.nrows == 0:  # before groupby skips the rest of this group
                 break
-            X = (J @ Mat.hstack([V.act(alpha) for alpha in group])).left_kernel()
-            J = (X @ J).row_basis()
         bases.append(J)
     return OracleResult(n, bases, valid)
+
+
+# entries of J @ chunk that pay for one left kernel of it
+_CHUNK_ENTRIES = 1 << 14
+
+
+def _oracle_chunk(V: TruncatedModule, alphas, width: int) -> list:
+    """Actions of the next alphas, taken lazily until they have width columns."""
+    acts, cols = [], 0
+    for alpha in alphas:
+        acts.append(V.act(alpha))
+        cols += acts[-1].ncols
+        if cols >= width:
+            break
+    return acts
 
 
 def _oracle_morphisms(cat, s: int, n: int, h: int):

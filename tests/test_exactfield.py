@@ -400,11 +400,13 @@ def test_reduced_product_check_agrees_with_the_full_product(data):
     basis, pivots = A.row_basis_pivots()
     X = data.draw(exact_matrix(field, cols=basis.nrows))
     M = X @ basis
+    assert matrices._product_equals(X, basis, M, pivots)
     if data.draw(st.booleans()):  # move one entry, perhaps off the span
         i, j = data.draw(st.integers(0, M.nrows - 1)), data.draw(st.integers(0, M.ncols - 1))
         bump = [[0] * M.ncols for _ in range(M.nrows)]
         bump[i][j] = data.draw(st.integers(1, 3))
         M = M + Mat.from_rows(field, bump, M.ncols)
+    # a second check against the same basis reads the block kept on it
     Y = M._express_by_pivots(basis, pivots)
     assert matrices._product_equals(Y, basis, M, pivots) == ((Y @ basis) == M)
 

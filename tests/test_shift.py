@@ -1,7 +1,10 @@
 """Shift, derivative, key sequence, the U^n chain and its oracles."""
 
+from collections import Counter
+
 import pytest
 
+from catrep import shift
 from catrep.category import Morphism, make_category
 from catrep.corpus import sample_presentation
 from catrep.fields import QQ, parse_field
@@ -270,7 +273,10 @@ def _oracle_by_morphism(V, n):
 @pytest.mark.parametrize("field", [F2, F101, QQ], ids=lambda f: f.name)
 @pytest.mark.parametrize("cat", [FI, OI, make_category("fi_g", 2), make_category("oi_g", 3)],
                          ids=lambda c: c.kind)
-def test_oracle_matches_the_per_morphism_loop(cat, field):
+@pytest.mark.parametrize("chunk_entries", [shift._CHUNK_ENTRIES, 1], ids=["default", "narrow"])
+def test_oracle_matches_the_per_morphism_loop(cat, field, chunk_entries, monkeypatch):
+    # narrow chunks: each holds just enough columns to empty J, so groups split
+    monkeypatch.setattr(shift, "_CHUNK_ENTRIES", chunk_entries)
     for seed in range(1, 5):
         V, _ = from_presentation(cat, field, sample_presentation(cat, field, seed), 4)
         for n in range(1, 4):
@@ -308,6 +314,23 @@ def test_oracle_takes_one_left_kernel_per_target_degree(monkeypatch):
                    for alpha in _oracle_morphisms(OI, s, n, T.horizon)}
         assert len(calls) == len(targets)
         assert bases == _oracle_by_morphism(T, n)
+
+
+def test_oracle_stops_acting_once_the_joint_kernel_is_empty(monkeypatch):
+    # torsion-free M(2) over FI_G cyclic:2: one action s -> s+1 is injective,
+    # so the first chunk (one morphism) of each hom set empties J, and the
+    # rest go unacted, as in the per-morphism loop
+    cat = make_category("fi_g", 2)
+    M = free_module(cat, F101, 2, 5)
+    acted, kernels = Counter(), []
+    act, left_kernel = M.act, Mat.left_kernel
+    monkeypatch.setattr(M, "act", lambda alpha: acted.update([alpha.src]) or act(alpha))
+    monkeypatch.setattr(Mat, "left_kernel", lambda self: kernels.append(self.shape) or left_kernel(self))
+    bases = annihilator_oracle(M, 1).bases
+    assert all(b.nrows == 0 for b in bases)
+    assert len(kernels) == sum(1 for d in M.dims[: len(bases)] if d)
+    assert len(cat.hom(4, 5)) == 1920 and acted == Counter({2: 1, 3: 1, 4: 1})
+    assert bases == _oracle_by_morphism(M, 1)
 
 
 def test_sd_commutation_probe():
