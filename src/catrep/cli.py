@@ -268,19 +268,24 @@ def _cmd_oracle(args, module, cfg) -> int:
             items.append(check_item(f"U^{n}", "inconclusive", "window empty"))
             status = max(status, EXIT_INCONCLUSIVE)
             continue
-        oracle = annihilator_oracle(module, n)
-        same = all(chain.bases[n][t] == oracle.bases[t] for t in range(valid + 1))
-        if same:
+        witness = _oracle_mismatch(module, chain, n)
+        if witness is None:
             items.append(check_item(f"U^{n}", "pass",
                                     f"chain equals annihilator oracle to degree {valid}"))
         else:
-            witness = next(t for t in range(valid + 1)
-                           if chain.bases[n][t] != oracle.bases[t])
             items.append(check_item(f"U^{n}", "violation",
                                     f"mismatch at degree {witness}"))
             status = EXIT_VIOLATION
     print(emit(make_report("oracle", {**cfg, "max_n": max_n}, items), args.format), end="")
     return status
+
+
+def _oracle_mismatch(module, chain, n):
+    """First degree up to chain.valid_horizons[n] where U^n differs from the
+    annihilator oracle, else None."""
+    oracle = annihilator_oracle(module, n)
+    return next((t for t in range(chain.valid_horizons[n] + 1)
+                 if chain.bases[n][t] != oracle.bases[t]), None)
 
 
 def _cmd_fuzz(args) -> int:
@@ -299,7 +304,7 @@ def _cmd_fuzz(args) -> int:
         elif status == "inconclusive" and worst == EXIT_OK:
             worst = EXIT_INCONCLUSIVE
     cfg = _config(cat, field, horizon, seed=args.seed, count=args.count)
-    print(emit(make_report("fuzz", cfg, items), "text" if args.format == "text" else "json"), end="")
+    print(emit(make_report("fuzz", cfg, items), args.format), end="")
     return worst
 
 
@@ -332,10 +337,9 @@ def _fuzz_one(cat, field, horizon, seed):
         for n in range(1, top_n + 1):
             if chain.valid_horizons[n] < 0:
                 continue
-            oracle = annihilator_oracle(module, n)
-            for t in range(chain.valid_horizons[n] + 1):
-                if chain.bases[n][t] != oracle.bases[t]:
-                    return "violation", f"oracle mismatch at n={n}, degree {t} (seed {seed})"
+            witness = _oracle_mismatch(module, chain, n)
+            if witness is not None:
+                return "violation", f"oracle mismatch at n={n}, degree {witness} (seed {seed})"
     else:
         notes.append("chain inconclusive")
     rng = random.Random(seed)

@@ -138,13 +138,14 @@ def _minimal_cover(Z: TruncatedModule, spans):
     summands = []
     pieces = [[] for _ in range(h + 1)]
     for t in range(h + 1):
-        free, Q = spans[t].quotient_projection()
+        span = spans[t].row_basis()
+        free, Q = span.quotient_projection()
         w = len(free)
         if not w:
             continue
         moved = {g: Z.gens[g].take_rows(free) for g in cat.end_generators(t)}
         W = end_representation(cat, field, t, w, {g: m @ Q for g, m in moved.items()})
-        S, c = _equivariant_lift(Z, t, free, W, moved)
+        S, c = _equivariant_lift(Z, t, span, free, W, moved)
         for g in cat.end_generators(t):
             if W.gens[g] @ S != S @ Z.gens[g]:
                 raise InvariantViolation(f"lift of H_0 at degree {t} is not equivariant under {g}")
@@ -158,22 +159,22 @@ def _minimal_cover(Z: TruncatedModule, spans):
     return P, ModuleMap(P, Z, mats)
 
 
-def _equivariant_lift(Z: TruncatedModule, t: int, free, W: TruncatedModule, moved):
+def _equivariant_lift(Z: TruncatedModule, t: int, span, free, W: TruncatedModule, moved):
     """(S, c): rows S lifting W_t into Z_t equivariantly, with S Q = c I.
 
+    span is the canonical basis of (mZ)_t and free its non-pivot columns.
     The complement rows C = unit rows at free already span a stable
     complement of (mZ)_t when no C act(g) (moved[g]) reaches a pivot
-    column; then S = C and c = 1.  Otherwise S is the unnormalised Reynolds
-    sum over C(t, t) of T(sigma) C, T(sigma) X = rho(sigma^-1) X act(sigma),
-    and c = |C(t, t)|.  It is taken along cat.coset_plan(t): X_i is the sum
-    of T(c_i) X_{i-1} over the i-th transversal, each term T(g) of its
-    parent's, so C(t, t) costs one product pair per transversal element
-    instead of one row block per end.
+    column of span; then S = C and c = 1.  Otherwise S is the unnormalised
+    Reynolds sum over C(t, t) of T(sigma) C, T(sigma) X = rho(sigma^-1) X
+    act(sigma), and c = |C(t, t)|.  It is taken along cat.coset_plan(t):
+    X_i is the sum of T(c_i) X_{i-1} over the i-th transversal, each term
+    T(g) of its parent's, so C(t, t) costs one product pair per transversal
+    element instead of one row block per end.
     """
     cat = Z.cat
-    pivots = np.setdiff1d(np.arange(Z.dims[t]), free)
     X = Mat.unit_rows(Z.field, free, Z.dims[t])
-    if all(m.take_cols(pivots).is_zero() for m in moved.values()):
+    if all(m.take_cols(span.pivots).is_zero() for m in moved.values()):
         return X, 1
     ends, inverse = cat.hom(t, t), cat.end_inverse(t)
     for level in cat.coset_plan(t):
@@ -293,9 +294,12 @@ class HomologyReport:
         return max((self.hd_within(i, w) - i for i in range(self.depth + 1)), default=-1)
 
 
-def tor_groups(V: TruncatedModule, depth: int, pad: bool = False,
-               resolution: Resolution | None = None) -> HomologyReport:
+def tor_groups(V: TruncatedModule, depth: int, resolution: Resolution | None = None) -> HomologyReport:
     """H_i(V) = Tor_i(C/m, V) for i <= depth from an explicit resolution.
+
+    The resolution is resolve(V, depth) unless one of V to at least that
+    depth is given (e.g. resolve(V, depth, pad=True)); any other is refused
+    with ValueError.
 
     Reducing P^i mod m keeps its top basis elements (P.top_indices(t): the
     ones of the summands generated in degree t), so a reduced differential
@@ -304,7 +308,10 @@ def tor_groups(V: TruncatedModule, depth: int, pad: bool = False,
     resolution every reduced differential must vanish (InvariantViolation
     otherwise), and H_i is the top part of P^i, dim W^i.
     """
-    res = resolution if resolution is not None else resolve(V, depth, pad=pad)
+    res = resolution if resolution is not None else resolve(V, depth)
+    if res.target is not V or not 0 <= depth <= res.depth:
+        raise ValueError(f"resolution of {res.target!r} to depth {res.depth} "
+                         f"cannot give Tor_{depth} of {V!r}")
     h = V.horizon
     dims = [[0] * (h + 1) for _ in range(depth + 1)]
     sel = [[step.free.top_indices(t) for t in range(h + 1)] for step in res.steps]

@@ -8,7 +8,10 @@ column scatter) share one body, and only products, elimination and division
 look at the field.  Subspaces are represented throughout the package as
 *row* spaces; the canonical basis of a row space is the reduced echelon
 form, over Q scaled to primitive integer rows with positive pivots, so equal
-subspaces compare bit-for-bit equal.
+subspaces compare bit-for-bit equal.  A canonical basis carries its pivot
+columns (Mat.pivots): row_basis and left_kernel set them, and an identity
+is born with them, so no caller passes, detects or recomputes pivots, and
+express_rows solves against a canonical basis only.
 
 An F_p product runs on float64 BLAS when its inner dimension k has
 k (p-1)^2 < 2^53: every partial sum is then an integer that float64 holds
@@ -19,8 +22,10 @@ Rational elimination is fraction-free: rows are cleared to integers up
 front, cross-multiplication updates keep them integral, and each update is
 reduced by its gcd.  One Gauss-Jordan routine serves int64 and
 Python-int arrays: it runs on int64 while entries stay below 2^30 and
-restarts on Python ints when they might not.  Fractions only appear where a
-contract demands unit pivots (rref) or rational solution entries.
+restarts on Python ints when they might not.  Q products clear denominators
+the same way, rows of the left factor and columns of the right one, multiply
+integers and divide back once.  Fractions only appear where a contract
+demands unit pivots (rref) or rational solution entries.
 """
 
 from __future__ import annotations
@@ -98,11 +103,13 @@ def _small_ints(arr):
 
 
 def _integral_rows(data):
-    """Each row of a Q array scaled by the lcm of its denominators (a fresh array)."""
+    """(rows, lcms): each row of a Q array scaled by the lcm of its
+    denominators (a fresh array), and those lcms."""
     if Fraction not in _types(data):
-        return data.copy()
+        return data.copy(), np.ones(len(data), dtype=object)
     den = _denominators(data)
-    return _numerators(data) * (np.lcm.reduce(den, axis=1)[:, None] // den)
+    lcms = np.lcm.reduce(den, axis=1)
+    return _numerators(data) * (lcms[:, None] // den), lcms
 
 
 def _gauss_jordan(work):
@@ -154,7 +161,7 @@ def _gauss_jordan(work):
 
 def _echelon_q(data):
     """Canonical echelon form of a Q array, on int64 whenever that is exact."""
-    work = _integral_rows(data)
+    work, _ = _integral_rows(data)
     if rational_bit_limit() >= 31:
         small = _small_ints(work)
         if small is not None:
@@ -228,30 +235,32 @@ def _int64_product(x, y, p):
     return (x @ y) % p
 
 
-def _q_product(a, b):
-    """a @ b over Q: int64 when exact, else object arrays.
+def _small_product(x, y):
+    """x @ y of int64 copies as an object array when every partial sum fits, else None."""
+    if x is None or y is None:
+        return None
+    if int(np.abs(x).max(initial=0)) * int(np.abs(y).max(initial=0)) * x.shape[1] >= 1 << 62:
+        return None
+    return (x @ y).astype(object)
 
-    Only products that carry Fractions take the Python loop; it skips zeros
-    on both sides, which the sparse Fraction matrices of express_rows need.
+
+def _q_product(a, b):
+    """a @ b over Q, on integers.
+
+    Integral operands multiply on their int64 copies when that is exact.
+    Otherwise the rows of a and the columns of b are cleared of
+    denominators (_integral_rows), the integer product runs on int64 when
+    exact and on Python ints when not, and each entry is divided back by
+    its row and column lcms.
     """
-    x, y = a._np_int(), b._np_int()
-    if x is not None and y is not None:
-        bound = int(np.abs(x).max(initial=0)) * int(np.abs(y).max(initial=0)) * a.ncols
-        if bound < 1 << 62:
-            return (x @ y).astype(object)
-    if Fraction not in _types(a.data) | _types(b.data):
-        return a.data @ b.data
-    nc = b.ncols
-    brows = [[(j, v) for j, v in enumerate(row) if v] for row in b.data.tolist()]
-    out = []
-    for arow in a.data.tolist():
-        acc = [0] * nc
-        for k, x in enumerate(arow):
-            if x:
-                for j, v in brows[k]:
-                    acc[j] += x * v
-        out.append([_qnorm(v) for v in acc])
-    return np.array(out, dtype=object).reshape(a.nrows, nc)
+    out = _small_product(a._np_int(), b._np_int())
+    if out is not None:
+        return out
+    (x, r), (yt, c) = _integral_rows(a.data), _integral_rows(b.data.T)
+    out = _small_product(_small_ints(x), _small_ints(yt.T))
+    if out is None:
+        out = x @ yt.T
+    return _qdiv_all(out, r[:, None] * c)
 
 
 class Mat:
@@ -264,18 +273,17 @@ class Mat:
     names its spans by ``field.kind``.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "data", "_unit_cols", "_npdata", "_basis_pivots",
-                 "_off_pivots")
+    __slots__ = ("field", "nrows", "ncols", "data", "pivots", "_unit_cols", "_npdata", "_off_pivots")
 
     def __init__(self, field, nrows, ncols, data):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self.data = data
+        self.pivots = None  # pivot columns, set only on a canonical row basis
         self._unit_cols = _UNSET  # lazily computed basis-map tag
         self._npdata = _UNSET  # lazily computed int64 copy (Q fast path)
-        self._basis_pivots = None  # pivots, when this is a canonical row basis
-        self._off_pivots = None  # (pivots, other columns, block of them) for _product_equals
+        self._off_pivots = None  # (columns outside the pivots, block of them) for _product_equals
 
     # -- constructors -------------------------------------------------
 
@@ -285,7 +293,10 @@ class Mat:
 
     @staticmethod
     def identity(field, n) -> "Mat":
-        return Mat(field, n, n, np.eye(n, dtype=_dtype(field)))  # p >= 2: already reduced
+        """The n x n identity, its own canonical row basis."""
+        m = Mat(field, n, n, np.eye(n, dtype=_dtype(field)))  # p >= 2: already reduced
+        m.pivots = tuple(range(n))
+        return m
 
     @staticmethod
     def unit_rows(field, cols, ncols) -> "Mat":
@@ -455,24 +466,21 @@ class Mat:
     def rank(self) -> int:
         return len(self.echelon()[1])
 
-    def row_basis_pivots(self):
-        """Canonical row-space basis together with its pivot columns.
+    def row_basis(self) -> "Mat":
+        """Canonical basis of the row space (see echelon), carrying its pivots.
 
-        The basis remembers its pivots, so asking a canonical basis (or a
-        matrix with no rows) for its own basis again runs no elimination.
+        A canonical basis, or a matrix with no rows, is its own basis, so
+        asking it again runs no elimination.
         """
-        if self._basis_pivots is not None:
-            return self, self._basis_pivots
+        if self.pivots is not None:
+            return self
         if not self.nrows:
-            return self, ()
+            self.pivots = ()
+            return self
         R, pivots = self.echelon()
         basis = R.take_rows(range(len(pivots)))
-        basis._basis_pivots = pivots
-        return basis, pivots
-
-    def row_basis(self) -> "Mat":
-        """Canonical basis of the row space (see echelon)."""
-        return self.row_basis_pivots()[0]
+        basis.pivots = pivots
+        return basis
 
     def left_kernel(self) -> "Mat":
         """Canonical row basis of {v : v @ self = 0}, from one echelon.
@@ -487,7 +495,7 @@ class Mat:
         n = self.nrows
         R, pivots = Mat(self.field, self.ncols, n, self.data.T[:, ::-1]).echelon()
         if len(pivots) == n:
-            return Mat.zeros(self.field, 0, n)
+            return Mat.zeros(self.field, 0, n).row_basis()
         free, K, _ = _null_rows(R.data, pivots, n)
         K = K[::-1, ::-1]
         if self.field.kind == "fp":
@@ -495,7 +503,7 @@ class Mat:
         else:
             K = K // np.gcd.reduce(np.abs(K), axis=1)[:, None]
         basis = Mat(self.field, len(free), n, K)
-        basis._basis_pivots = tuple(n - 1 - f for f in reversed(free))
+        basis.pivots = tuple(n - 1 - f for f in reversed(free))
         return basis
 
     def quotient_projection(self):
@@ -508,53 +516,37 @@ class Mat:
         rows.  It equals the last columns of [B; complement_rows(B)].inverse()
         for any basis B of U, from one echelon form and no inverse.
         """
-        R, pivots = self.row_basis_pivots()
-        free, K, m = _null_rows(R.data, pivots, self.ncols)
+        R = self.row_basis()
+        free, K, m = _null_rows(R.data, R.pivots, self.ncols)
         P = _divide(self.field, _canon(self.field, K.T), np.array([[m]], dtype=object))
         return free, Mat(self.field, self.ncols, len(free), P)
 
-    def express_rows(self, basis: "Mat", pivots=None) -> "Mat":
-        """Solve X @ basis = self; raises NotInSpan if any row is outside.
+    def express_rows(self, basis: "Mat") -> "Mat":
+        """Solve X @ basis = self against a canonical basis; raises NotInSpan
+        if any row is outside its span.
 
-        When the basis is a canonical echelon basis (the package invariant
-        for submodule bases) the solution reads off the pivot columns, and
-        the product X @ basis is checked against self on the other columns
-        (on the pivot columns, where the basis is diagonal, it holds by
-        construction); ``pivots`` can be supplied to skip redetection.
+        X is read off the basis's pivot columns, where the basis is
+        diagonal, and X @ basis is checked against self on the other
+        columns.  A basis that carries no pivots (see row_basis) is refused
+        with ValueError.
         """
         if self.ncols != basis.ncols or self.field != basis.field:
             raise ValueError("express_rows shape/field mismatch")
+        if basis.pivots is None:
+            raise ValueError("express_rows needs a canonical basis (Mat.row_basis)")
         if self.nrows == 0:
             return Mat.zeros(self.field, 0, basis.nrows)
-        if pivots is None:
-            pivots = _detect_echelon_pivots(basis)
-        if pivots is not None:
-            X = self._express_by_pivots(basis, pivots)
-            if not _product_equals(X, basis, self, pivots):
-                raise NotInSpan("row outside the span of the basis")
-            return X
-        return self._express_general(basis)
-
-    def _express_by_pivots(self, basis: "Mat", pivots) -> "Mat":
-        pivots = list(pivots)
+        pivots = list(basis.pivots)
         pv = basis.data[np.arange(basis.nrows), pivots]
-        X = _divide(self.field, self.data[:, pivots], pv[None, :])
-        return Mat(self.field, self.nrows, basis.nrows, X)
-
-    def _express_general(self, basis: "Mat") -> "Mat":
-        aug = Mat.hstack([basis.transpose(), self.transpose()])
-        R, pivots = aug.rref()
-        b = basis.nrows
-        if any(pc >= b for pc in pivots):
+        X = Mat(self.field, self.nrows, basis.nrows, _divide(self.field, self.data[:, pivots], pv[None, :]))
+        if not _product_equals(X, basis, self):
             raise NotInSpan("row outside the span of the basis")
-        X = np.zeros((self.nrows, b), dtype=R.data.dtype)
-        X[:, list(pivots)] = R.data[:len(pivots), b:].T
-        return Mat(self.field, self.nrows, b, X)
+        return X
 
     def complement_rows(self) -> "Mat":
         """Standard basis vectors completing the row space to the full space."""
-        pivots = self.row_basis_pivots()[1]
-        return Mat.identity(self.field, self.ncols).take_rows(_non_pivots(self.ncols, pivots))
+        free = _non_pivots(self.ncols, self.row_basis().pivots)
+        return Mat.identity(self.field, self.ncols).take_rows(free)
 
     def inverse(self) -> "Mat":
         if self.nrows != self.ncols:
@@ -589,30 +581,16 @@ def _null_rows(R, pivots, n):
     return free, K, m
 
 
-def _detect_echelon_pivots(basis: Mat):
-    """Pivot columns when basis rows are in clean echelon form, else None."""
-    if basis.nrows == 0:
-        return ()
-    nz = basis.data != 0
-    if not nz.any(axis=1).all():
-        return None
-    pivots = nz.argmax(axis=1)
-    # strictly increasing leading columns, each the only nonzero in its column
-    if (np.diff(pivots) <= 0).any() or (nz[:, pivots].sum(axis=0) != 1).any():
-        return None
-    return tuple(pivots.tolist())
-
-
-def _product_equals(X: Mat, B: Mat, M: Mat, pivots) -> bool:
-    """X @ B == M on the columns of B outside its pivots.
+def _product_equals(X: Mat, B: Mat, M: Mat) -> bool:
+    """X @ B == M on the columns of the canonical basis B outside its pivots.
 
     The block of those columns is kept on B: callers check many row blocks
     against one basis, and the block keeps its int64 copy across them.
     """
-    if B._off_pivots is None or B._off_pivots[0] != pivots:
-        other = _non_pivots(B.ncols, pivots)
-        B._off_pivots = (pivots, other, Mat(B.field, B.nrows, len(other), B.data.take(other, axis=1)))
-    _, other, B_other = B._off_pivots
+    if B._off_pivots is None:
+        other = _non_pivots(B.ncols, B.pivots)
+        B._off_pivots = (other, Mat(B.field, B.nrows, len(other), B.data.take(other, axis=1)))
+    other, B_other = B._off_pivots
     if not other:
         return True
     return bool(np.array_equal((X @ B_other).data, M.data.take(other, axis=1)))

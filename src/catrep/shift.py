@@ -224,7 +224,7 @@ def annihilator_oracle(V: TruncatedModule, n: int) -> OracleResult:
     valid = h - n
     bases = []
     for s in range(valid + 1):
-        J = Mat.identity(V.field, V.dims[s]).row_basis()
+        J = Mat.identity(V.field, V.dims[s])  # a canonical basis already
         # one left kernel per chunk of the morphisms s -> t into one target
         # degree t: of their side-by-side actions, restricted to the current
         # joint kernel J.  The first chunk has just enough columns to empty

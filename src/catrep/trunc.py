@@ -230,7 +230,7 @@ def _spread(positions, K):
 class ModuleMap:
     """A degreewise linear map commuting with all stored category actions."""
 
-    def __init__(self, domain, codomain, mats, check: bool = False):
+    def __init__(self, domain, codomain, mats):
         self.domain = domain
         self.codomain = codomain
         self.mats = list(mats)
@@ -240,10 +240,6 @@ class ModuleMap:
         for t, m in enumerate(self.mats):
             if m.shape != (domain.dims[t], codomain.dims[t]):
                 raise ValueError(f"map shape mismatch at degree {t}")
-        if check:
-            bad = self.commutation_defect()
-            if bad is not None:
-                raise ValueError(f"map does not commute with the action: {bad}")
 
     @property
     def horizon(self) -> int:
@@ -295,32 +291,30 @@ def end_closure(V: TruncatedModule, t: int, rows: Mat) -> Mat:
     frontier and the previous basis span the new space, and the previous
     space's images already lie in it.
     """
-    current, pivots = rows.row_basis_pivots()
-    frontier = current
+    current = frontier = rows.row_basis()
     gens = [V.gens[e] for e in V.cat.end_generators(t)]
     while gens and frontier.nrows:
-        bigger, bigger_pivots = Mat.vstack([current] + [frontier @ g for g in gens]).row_basis_pivots()
-        old = set(pivots)
-        frontier = bigger.take_rows([i for i, c in enumerate(bigger_pivots) if c not in old])
-        current, pivots = bigger, bigger_pivots
+        bigger = Mat.vstack([current] + [frontier @ g for g in gens]).row_basis()
+        old = set(current.pivots)
+        frontier = bigger.take_rows([i for i, c in enumerate(bigger.pivots) if c not in old])
+        current = bigger
     return current
 
 
 def submodule_from_rows(V: TruncatedModule, rows_per_degree, horizon=None):
     """Module structure on an action-stable family of row spaces of V.
 
-    rows_per_degree[t] must be a canonical row basis; raises if the family is
-    not stable under the stored generators.  Returns (U, inclusion).
+    U_t is coordinatised by the canonical basis of rows_per_degree[t]
+    (Mat.row_basis, which a canonical basis returns as it is); raises if
+    the family is not stable under the stored generators.  Returns
+    (U, inclusion).
     """
     h = V.horizon if horizon is None else horizon
-    pairs = [rows_per_degree[t].row_basis_pivots() for t in range(h + 1)]
-    bases = [p[0] for p in pairs]
-    pivots = [p[1] for p in pairs]
+    bases = [rows_per_degree[t].row_basis() for t in range(h + 1)]
     dims = [b.nrows for b in bases]
     gens = {}
     for g in V.cat.generators(h):
-        pushed = bases[g.src] @ V.gens[g]
-        gens[g] = pushed.express_rows(bases[g.dst], pivots=pivots[g.dst])
+        gens[g] = (bases[g.src] @ V.gens[g]).express_rows(bases[g.dst])
     U = TruncatedModule(V.cat, V.field, h, dims, gens)
     incl = ModuleMap(U, truncate(V, h), bases)
     return U, incl
@@ -409,7 +403,8 @@ def generating_degree(V: TruncatedModule) -> int:
 
 
 def module_closure_of_rows(V: TruncatedModule, seed_rows_per_degree):
-    """Smallest action-stable row-space family containing the seeds."""
+    """Smallest action-stable row-space family containing the seeds, given
+    as a dict {degree: rows} that leaves out degrees without seed rows."""
     h = V.horizon
     out = []
     for t in range(h + 1):
@@ -417,7 +412,7 @@ def module_closure_of_rows(V: TruncatedModule, seed_rows_per_degree):
         if t > 0 and out[t - 1].nrows:
             for g in V.cat.step_generators(t - 1):
                 pieces.append(out[t - 1] @ V.gens[g])
-        seed = seed_rows_per_degree.get(t) if isinstance(seed_rows_per_degree, dict) else seed_rows_per_degree[t]
+        seed = seed_rows_per_degree.get(t)
         if seed is not None and seed.nrows:
             pieces.append(seed)
         if pieces:

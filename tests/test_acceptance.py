@@ -13,7 +13,7 @@ import pytest
 from catrep.category import Morphism, make_category
 from catrep.corpus import profile_for, sample_presentation
 from catrep.fields import parse_field
-from catrep.homology import hilbert_fit, tor_groups, verify_theorems
+from catrep.homology import hilbert_fit, resolve, tor_groups, verify_theorems
 from catrep.presentations import Presentation, Relation, from_presentation
 from catrep.shift import annihilator_oracle, derive, sd_commutation_probe, shift_module, sin_reg, un_chain
 from catrep.trunc import free_module, generating_degree, truncate
@@ -314,8 +314,8 @@ def test_criterion_10_resolution_independence(corpus):
     agreed = 0
     for seed, _, module in picks:
         small = truncate(module, 5)
-        a = tor_groups(small, 2, pad=False)
-        b = tor_groups(small, 2, pad=True)
+        a = tor_groups(small, 2)
+        b = tor_groups(small, 2, resolution=resolve(small, 2, pad=True))
         assert a.dims == b.dims, seed
         agreed += 1
     _report(10, "resolution independence", agreed == 10,

@@ -177,6 +177,26 @@ def test_oracle_takes_one_left_kernel_per_target_degree(files, capsys, monkeypat
     assert targets and 0 < len(kernels) <= sum(targets)
 
 
+def test_oracle_and_fuzz_name_the_first_mismatching_degree(files, capsys, monkeypatch):
+    # an oracle that is wrong from degree 2 up: a basis never holds a zero row
+    oracle = shift.annihilator_oracle
+
+    def wrong_from_2(V, n):
+        out = oracle(V, n)
+        return replace(out, bases=out.bases[:2] + [Mat.zeros(V.field, 1, V.dims[t])
+                                                    for t in range(2, len(out.bases))])
+
+    monkeypatch.setattr(cli, "annihilator_oracle", wrong_from_2)
+    code, out, _ = run(capsys, "oracle", files["torsion"])
+    lines = [line for line in out.splitlines() if line.startswith("U^")]
+    assert code == 3 and lines and all(line.endswith("[VIOLATION]  mismatch at degree 2") for line in lines)
+    code, out, _ = run(capsys, "--format", "json", "--cat", "oi", "--field", "fp:101",
+                       "--horizon", "5", "fuzz", "--seed", "3", "--count", "1")
+    item = json.loads(out)["items"][0]  # seed 3 stabilizes, so the oracle runs
+    assert (item["status"], item["detail"], code) == (
+        "violation", "oracle mismatch at n=1, degree 2 (seed 3)", 3)
+
+
 def test_json_byte_stable(files, capsys):
     code, out1, _ = run(capsys, "--format", "json", "homology", files["torsion"])
     code2, out2, _ = run(capsys, "--format", "json", "homology", files["torsion"])

@@ -85,14 +85,19 @@ def test_kernel_basis_f2_brute_force():
 
 
 def test_membership_examples():
-    # solve x @ A = b for a row b, raising NotInSpan when b is outside
+    # solve x @ A = b for a row b and a canonical basis A, raising NotInSpan
+    # when b is outside
     b = Mat.from_rows(QQ, [[5, 7]])
     x = b.express_rows(Mat.identity(QQ, 2))
     assert x == b
     with pytest.raises(NotInSpan):
-        b.express_rows(Mat.zeros(QQ, 2, 2))
-    x = Mat.from_rows(QQ, [[3]]).express_rows(Mat.from_rows(QQ, [[2]]))
-    assert x.entry(0, 0) == Fraction(3, 2)
+        b.express_rows(Mat.zeros(QQ, 2, 2).row_basis())
+    # a Fraction solution comes out exact: the canonical Q basis keeps its
+    # primitive integer row, so the coefficient is 3 / 2
+    basis = Mat.from_rows(QQ, [[2, 1]]).row_basis()
+    assert basis.rows() == [[2, 1]] and basis.pivots == (0,)
+    x = Mat.from_rows(QQ, [[3, Fraction(3, 2)]]).express_rows(basis)
+    assert x.rows() == [[Fraction(3, 2)]]
 
 
 def test_complement_basis_examples():
@@ -145,15 +150,19 @@ def test_complement_completes(A):
     assert A.take_cols([]).ncols == 0
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_matrix(fields=(QQ,)))
-def test_q_matmul_matches_naive(A):
-    B = Mat.identity(QQ, A.ncols).scale(3) - Mat.identity(QQ, A.ncols)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_q_matmul_matches_naive(data):
+    # every Q product tier: int64, Python ints, and Fractions cleared of
+    # denominators per row and column
+    A = data.draw(exact_matrix(QQ))
+    B = data.draw(exact_matrix(QQ, rows=A.ncols))
     prod = A @ B
     for i in range(A.nrows):
-        for j in range(A.ncols):
+        for j in range(B.ncols):
             acc = sum(A.entry(i, k) * B.entry(k, j) for k in range(A.ncols))
             assert prod.entry(i, j) == acc
+    assert_storage(prod)
 
 
 @settings(max_examples=50, deadline=None)
@@ -169,7 +178,7 @@ def test_row_basis_canonical(A):
 
 
 def test_express_rows_detects_outside():
-    basis = Mat.from_rows(QQ, [[1, 0, 0]])
+    basis = Mat.from_rows(QQ, [[1, 0, 0]]).row_basis()
     with pytest.raises(NotInSpan):
         Mat.from_rows(QQ, [[0, 1, 0]]).express_rows(basis)
     X = Mat.from_rows(QQ, [[5, 0, 0]]).express_rows(basis)
@@ -255,7 +264,7 @@ def test_storage_form(data):
     ]
     if X is not None:
         M = X @ basis
-        results += [M, M.express_rows(basis), M.express_rows(Mat.vstack([basis, basis]))]
+        results += [M, M.express_rows(basis)]
     if A.nrows == A.ncols and A.rank() == A.nrows:
         results.append(A.inverse())
     # each Q product path once for sure: int64, Python ints, Fractions whose
@@ -312,10 +321,6 @@ def test_kernels_match_sympy(data):
         X = data.draw(exact_matrix(field, cols=basis.nrows))
         M = _from_domain(field, _to_domain(X) * _to_domain(basis))
         assert M.express_rows(basis) == X
-        G = data.draw(exact_matrix(field, rows=basis.nrows, cols=basis.nrows))
-        if _to_domain(G).rank() == basis.nrows:
-            Y = M.express_rows(G @ basis)  # not echelon: the general path
-            assert _to_domain(Y) * _to_domain(G) * _to_domain(basis) == _to_domain(M)
     if A.nrows == A.ncols:
         if dA.rank() == A.nrows:
             assert A.inverse() == _from_domain(field, dA.inv())
@@ -331,7 +336,7 @@ def _left_kernel_two_echelons(A):
     R, pivots = A.transpose().echelon()
     n = A.nrows
     if len(pivots) == n:
-        return Mat.zeros(A.field, 0, n)
+        return Mat.zeros(A.field, 0, n).row_basis()
     free, K, _ = matrices._null_rows(R.data, pivots, n)
     return Mat(A.field, len(free), n, matrices._canon(A.field, K)).row_basis()
 
@@ -354,7 +359,7 @@ def test_left_kernel_matches_the_two_echelon_reference(data):
     assert K.data.dtype == ref.data.dtype
     assert K == ref
     assert [type(x) for x in K.data.flat] == [type(x) for x in ref.data.flat]
-    assert K.row_basis_pivots()[1] == ref.row_basis_pivots()[1]
+    assert K.pivots == ref.pivots
     assert (K @ A).is_zero()
     assert_storage(K)
 
@@ -373,23 +378,44 @@ def test_left_kernel_runs_one_echelon(monkeypatch):
         calls.clear()
         K = A.left_kernel()
         assert calls == [(3, 4)] and K.nrows == 2
-        # the kernel is a canonical basis already and knows its pivots
-        basis, pivots = K.row_basis_pivots()
-        assert calls == [(3, 4)] and basis is K
-        assert pivots == _left_kernel_two_echelons(A).row_basis_pivots()[1]
+        # the kernel is a canonical basis already and carries its pivots
+        assert K.row_basis() is K and calls == [(3, 4)]
+        assert K.pivots == _left_kernel_two_echelons(A).pivots
 
 
-# -- express_rows checks the product on the non-pivot columns only ----
+def test_identity_is_its_own_row_basis(monkeypatch):
+    calls = []
+    original = Mat.echelon
+    monkeypatch.setattr(Mat, "echelon", lambda self: calls.append(self.shape) or original(self))
+    for field in (F2, F101, QQ):
+        I4 = Mat.identity(field, 4)
+        assert I4.row_basis() is I4 and I4.pivots == (0, 1, 2, 3)
+        assert I4.complement_rows().nrows == 0
+        row = Mat.from_rows(field, [[1, 0, 1, 1]])
+        assert row.express_rows(I4) == row
+    assert calls == []
+
+
+# -- express_rows solves against canonical bases only, and checks the ---
+# -- product on the non-pivot columns ----------------------------------
 
 @pytest.mark.parametrize("field", [F2, F101, QQ], ids=lambda f: f.name)
 def test_express_rows_checks_every_non_pivot_column(field):
-    basis = Mat.from_rows(field, [[1, 1, 0, 0], [0, 0, 1, 1]])  # pivots (0, 2)
-    assert Mat.from_rows(field, [[1, 1, 1, 1]]).express_rows(basis) == Mat.from_rows(field, [[1, 1]])
+    rows = Mat.from_rows(field, [[1, 1, 1, 1], [0, 0, 1, 1]])
+    basis = rows.row_basis()
+    assert basis.rows() == [[1, 1, 0, 0], [0, 0, 1, 1]] and basis.pivots == (0, 2)
+    inside = Mat.from_rows(field, [[1, 1, 1, 1]])
+    assert inside.express_rows(basis) == Mat.from_rows(field, [[1, 1]])
     # each row agrees with a span element on the pivot columns and differs in one other column
     for bad in ([1, 0, 1, 1], [1, 1, 1, 0]):
-        for pivots in (None, (0, 2)):
-            with pytest.raises(NotInSpan):
-                Mat.from_rows(field, [bad]).express_rows(basis, pivots=pivots)
+        with pytest.raises(NotInSpan):
+            Mat.from_rows(field, [bad]).express_rows(basis)
+    # a basis that is not canonical, or canonical rows not made by
+    # row_basis, carries no pivots and is refused
+    for other in (rows, Mat.from_rows(field, basis.rows(), 4)):
+        for M in (inside, Mat.zeros(field, 0, 4)):
+            with pytest.raises(ValueError, match="canonical basis"):
+                M.express_rows(other)
 
 
 @settings(max_examples=150, deadline=None)
@@ -397,18 +423,27 @@ def test_express_rows_checks_every_non_pivot_column(field):
 def test_reduced_product_check_agrees_with_the_full_product(data):
     A = data.draw(exact_matrix())
     field = A.field
-    basis, pivots = A.row_basis_pivots()
+    basis = A.row_basis()
     X = data.draw(exact_matrix(field, cols=basis.nrows))
     M = X @ basis
-    assert matrices._product_equals(X, basis, M, pivots)
+    assert matrices._product_equals(X, basis, M)
     if data.draw(st.booleans()):  # move one entry, perhaps off the span
         i, j = data.draw(st.integers(0, M.nrows - 1)), data.draw(st.integers(0, M.ncols - 1))
         bump = [[0] * M.ncols for _ in range(M.nrows)]
         bump[i][j] = data.draw(st.integers(1, 3))
         M = M + Mat.from_rows(field, bump, M.ncols)
-    # a second check against the same basis reads the block kept on it
-    Y = M._express_by_pivots(basis, pivots)
-    assert matrices._product_equals(Y, basis, M, pivots) == ((Y @ basis) == M)
+    # the solution read off the pivot columns, as express_rows reads it; a
+    # second check against the same basis reads the block kept on it
+    pivots = list(basis.pivots)
+    pv = basis.data[np.arange(basis.nrows), pivots]
+    Y = Mat(field, M.nrows, basis.nrows, matrices._divide(field, M.data[:, pivots], pv[None, :]))
+    holds = (Y @ basis) == M
+    assert matrices._product_equals(Y, basis, M) == holds
+    if holds:
+        assert M.express_rows(basis) == Y
+    else:
+        with pytest.raises(NotInSpan):
+            M.express_rows(basis)
 
 
 def _independent_rows(S):

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from catrep import homology, trunc
 from catrep.category import Morphism, make_category
 from catrep.corpus import sample_presentation
@@ -122,9 +124,22 @@ def test_tor_resolution_independence():
             pres = sample_presentation(cat, F101, seed)
             mods.append(from_presentation(cat, F101, pres, 5)[0])
     for V in mods:
-        a = tor_groups(V, 2, pad=False)
-        b = tor_groups(V, 2, pad=True)
+        a = tor_groups(V, 2)
+        b = tor_groups(V, 2, resolution=resolve(V, 2, pad=True))
         assert a.dims == b.dims
+
+
+def test_tor_refuses_a_resolution_of_another_module_or_too_short():
+    V, W = oi_torsion(), free_module(OI, F101, 1, 6)
+    res = resolve(V, 1)
+    with pytest.raises(ValueError, match="cannot give Tor_1"):
+        tor_groups(W, 1, resolution=res)
+    with pytest.raises(ValueError, match="cannot give Tor_2"):
+        tor_groups(V, 2, resolution=res)
+    with pytest.raises(ValueError, match="cannot give Tor_-1"):
+        tor_groups(V, -1, resolution=res)
+    assert tor_groups(V, 1, resolution=res).dims == tor_groups(V, 1).dims
+    assert tor_groups(V, 0, resolution=res).dims == tor_groups(V, 0).dims
 
 
 def test_minimal_generators_pad():
