@@ -42,8 +42,8 @@ class FiniteGroup:
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         self.spec = spec
-        self._validate()
-        self.inverse = tuple(self._find_inverse(a) for a in range(self.order))
+        # the inverse of a is the b with a b = 0: the first zero of row a
+        self.inverse = tuple(np.argmax(self._validate() == 0, axis=1).tolist())
         self.generators = self._generating_set()
 
     @staticmethod
@@ -60,31 +60,28 @@ class FiniteGroup:
         group._check_associative()
         return group
 
-    def _validate(self):
+    def _validate(self) -> np.ndarray:
+        """Check the shape, the identity and inverses; the table as an array."""
         n = self.order
         for row in self.table:
             if len(row) != n or any(not (0 <= x < n) for x in row):
                 raise ValueError("malformed multiplication table")
-        for a in range(n):
-            if self.table[a][0] != a or self.table[0][a] != a:
-                raise ValueError("element 0 is not an identity")
-        for a in range(n):
-            if all(self.table[a][b] != 0 for b in range(n)):
-                raise ValueError(f"element {a} has no inverse")
+        T = np.array(self.table, dtype=np.intp).reshape(n, n)
+        elements = np.arange(n)
+        if not n or not (np.array_equal(T[:, 0], elements) and np.array_equal(T[0], elements)):
+            raise ValueError("element 0 is not an identity")
+        no_inverse = np.flatnonzero(~(T == 0).any(axis=1))
+        if len(no_inverse):
+            raise ValueError(f"element {no_inverse[0]} has no inverse")
+        return T
 
     def _check_associative(self):
-        n = self.order
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        raise ValueError("multiplication table is not associative")
-
-    def _find_inverse(self, a: int) -> int:
-        for b in range(self.order):
-            if self.table[a][b] == 0:
-                return b
-        raise AssertionError
+        # the narrowest dtype that holds every element: the scan is bound by memory
+        T = np.array(self.table, dtype=np.min_scalar_type(self.order))
+        for a in range(self.order):
+            # (a b) c against a (b c), for every b and c at once
+            if not np.array_equal(T[T[a]], T[a][T]):
+                raise ValueError("multiplication table is not associative")
 
     def _generating_set(self):
         """A single generator when one exists, else a greedy set: each

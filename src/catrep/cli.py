@@ -134,7 +134,7 @@ def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "fuzz":
         return _cmd_fuzz(args)
-    (cat, field, horizon, module, proj), pres = _load(args)
+    (cat, field, horizon, module), pres = _load(args)
     cfg = _config(cat, field, horizon, file=args.file)
     if cmd == "info":
         return _cmd_info(args, cat, field, horizon, module, pres, cfg)

@@ -12,12 +12,12 @@ routes:
   is already stable, else a Reynolds sum taken along a chain of subgroups
   of C(t, t), so no step enumerates an end monoid.  Its reduced
   differentials vanish, so Tor_i is dim W^i, and the vanishing is checked.
-* free, otherwise (modular fields, and pad=True): one representable M(t)
-  per greedy end-orbit generator (minimal_generators, _cover).  Tor is then
-  computed by reducing the realized differentials modulo the ideal of
+* free, otherwise (modular fields): one representable M(t) per greedy
+  end-orbit generator (minimal_generators, _cover).  Tor is then computed
+  by reducing the realized differentials modulo the ideal of
   positive-degree morphisms, which stays correct for non-minimal (padded)
-  resolutions and over any field; the resolution-independence tests compare
-  it with the minimal route.
+  resolutions and over any field; the tests compare it with the minimal
+  route, and pad its generators to check resolution independence.
 
 Cover maps are read through the category's index tables.  Both routes walk
 the orbit representatives of C(s, t)/C(s, s) up from a generator degree s
@@ -62,14 +62,13 @@ from .trunc import (
 from .shift import derive, shift_module
 
 
-def minimal_generators(V: TruncatedModule, pad: bool = False, spans=None):
+def minimal_generators(V: TruncatedModule, spans=None):
     """Greedy module generators: (degree, row) pairs whose orbits fill V.
 
     Each pick extends the span by the full end-orbit of one complement
     vector, so the generator count per degree can exceed dim H_0 only when
     the end algebra acts with non-cyclic quotients; gd is matched exactly
-    either way.  pad=True appends one redundant generator for the
-    resolution-independence oracle.  spans, if given, must be m_span(V).
+    either way.  spans, if given, must be m_span(V).
     """
     spans = m_span(V) if spans is None else spans
     gens = []
@@ -80,9 +79,6 @@ def minimal_generators(V: TruncatedModule, pad: bool = False, spans=None):
             v = W.complement_rows().row(0)
             gens.append((t, v))
             W = end_closure(V, t, Mat.vstack([W, Mat.from_rows(V.field, [v], d)]))
-    if pad and gens:
-        t0, v0 = gens[0]
-        gens.append((t0, v0))
     return gens
 
 
@@ -219,21 +215,13 @@ class ResolutionStep:
     diff: ModuleMap  # P^i -> Z^i (abstract syzygy coordinates)
     syzygy: TruncatedModule  # Z^{i+1}
     syzygy_incl: ModuleMap  # Z^{i+1} -> P^i
-    gd_free: int
-    gd_syzygy_target: int
 
 
 @dataclass
 class Resolution:
     """An adaptable degreewise projective resolution built to the requested depth."""
 
-    target: TruncatedModule
     steps: list
-    depth: int
-
-    @property
-    def horizon(self) -> int:
-        return self.target.horizon
 
     @property
     def minimal(self) -> bool:
@@ -241,19 +229,18 @@ class Resolution:
         return all(isinstance(step.free, ProjectiveModule) for step in self.steps)
 
 
-def resolve(V: TruncatedModule, depth: int, pad: bool = False) -> Resolution:
+def resolve(V: TruncatedModule, depth: int) -> Resolution:
     """Resolve V by projectives generated at its minimal generator degrees.
 
     The minimal route (sum_t M(W_t), _minimal_cover) runs when the end
-    algebras are semisimple (_semisimple_ends) and pad is False; otherwise
-    the free route covers each syzygy by one M(t) per greedy generator,
-    and pad=True adds a redundant generator to P^0.  Every step checks
+    algebras are semisimple (_semisimple_ends); otherwise the free route
+    covers each syzygy by one M(t) per greedy generator.  Every step checks
     surjectivity of the cover and the adaptability equality
     gd(P^i) = gd(Z^i), and raises InvariantViolation when one fails.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    minimal = not pad and _semisimple_ends(V)
+    minimal = _semisimple_ends(V)
     steps = []
     Z = V
     for i in range(depth + 1):
@@ -261,7 +248,7 @@ def resolve(V: TruncatedModule, depth: int, pad: bool = False) -> Resolution:
         if minimal:
             P, diff = _minimal_cover(Z, spans)
         else:
-            P, diff = _cover(Z, minimal_generators(Z, pad=(pad and i == 0), spans=spans))
+            P, diff = _cover(Z, minimal_generators(Z, spans=spans))
         gd_z = top_degree(h0_dims(Z, spans))
         gd_p = max(P.gen_degrees, default=-1)
         if gd_p != gd_z:
@@ -270,9 +257,9 @@ def resolve(V: TruncatedModule, depth: int, pad: bool = False) -> Resolution:
         for t in range(Z.horizon + 1):
             if P.dims[t] - syz.dims[t] != Z.dims[t]:
                 raise InvariantViolation(f"cover not surjective at step {i}, degree {t}")
-        steps.append(ResolutionStep(P, P.gen_degrees, diff, syz, syz_incl, gd_p, gd_z))
+        steps.append(ResolutionStep(P, P.gen_degrees, diff, syz, syz_incl))
         Z = syz
-    return Resolution(V, steps, depth)
+    return Resolution(steps)
 
 
 @dataclass
@@ -294,12 +281,8 @@ class HomologyReport:
         return max((self.hd_within(i, w) - i for i in range(self.depth + 1)), default=-1)
 
 
-def tor_groups(V: TruncatedModule, depth: int, resolution: Resolution | None = None) -> HomologyReport:
-    """H_i(V) = Tor_i(C/m, V) for i <= depth from an explicit resolution.
-
-    The resolution is resolve(V, depth) unless one of V to at least that
-    depth is given (e.g. resolve(V, depth, pad=True)); any other is refused
-    with ValueError.
+def tor_groups(V: TruncatedModule, depth: int) -> HomologyReport:
+    """H_i(V) = Tor_i(C/m, V) for i <= depth from the resolution resolve(V, depth).
 
     Reducing P^i mod m keeps its top basis elements (P.top_indices(t): the
     ones of the summands generated in degree t), so a reduced differential
@@ -308,10 +291,7 @@ def tor_groups(V: TruncatedModule, depth: int, resolution: Resolution | None = N
     resolution every reduced differential must vanish (InvariantViolation
     otherwise), and H_i is the top part of P^i, dim W^i.
     """
-    res = resolution if resolution is not None else resolve(V, depth)
-    if res.target is not V or not 0 <= depth <= res.depth:
-        raise ValueError(f"resolution of {res.target!r} to depth {res.depth} "
-                         f"cannot give Tor_{depth} of {V!r}")
+    res = resolve(V, depth)
     h = V.horizon
     dims = [[0] * (h + 1) for _ in range(depth + 1)]
     sel = [[step.free.top_indices(t) for t in range(h + 1)] for step in res.steps]

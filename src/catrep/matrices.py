@@ -545,8 +545,7 @@ class Mat:
 
     def complement_rows(self) -> "Mat":
         """Standard basis vectors completing the row space to the full space."""
-        free = _non_pivots(self.ncols, self.row_basis().pivots)
-        return Mat.identity(self.field, self.ncols).take_rows(free)
+        return Mat.unit_rows(self.field, _non_pivots(self.ncols, self.row_basis().pivots), self.ncols)
 
     def inverse(self) -> "Mat":
         if self.nrows != self.ncols:

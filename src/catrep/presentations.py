@@ -314,7 +314,7 @@ def load_presentation(path: str):
 
 
 def build_module(header: dict, pres: Presentation, cat=None, field=None, horizon=None):
-    """Instantiate (cat, field, horizon, module, projection) from file + overrides."""
+    """Instantiate (cat, field, horizon, module) from file + overrides."""
     if cat is None:
         kind = header.get("category")
         if kind is None:
@@ -333,5 +333,5 @@ def build_module(header: dict, pres: Presentation, cat=None, field=None, horizon
     if horizon < 0:
         raise PresentationError(f"horizon must be >= 0, got {horizon}")
     pres = resolve_coefficients(pres, field)
-    module, proj = from_presentation(cat, field, pres, horizon)
-    return cat, field, horizon, module, proj
+    module, _ = from_presentation(cat, field, pres, horizon)
+    return cat, field, horizon, module

@@ -70,8 +70,6 @@ class KeySequence:
     SV: TruncatedModule
     DV: TruncatedModule
     mu: ModuleMap
-    incl: ModuleMap
-    proj: ModuleMap
 
     def euler_defects(self):
         """Per-degree alternating dim sums; all zero iff exact."""
@@ -87,9 +85,9 @@ def derive(V: TruncatedModule) -> KeySequence:
     """Compute the key sequence of V; KV and DV live at horizon h-1."""
     SV = shift_module(V)
     mu = mu_map(V, SV)
-    KV, incl = kernel_of_map(mu)
-    DV, proj = quotient_by(SV, mu.mats)
-    seq = KeySequence(V, KV, SV, DV, mu, incl, proj)
+    KV, _ = kernel_of_map(mu)
+    DV, _ = quotient_by(SV, mu.mats)
+    seq = KeySequence(V, KV, SV, DV, mu)
     defects = seq.euler_defects()
     if any(defects):
         raise InvariantViolation(f"key sequence inexact: defects {defects}")
@@ -123,16 +121,14 @@ def _preimage_rows(A: Mat, target_rows: Mat) -> Mat:
     return (A @ P).left_kernel()
 
 
-def un_chain(V: TruncatedModule, max_steps: int,
-             stop_at_stabilization: bool = True) -> ChainState:
+def un_chain(V: TruncatedModule, max_steps: int) -> ChainState:
     """Build the U^n chain by mu-preimages; honest about horizon loss.
 
     (U^{n+1})_s = { v in V_s : mu_V(v) in (S U^n)_s }, so step n is valid
     only up to horizon - n.  Stabilization is declared when consecutive
     steps agree on the overlap window and that window still sees degree
-    gd(V) + 1; otherwise the state reports horizon_exhausted.  With
-    stop_at_stabilization=False the chain keeps building to max_steps
-    (or until the window closes), which the oracle comparison uses.
+    gd(V) + 1, and the chain stops there; otherwise it builds to max_steps
+    (or until the window closes) and reports horizon_exhausted.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -152,24 +148,19 @@ def un_chain(V: TruncatedModule, max_steps: int,
         state.bases.append(rows)
         state.valid_horizons.append(valid)
         same = all(rows[t] == prev[t] for t in range(valid + 1))
-        if same and valid >= state.gd + 1 and state.stabilized_at is None:
+        if same and valid >= state.gd + 1:
             state.stabilized_at = n - 1
             state.status = "stabilized"
-            if stop_at_stabilization:
-                break
+            break
     return state
 
 
 @dataclass
 class SinRegResult:
-    """Singular part, regular part, and the degreewise K(V_reg) = 0 evidence."""
+    """Singular and regular part, both valid to valid_to."""
 
-    chain: ChainState
     sin: TruncatedModule
-    sin_incl: ModuleMap
     reg: TruncatedModule
-    reg_proj: ModuleMap
-    k_reg_dims: list
     valid_to: int
 
 
@@ -186,25 +177,20 @@ def sin_reg(chain: ChainState) -> SinRegResult:
     valid = V.horizon - n
     Vh = truncate(V, valid)
     rows = chain.bases[n][: valid + 1]
-    sin, incl = submodule_from_rows(Vh, rows)
-    reg, proj = quotient_by(Vh, rows)
-    if reg.horizon >= 0:
-        kreg, _ = kernel_of_map(mu_map(reg))
-        k_dims = list(kreg.dims)
-    else:
-        k_dims = []
+    sin, _ = submodule_from_rows(Vh, rows)
+    reg, _ = quotient_by(Vh, rows)
+    k_dims = kernel_of_map(mu_map(reg))[0].dims if reg.horizon >= 0 else []
     if any(k_dims):
         raise InvariantViolation(
             f"K(V_reg) != 0: dims {k_dims} (singular-regular decomposition failed)"
         )
-    return SinRegResult(chain, sin, incl, reg, proj, k_dims, valid)
+    return SinRegResult(sin, reg, valid)
 
 
 @dataclass
 class OracleResult:
     """Degreewise joint-kernel submodule from the closed-form U^n description."""
 
-    n: int
     bases: list
     valid_to: int
 
@@ -244,7 +230,7 @@ def annihilator_oracle(V: TruncatedModule, n: int) -> OracleResult:
             if J.nrows == 0:  # before groupby skips the rest of this group
                 break
         bases.append(J)
-    return OracleResult(n, bases, valid)
+    return OracleResult(bases, valid)
 
 
 # entries of J @ chunk that pay for one left kernel of it

@@ -18,6 +18,7 @@ from catrep.fields import QQ, parse_field
 from catrep.matrices import Mat
 from catrep.presentations import from_presentation
 from catrep.trunc import FreeModule, ModuleMap, kernel_of_map, submodule_from_rows, truncate
+from seams import padded
 
 CATS = [make_category("fi"), make_category("oi"), make_category("fi_g", 2), make_category("oi_g", 3)]
 FIELDS = [parse_field("fp:2"), parse_field("fp:101"), QQ]
@@ -319,7 +320,8 @@ def test_unit_rows_tag_only_distinct_columns(field):
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 @pytest.mark.parametrize("cat", CATS, ids=lambda c: c.name)
 def test_cover_matches_orbit_oracle(monkeypatch, cat, field):
-    # every cover of a padded depth-1 resolution, syzygy covers included
+    # every cover of a padded depth-1 resolution (seams.padded), syzygy
+    # covers included
     covers = []
 
     def checked(Z, gens):
@@ -335,7 +337,8 @@ def test_cover_matches_orbit_oracle(monkeypatch, cat, field):
     monkeypatch.setattr(homology, "_cover", checked)
     for seed in range(1, 7):
         V, _ = from_presentation(cat, field, sample_presentation(cat, field, seed), 4)
-        res = homology.resolve(V, 1, pad=True)
+        with padded():
+            res = homology.resolve(V, 1)
         for Z in (V, res.steps[0].syzygy):
             checked(Z, homology.minimal_generators(Z)[::-1])
     # runs of several generators of one degree, and degrees out of order

@@ -1,10 +1,13 @@
 """The minimal route of resolve: covers by M(W) where the end algebras are semisimple.
 
-The free-cover route stays as the oracle.  On corpus modules of every
+The free-cover route stays as the oracle, reached through seams.free_route
+(homology._semisimple_ends patched to False).  On corpus modules of every
 category kind over F_101 and Q the two give the same Tor dims, every
-minimal cover is a module map, and the lift of H_0 is equivariant.  The
-route guard pins which route runs: a silent fallback to free covers would
-fail here, not only show up as a slower benchmark.
+minimal cover is a module map, and the lift of H_0 is equivariant.  On the
+modular fields, where the free route runs unpatched, a padded resolution
+(seams.padded: a redundant generator at every step) gives the same Tor.
+The route guard pins which route runs: a silent fallback to free covers
+would fail here, not only show up as a slower benchmark.
 """
 
 import numpy as np
@@ -17,6 +20,7 @@ from catrep.fields import QQ, parse_field
 from catrep.matrices import Mat
 from catrep.presentations import from_presentation
 from catrep.trunc import FreeModule, ProjectiveModule, TruncatedModule, end_representation
+from seams import free_route, padded, recorded
 
 F101 = parse_field("fp:101")
 CATS = [make_category("fi"), make_category("oi"), make_category("fi_g", 2), make_category("oi_g", 3)]
@@ -42,12 +46,18 @@ def _scrambled(V, seed):
     return TruncatedModule(V.cat, V.field, V.horizon, V.dims, gens)
 
 
-def _free_route_tor(monkeypatch, V, depth):
-    with monkeypatch.context() as m:
-        m.setattr(homology, "_semisimple_ends", lambda V: False)
-        res = homology.resolve(V, depth)
-        assert not res.minimal
-        return homology.tor_groups(V, depth, resolution=res).dims
+def _tor(V, depth):
+    """(resolution, Tor dims) from one tor_groups call."""
+    with recorded() as resolutions:
+        dims = homology.tor_groups(V, depth).dims
+    return resolutions[-1], dims
+
+
+def _free_route_tor(V, depth):
+    with free_route():
+        res, dims = _tor(V, depth)
+    assert not res.minimal
+    return dims
 
 
 @pytest.mark.parametrize("field", [F101, QQ], ids=lambda f: f.name)
@@ -75,14 +85,13 @@ def test_minimal_route_matches_free_route(monkeypatch, cat, field):
     monkeypatch.setattr(homology, "_equivariant_lift", counted)
     modules = _corpus(cat, field, (1, 2, 3)) + [FreeModule(cat, field, (1, 2), 4 if cat.group is None else 3)]
     for V in modules + [_scrambled(V, seed) for seed, V in enumerate(modules)]:
-        res = homology.resolve(V, 2)
+        res, dims = _tor(V, 2)
         assert res.minimal
-        rep = homology.tor_groups(V, 2, resolution=res)
-        assert rep.dims == _free_route_tor(monkeypatch, V, 2)
+        assert dims == _free_route_tor(V, 2)
         # Tor is read off the covers: H_i in degree t is dim W^i_t
         for i, step in enumerate(res.steps):
             for t in range(V.horizon + 1):
-                assert rep.dims[i][t] == sum(w for s, w in zip(step.free.summands, step.free.widths) if s == t)
+                assert dims[i][t] == sum(w for s, w in zip(step.free.summands, step.free.widths) if s == t)
     assert any(w for ws in covers for w in ws)
     # both ways to the lift ran: a stable complement (c = 1) and, where the
     # ends are nontrivial, the Reynolds sum along the coset plan
@@ -125,10 +134,23 @@ def test_modular_fields_take_the_free_route(monkeypatch, key):
     for seed, want in MODULAR[key].items():
         V, _ = from_presentation(cat, field, sample_presentation(cat, field, seed), 4)
         calls.clear()
-        res = homology.resolve(V, 2)
+        res, dims = _tor(V, 2)
         assert not res.minimal and len(calls) == 3
         assert all(type(step.free) is FreeModule for step in res.steps)
-        assert homology.tor_groups(V, 2, resolution=res).dims == want
+        assert dims == want
+
+
+@pytest.mark.parametrize("key", list(MODULAR), ids=lambda k: f"{k[0]}-{k[2]}")
+def test_padded_resolution_keeps_modular_tor(key):
+    kind, group, spec = key
+    cat, field = make_category(kind, group), parse_field(spec)
+    for seed, want in MODULAR[key].items():
+        V, _ = from_presentation(cat, field, sample_presentation(cat, field, seed), 4)
+        with padded() as repeated:
+            res, dims = _tor(V, 2)
+        # a redundant generator at every step, syzygy covers included
+        assert not res.minimal and len(repeated) == 3
+        assert dims == want
 
 
 def test_route_runs_exactly_when_the_end_count_is_a_unit():
@@ -142,7 +164,6 @@ def test_route_runs_exactly_when_the_end_count_is_a_unit():
         V = FreeModule(cat, field, (0,), h)
         assert homology._semisimple_ends(V) is want, (kind, spec, h)
         assert homology.resolve(V, 0).minimal is want
-        assert homology.resolve(V, 0, pad=True).minimal is False
 
 
 @pytest.mark.parametrize("field", [parse_field("fp:7"), QQ], ids=lambda f: f.name)
@@ -189,7 +210,7 @@ def test_generator_at_the_horizon_stays_small(monkeypatch, field):
     largest = []
     matmul = Mat.__matmul__
     monkeypatch.setattr(Mat, "__matmul__", lambda a, b: largest.append(max(a.nrows, b.nrows)) or matmul(a, b))
-    res = homology.resolve(V, 1)
+    res, dims = _tor(V, 1)
     assert res.minimal and res.steps[0].free.widths == (720,)
-    assert homology.tor_groups(V, 1, resolution=res).dims == [[0] * 6 + [720], [0] * 7]
+    assert dims == [[0] * 6 + [720], [0] * 7]
     assert max(largest) <= 720

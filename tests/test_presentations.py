@@ -40,10 +40,10 @@ def test_parse_basic():
 
 def test_round_trip_identical_module():
     header, pres = parse_presentation_text(TORSION)
-    cat, field, horizon, module, _ = build_module(header, pres)
+    cat, field, horizon, module = build_module(header, pres)
     text = emit_presentation_text(cat, field, horizon, resolve_coefficients(pres, field))
     header2, pres2 = parse_presentation_text(text)
-    cat2, field2, horizon2, module2, _ = build_module(header2, pres2)
+    cat2, field2, horizon2, module2 = build_module(header2, pres2)
     assert module2.dims == module.dims
     for r in range(min(module.horizon, module2.horizon)):
         for g in cat.step_generators(r):
@@ -54,7 +54,7 @@ def test_round_trip_identical_module():
 
 def test_flags_override_header():
     header, pres = parse_presentation_text(TORSION)
-    cat, field, horizon, module, _ = build_module(header, pres, field=QQ, horizon=4)
+    cat, field, horizon, module = build_module(header, pres, field=QQ, horizon=4)
     assert field is QQ and horizon == 4
     assert module.dims == [0, 1, 1, 1, 1]
 
@@ -115,7 +115,7 @@ gen b deg 0
 rel 1: 1/2*0->1:[]@a + -1*0->1:[]@b
 """
     header, pres = parse_presentation_text(text)
-    _, _, _, module, _ = build_module(header, pres)
+    _, _, _, module = build_module(header, pres)
     # one relation identifies the two generator lines above degree 0
     assert module.dims == [2, 1, 1, 1, 1]
 
@@ -129,7 +129,7 @@ horizon 3
 gen u deg 0
 """
     header, pres = parse_presentation_text(text)
-    cat, field, horizon, module, _ = build_module(header, pres)
+    cat, field, horizon, module = build_module(header, pres)
     assert cat.kind == "oi_g" and cat.group.order == 2
     # labels decorate source points, so M(0) stays one-dimensional everywhere
     assert module.dims == [1, 1, 1, 1]
@@ -150,7 +150,7 @@ gen b deg 1
 rel 2: 1*1->2:[2](1)@b + -1/2*0->2:[]@a
 """
     header, pres = parse_presentation_text(text)
-    cat, field, horizon, module, _ = build_module(header, pres)
+    cat, field, horizon, module = build_module(header, pres)
     assert module.dims[0] == 1 and module.dims[1] == 3
     from catrep.presentations import normalize_presentation
 
@@ -158,7 +158,7 @@ rel 2: 1*1->2:[2](1)@b + -1/2*0->2:[]@a
                                  normalize_presentation(cat, resolve_coefficients(pres, field)))
     assert "0->2:[]()@a" in out
     header2, pres2 = parse_presentation_text(out)
-    _, _, _, module2, _ = build_module(header2, pres2)
+    _, _, _, module2 = build_module(header2, pres2)
     assert module2.dims == module.dims
 
 
@@ -173,7 +173,7 @@ gen a deg 1   # generator line with trailing comment
 rel 2: 1*1->2:[1]@a + 100*1->2:[2]@a
 """
     header, pres = parse_presentation_text(text)
-    _, _, _, module, _ = build_module(header, pres)
+    _, _, _, module = build_module(header, pres)
     # relation identifies the two degree-2 basis lines up to sign
     assert module.dims == [0, 1, 1, 1, 1]
 
@@ -192,7 +192,7 @@ gen v deg 1
     header, pres = parse_presentation_text(spaced)
     assert parse_presentation_text(tight) == (header, pres)
     assert [c for c, _, _ in pres.relations[0].terms] == ["1", "-1/2", "+3"]
-    cat, field, horizon, _, _ = build_module(header, pres)
+    cat, field, horizon, _ = build_module(header, pres)
     text = emit_presentation_text(cat, field, horizon, resolve_coefficients(pres, field))
     assert parse_presentation_text(text.replace(" + ", "+")) == parse_presentation_text(text)
     with pytest.raises(PresentationError) as exc:

@@ -31,6 +31,7 @@ from catrep.trunc import (
     truncate,
     zero_module,
 )
+from seams import continued
 
 F2 = parse_field("fp:2")
 F101 = parse_field("fp:101")
@@ -195,12 +196,13 @@ def _preimage_rows_by_inverse(A, target_rows):
 def test_un_chain_matches_inverse_preimages(cat, field):
     for seed in range(1, 6):
         V, _ = from_presentation(cat, field, sample_presentation(cat, field, seed), 4)
-        chain = un_chain(V, 4, stop_at_stabilization=False)
+        # steps past stabilization check that U^{n0} is a fixed point
+        bases, valid = continued(un_chain(V, 4), 4)
         mu = mu_map(V)
-        for n in range(1, len(chain.bases)):
-            for t in range(chain.valid_horizons[n] + 1):
-                expected = _preimage_rows_by_inverse(mu.mats[t], chain.bases[n - 1][t + 1])
-                assert chain.bases[n][t] == expected, (cat.kind, field.name, seed, n, t)
+        for n in range(1, len(bases)):
+            for t in range(valid[n] + 1):
+                expected = _preimage_rows_by_inverse(mu.mats[t], bases[n - 1][t + 1])
+                assert bases[n][t] == expected, (cat.kind, field.name, seed, n, t)
 
 
 def test_sin_reg_examples():
