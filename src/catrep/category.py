@@ -111,9 +111,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and other.table == self.table
 

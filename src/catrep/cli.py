@@ -96,11 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     header, pres = load_presentation(args.file)
-    cat = None
+    # each flag overrides only its own header line
     if args.cat:
-        cat = make_category(args.cat, args.group)
+        header["category"] = args.cat
+    if args.group:
+        header["group"] = args.group
     field = parse_field(args.field) if args.field else None
-    return build_module(header, pres, cat=cat, field=field, horizon=args.horizon), pres
+    return build_module(header, pres, field=field, horizon=args.horizon), pres
 
 
 def _config(cat, field, horizon, **extra) -> dict:

@@ -1,11 +1,13 @@
-"""Exact scalar arithmetic: prime fields F_p and arbitrary-precision rationals.
+"""The two exact fields: prime fields F_p and arbitrary-precision rationals.
 
-Every computation in the package happens over one of these two fields.
-Floats carry exact integers only: dense F_p matrix products may run on
-float64 under a bound, checked in ``matrices``, that keeps every partial sum
-an integer below 2^53.  F_p elements are Python ints in [0, p);
-rational elements are Python ints or ``fractions.Fraction`` in lowest terms
-(ints stand for integer-valued rationals, which keeps the common case fast).
+Every computation in the package happens over one of these two fields.  A
+field object describes its field (its modulus, how to parse and print an
+element); the arithmetic itself lives in ``matrices.Mat``.  F_p elements are
+Python ints in [0, p); rational elements are Python ints or
+``fractions.Fraction`` in lowest terms (ints stand for integer-valued
+rationals, which keeps the common case fast).  Floats carry exact integers
+only: dense F_p matrix products may run on float64 under a bound, checked in
+``matrices``, that keeps every partial sum an integer below 2^53.
 """
 
 from __future__ import annotations
@@ -53,30 +55,13 @@ class PrimeField:
         # operator.index refuses Fractions and floats instead of reducing them
         return operator.index(n) % self.p
 
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1 % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return (a * self.inv(b)) % self.p
-
-    def parse(self, text: str):
+    def parse(self, text: str) -> int:
         if "/" in text:
             num, den = text.split("/", 1)
-            return self.div(int(num) % self.p, int(den) % self.p)
+            num, den = int(num), int(den) % self.p
+            if den == 0:
+                raise ZeroDivisionError(f"denominator divisible by {self.p}")
+            return num * pow(den, -1, self.p) % self.p
         return int(text) % self.p
 
     def format(self, a) -> str:
@@ -97,7 +82,8 @@ class PrimeField:
 
 
 def _qnorm(x):
-    """Normalize a rational value: Fractions with denominator 1 collapse to int.
+    """Normalize a rational value: Fractions with denominator 1 collapse to
+    int, and exact integers of any type (bool, numpy integers) become ints.
 
     type() checks instead of isinstance: Fraction sits under the numbers ABC
     machinery, and these normalizations run on every produced matrix entry.
@@ -108,11 +94,12 @@ def _qnorm(x):
         return x
     if type(x) is int:
         return x
-    if isinstance(x, int):
-        return int(x)
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
-    raise TypeError(f"not an exact rational value: {x!r}")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"not an exact rational value: {x!r}") from None
 
 
 class RationalField:
@@ -123,34 +110,10 @@ class RationalField:
     def from_int(self, n: int):
         return n
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return _qnorm(a + b)
-
-    def mul(self, a, b):
-        return _qnorm(a * b)
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return _qnorm(Fraction(1, 1) / a)
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        if isinstance(a, int) and isinstance(b, int):
-            return _qnorm(Fraction(a, b))
-        return _qnorm(Fraction(a) / Fraction(b))
-
     def parse(self, text: str):
         if "/" in text:
             num, den = text.split("/", 1)
-            return self.div(int(num), int(den))
+            return _qnorm(Fraction(int(num), int(den)))  # ZeroDivisionError on a zero den
         return int(text)
 
     def format(self, a) -> str:
@@ -185,12 +148,10 @@ def parse_field(spec: str):
     raise ValueError(f"unknown field spec {spec!r} (expected 'q' or 'fp:<prime>')")
 
 
-def check_rational_bits(value) -> None:
-    """Raise RationalOverflowError if a rational exceeds the configured bit bound."""
-    if isinstance(value, Fraction):
-        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-    else:
-        bits = value.bit_length()
+def check_rational_bits(value: int) -> None:
+    """Raise RationalOverflowError if an integer of a fraction-free
+    elimination exceeds the configured bit bound."""
+    bits = value.bit_length()
     limit = rational_bit_limit()
     if bits > limit:
         raise RationalOverflowError(

@@ -35,12 +35,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import factorial
 from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
+from .fields import QQ
 from .matrices import Mat
 from .trunc import (
     FreeModule,
@@ -341,22 +341,23 @@ class HilbertFit:
 
 
 def hilbert_fit(V: TruncatedModule) -> HilbertFit:
-    """Fit dims by a polynomial of degree <= gd(V) via forward differences.
+    """Fit dims by a polynomial of degree <= gd(V).
 
-    The onset is the least degree from which all differences of order
-    gd(V)+1 vanish up to the horizon; reports inconclusive when the horizon
-    leaves no checkable window.
+    The onset is found by forward differences: it is the least degree from
+    which all differences of order gd(V)+1 vanish up to the horizon.  The
+    coefficients solve the Vandermonde system through the gd(V)+1 points
+    from the onset, and the fit is checked at every degree up to the
+    horizon.  Reports inconclusive when the horizon leaves no checkable
+    window.
     """
     h = V.horizon
     dims = list(V.dims)
     g = generating_degree(V)
     if g == -1:
         return HilbertFit(dims, g, "ok", 0, [], -1, h)
-    table = [list(map(Fraction, dims))]
+    top = dims  # after the loop, entry j = (g+1)-st difference at degree j
     for _ in range(g + 1):
-        prev = table[-1]
-        table.append([prev[j + 1] - prev[j] for j in range(len(prev) - 1)])
-    top = table[g + 1]  # entry j = (g+1)-st difference at degree j
+        top = [b - a for a, b in zip(top, top[1:])]
     onset = None
     for o in range(h - g):
         if all(x == 0 for x in top[o:]):
@@ -364,7 +365,12 @@ def hilbert_fit(V: TruncatedModule) -> HilbertFit:
             break
     if onset is None or not top[onset:]:
         return HilbertFit(dims, g, "inconclusive", None, None, None, h)
-    coeffs = _newton_coefficients([table[k][onset] for k in range(g + 1)], onset)
+    # [V | y] for the invertible Vandermonde matrix V reduces to [I | coeffs]
+    system = Mat.from_rows(QQ, [[n ** k for k in range(g + 1)] + [dims[n]]
+                                for n in range(onset, onset + g + 1)])
+    coeffs = system.rref()[0].data[:, -1].tolist()
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
     fit = HilbertFit(dims, g, "ok", onset, coeffs, top_degree(coeffs), h)
     for n in range(onset, h + 1):
         if fit.evaluate(n) != dims[n]:
@@ -372,33 +378,6 @@ def hilbert_fit(V: TruncatedModule) -> HilbertFit:
     if fit.degree is not None and fit.degree > g:
         raise InvariantViolation("fitted degree exceeds gd")
     return fit
-
-
-def _newton_coefficients(diffs, onset: int):
-    """Coefficients of sum_k diffs[k] * C(x - onset, k), low degree first."""
-    out = [Fraction(0)] * (len(diffs) + 1)
-    for k, dk in enumerate(diffs):
-        if dk == 0:
-            continue
-        # expand C(x - onset, k) = prod_{j=0}^{k-1} (x - onset - j) / k!
-        poly = [Fraction(1)]
-        for j in range(k):
-            poly = _poly_mul_linear(poly, -(onset + j))
-        scale = Fraction(dk, factorial(k))
-        for d, p in enumerate(poly):
-            out[d] += scale * p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_mul_linear(poly, c):
-    """Multiply a coefficient list by (x + c); poly given low degree first."""
-    out = [Fraction(0)] * (len(poly) + 1)
-    for d, a in enumerate(poly):
-        out[d] += a * c
-        out[d + 1] += a
-    return out
 
 
 class VerificationViolation(Exception):

@@ -1,5 +1,8 @@
 """Dense exact matrices over F_p or Q, with the rank/kernel/complement kit.
 
+This is the package's one exact-arithmetic engine: a field object
+(``fields``) only describes its field (modulus, parsing, printing), and
+every sum, product and division of field elements runs here, on matrices.
 Every matrix keeps its entries in one 2-D numpy array.  Over F_p it is
 int64 with entries reduced into [0, p); over Q it has dtype object and holds
 Python ints and lowest-terms Fractions, an integral value always as an int.
@@ -74,14 +77,11 @@ def _canon(field, arr):
     return _qnorm_all(arr)
 
 
-def _divide(field, arr, d):
-    """arr / d entrywise, with d (nonzero field values) broadcast against arr."""
+def _divide(arr, d):
+    """arr / d entrywise, d (nonzero) broadcast against arr.  Over F_p every
+    d is a pivot of a canonical basis, or their lcm, so it is 1."""
     if (d == 1).all():
         return arr
-    if field.kind == "fp":
-        p = field.p
-        inv = np.array([pow(int(x), p - 2, p) for x in d.flat], dtype=np.int64)
-        return (arr * inv.reshape(d.shape)) % p
     return _qdiv_all(arr, d)
 
 
@@ -455,7 +455,7 @@ class Mat:
         """Reduced row echelon form with unit pivots; returns (R, pivot columns)."""
         data, pivots = _echelon(self)
         k = len(pivots)
-        data[:k] = _divide(self.field, data[:k], data[np.arange(k), list(pivots)][:, None])
+        data[:k] = _divide(data[:k], data[np.arange(k), list(pivots)][:, None])
         return Mat(self.field, self.nrows, self.ncols, data), pivots
 
     def echelon(self):
@@ -518,7 +518,7 @@ class Mat:
         """
         R = self.row_basis()
         free, K, m = _null_rows(R.data, R.pivots, self.ncols)
-        P = _divide(self.field, _canon(self.field, K.T), np.array([[m]], dtype=object))
+        P = _divide(_canon(self.field, K.T), np.array([[m]], dtype=object))
         return free, Mat(self.field, self.ncols, len(free), P)
 
     def express_rows(self, basis: "Mat") -> "Mat":
@@ -538,7 +538,7 @@ class Mat:
             return Mat.zeros(self.field, 0, basis.nrows)
         pivots = list(basis.pivots)
         pv = basis.data[np.arange(basis.nrows), pivots]
-        X = Mat(self.field, self.nrows, basis.nrows, _divide(self.field, self.data[:, pivots], pv[None, :]))
+        X = Mat(self.field, self.nrows, basis.nrows, _divide(self.data[:, pivots], pv[None, :]))
         if not _product_equals(X, basis, self):
             raise NotInSpan("row outside the span of the basis")
         return X

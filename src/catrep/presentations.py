@@ -112,12 +112,11 @@ def from_presentation(cat: CategoryDescriptor, field, pres: Presentation, horizo
     for t, rels in by_degree.items():
         rows = []
         for rel in rels:
-            row = [field.zero()] * F.dims[t]
+            row = [0] * F.dims[t]
             for coeff, alpha, k in rel.terms:
-                idx = F.basis_index(t, k, alpha)
-                row[idx] = field.add(row[idx], coeff)
+                row[F.basis_index(t, k, alpha)] += coeff
             rows.append(row)
-        seeds[t] = Mat.from_rows(field, rows, F.dims[t])
+        seeds[t] = Mat.from_rows(field, rows, F.dims[t])  # reduces the sums into the field
     return quotient_by(F, module_closure_of_rows(F, seeds))
 
 
@@ -313,14 +312,13 @@ def load_presentation(path: str):
         return parse_presentation_text(fh.read())
 
 
-def build_module(header: dict, pres: Presentation, cat=None, field=None, horizon=None):
+def build_module(header: dict, pres: Presentation, field=None, horizon=None):
     """Instantiate (cat, field, horizon, module) from file + overrides."""
-    if cat is None:
-        kind = header.get("category")
-        if kind is None:
-            raise PresentationError("category missing from both file and flags")
-        group = header.get("group", "none")
-        cat = make_category(kind, None if group == "none" else group)
+    kind = header.get("category")
+    if kind is None:
+        raise PresentationError("category missing from both file and flags")
+    group = header.get("group", "none")
+    cat = make_category(kind, None if group == "none" else group)
     if field is None:
         spec = header.get("field")
         if spec is None:

@@ -156,7 +156,7 @@ def test_criterion_04_reg_of_shifted_projectives():
 def test_criterion_05_counterexample_reproduction():
     fp = parse_field("fp:101")
     oi = make_category("oi")
-    pres = Presentation((("u", 1),), (Relation(2, ((fp.one(), Morphism(1, 2, (2,)), 0),)),))
+    pres = Presentation((("u", 1),), (Relation(2, ((1, Morphism(1, 2, (2,)), 0),)),))
     V, _ = from_presentation(oi, fp, pres, 6)
     assert V.dims[:6] == [0, 1, 1, 1, 1, 1]
     seq = derive(V)

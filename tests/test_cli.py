@@ -70,6 +70,21 @@ def test_info(files, capsys):
     assert "valid to degree 6" in out
 
 
+@pytest.mark.parametrize("group_line", ["", "group cyclic:3\n"], ids=["no-group", "cyclic-3"])
+def test_group_flag_overrides_only_the_group_line(tmp_path, capsys, group_line):
+    # M(1) over FI_G has dims n*m for the cyclic group of order m
+    path = tmp_path / "fig.pres"
+    path.write_text("catrep-presentation v1\ncategory fi_g\n" + group_line
+                    + "field fp:101\nhorizon 3\ngen u deg 1\n")
+    code, out, err = run(capsys, "--format", "json", "info", str(path))
+    if group_line:
+        assert code == 0 and json.loads(out)["items"][0]["dims"] == [0, 3, 6, 9]
+    else:
+        assert code == 1 and err == "error: fi_g requires a group spec\n"
+    code, out, _ = run(capsys, "--format", "json", "--group", "cyclic:2", "info", str(path))
+    assert code == 0 and json.loads(out)["items"][0]["dims"] == [0, 2, 4, 6]
+
+
 def test_info_emit_normalized_round_trip(files, capsys, tmp_path):
     code, out, _ = run(capsys, "info", files["torsion"], "--emit-normalized")
     assert code == 0

@@ -13,6 +13,7 @@ from catrep.matrices import Mat, NotInSpan
 
 F2 = parse_field("fp:2")
 F3 = parse_field("fp:3")
+F7 = parse_field("fp:7")
 F101 = parse_field("fp:101")
 
 
@@ -25,26 +26,29 @@ def test_parse_field():
         parse_field("r")
 
 
-def test_prime_field_axioms_small():
-    for p in (2, 3, 5):
-        f = PrimeField(p)
-        xs = range(p)
-        for a in xs:
-            for b in xs:
-                assert f.add(a, b) == (a + b) % p
-                assert f.mul(a, b) == (a * b) % p
-            if a:
-                assert f.mul(a, f.inv(a)) == 1 % p
-        with pytest.raises(ZeroDivisionError):
-            f.inv(0)
-
-
 def test_rational_lowest_terms():
-    assert QQ.div(4, 8) == Fraction(1, 2)
-    assert QQ.div(4, 2) == 2 and type(QQ.div(4, 2)) is int
     assert QQ.parse("-3/6") == Fraction(-1, 2)
     assert QQ.format(Fraction(1, 2)) == "1/2"
     assert QQ.format(7) == "7"
+
+
+@pytest.mark.parametrize("field, text, value", [
+    (QQ, "3", 3), (QQ, "-3/6", Fraction(-1, 2)), (QQ, "3/-6", Fraction(-1, 2)),
+    (QQ, "4/2", 2), (QQ, "1/7", Fraction(1, 7)),
+    (F7, "3", 3), (F7, "-3/6", 3), (F7, "3/6", 4), (F7, "10", 3), (F7, "-1", 6),
+])
+def test_parse_accepts(field, text, value):
+    got = field.parse(text)
+    assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("field, text, error", [
+    (QQ, "1/0", ZeroDivisionError), (F7, "1/0", ZeroDivisionError), (F7, "1/7", ZeroDivisionError),
+    *[(f, t, ValueError) for f in (QQ, F7) for t in ("1/", "/2", "x", "x/0")],
+])
+def test_parse_rejects(field, text, error):
+    with pytest.raises(error):
+        field.parse(text)
 
 
 def test_row_reduce_zero_and_identity():
@@ -165,6 +169,33 @@ def test_q_matmul_matches_naive(data):
     assert_storage(prod)
 
 
+def test_q_product_past_the_int64_bound_takes_python_ints(monkeypatch):
+    # integral operands below the fast-path bound have int64 copies, but
+    # their partial sums reach (2^30 - 1)^2 k for inner dimension k: below
+    # 2^62 at k = 4, not at k = 5
+    big = (1 << 30) - 1
+    assert big < matrices._NP_ENTRY_BOUND
+    refused = []
+    small_product = matrices._small_product
+
+    def spy(x, y):
+        out = small_product(x, y)
+        if x is not None and y is not None and out is None:
+            refused.append(x.shape[1])
+        return out
+
+    monkeypatch.setattr(matrices, "_small_product", spy)
+    for k, refusals in ((4, []), (5, [5, 5])):
+        refused.clear()
+        A = Mat.from_rows(QQ, [[big] * k, [-big] * k])
+        B = Mat.from_rows(QQ, [[big, 1]] * k)
+        prod = A @ B
+        assert refused == refusals
+        assert prod.rows() == [[sum(a * b for a, b in zip(row, col)) for col in zip(*B.rows())]
+                               for row in A.rows()]
+        assert_storage(prod)
+
+
 @settings(max_examples=50, deadline=None)
 @given(small_matrix())
 def test_row_basis_canonical(A):
@@ -204,6 +235,17 @@ def test_no_floats_accepted():
     for bad in (Fraction(3, 2), 2.5):
         with pytest.raises(TypeError):
             Mat.identity(F101, 2).scale(bad)
+
+
+def test_numpy_integers_accepted():
+    # exact integers of any type are taken, and stored as Python ints
+    for field, expect in ((QQ, [[1, -2]]), (F101, [[1, 99]])):
+        m = Mat.from_rows(field, np.array([[1, -2]]))
+        assert m.rows() == expect
+        assert_storage(m)
+    assert Mat.from_rows(QQ, [[np.int32(3), True]]).rows() == [[3, 1]]
+    with pytest.raises(TypeError):
+        Mat.from_rows(QQ, np.array([[1.0, 2.0]]))
 
 
 # -- storage form and a sympy oracle for the kernels ------------------
@@ -436,7 +478,7 @@ def test_reduced_product_check_agrees_with_the_full_product(data):
     # second check against the same basis reads the block kept on it
     pivots = list(basis.pivots)
     pv = basis.data[np.arange(basis.nrows), pivots]
-    Y = Mat(field, M.nrows, basis.nrows, matrices._divide(field, M.data[:, pivots], pv[None, :]))
+    Y = Mat(field, M.nrows, basis.nrows, matrices._divide(M.data[:, pivots], pv[None, :]))
     holds = (Y @ basis) == M
     assert matrices._product_equals(Y, basis, M) == holds
     if holds:

@@ -29,7 +29,7 @@ OI = make_category("oi")
 
 
 def oi_torsion(horizon=6, field=F101):
-    pres = Presentation((("u", 1),), (Relation(2, ((field.one(), Morphism(1, 2, (2,)), 0),)),))
+    pres = Presentation((("u", 1),), (Relation(2, ((1, Morphism(1, 2, (2,)), 0),)),))
     return from_presentation(OI, field, pres, horizon)[0]
 
 
@@ -169,7 +169,7 @@ def test_hilbert_fit_inconclusive_when_horizon_too_small():
     # a degree-0 torsion class plus a free line needs onset past the horizon
     pres = Presentation(
         (("a", 0),),
-        (Relation(2, ((F101.one(), Morphism(0, 2, ()), 0),)),),
+        (Relation(2, ((1, Morphism(0, 2, ()), 0),)),),
     )
     V, _ = from_presentation(FI, F101, pres, 2)
     fit = hilbert_fit(V)
@@ -196,7 +196,7 @@ def test_verify_theorems_skips_mu_bound_without_injectivity():
 def test_verify_theorems_finite_support():
     pres = Presentation(
         (("v", 0),),
-        (Relation(1, ((F101.one(), Morphism(0, 1, ()), 0),)),),
+        (Relation(1, ((1, Morphism(0, 1, ()), 0),)),),
     )
     V, _ = from_presentation(FI, F101, pres, 6)
     rep = verify_theorems(V, 2, s_bound=1)

@@ -46,12 +46,12 @@ def _injective(f):
 
 
 def oi_torsion(horizon=6, field=F101):
-    pres = Presentation((("u", 1),), (Relation(2, ((field.one(), Morphism(1, 2, (2,)), 0),)),))
+    pres = Presentation((("u", 1),), (Relation(2, ((1, Morphism(1, 2, (2,)), 0),)),))
     return from_presentation(OI, field, pres, horizon)[0]
 
 
 def fi_degree0_torsion(horizon=5, field=F101):
-    pres = Presentation((("v", 0),), (Relation(1, ((field.one(), Morphism(0, 1, ()), 0),)),))
+    pres = Presentation((("v", 0),), (Relation(1, ((1, Morphism(0, 1, ()), 0),)),))
     return from_presentation(FI, field, pres, horizon)[0]
 
 
@@ -287,9 +287,8 @@ def test_oracle_matches_the_per_morphism_loop(cat, field, chunk_entries, monkeyp
 
 def oi_all_torsion(horizon=5):
     """v in degree 0 and u in degree 1, each killed by the ideal I: U^1 is everything."""
-    one = F101.one()
-    pres = Presentation((("v", 0), ("u", 1)), (Relation(1, ((one, Morphism(0, 1, ()), 0),)),
-                                                Relation(2, ((one, Morphism(1, 2, (2,)), 1),))))
+    pres = Presentation((("v", 0), ("u", 1)), (Relation(1, ((1, Morphism(0, 1, ()), 0),)),
+                                                Relation(2, ((1, Morphism(1, 2, (2,)), 1),))))
     return from_presentation(OI, F101, pres, horizon)[0]
 
 
@@ -358,8 +357,8 @@ def test_chain_bounded_by_support():
     pres = Presentation(
         (("u", 1),),
         (
-            Relation(2, ((F101.one(), Morphism(1, 2, (1,)), 0),)),
-            Relation(2, ((F101.one(), Morphism(1, 2, (2,)), 0),)),
+            Relation(2, ((1, Morphism(1, 2, (1,)), 0),)),
+            Relation(2, ((1, Morphism(1, 2, (2,)), 0),)),
         ),
     )
     V, _ = from_presentation(OI, F101, pres, 6)

@@ -40,13 +40,13 @@ def _injective(f):
 
 def oi_torsion(field=F101, horizon=6):
     """M(1)/IM(1): the torsion module on which the natural map to the shift vanishes."""
-    pres = Presentation((("u", 1),), (Relation(2, ((field.one(), Morphism(1, 2, (2,)), 0),)),))
+    pres = Presentation((("u", 1),), (Relation(2, ((1, Morphism(1, 2, (2,)), 0),)),))
     return from_presentation(OI, field, pres, horizon)
 
 
 def fi_degree0_torsion(field=QQ, horizon=5):
     """M(0) with the degree-1 arrow killed: torsion concentrated at degree 0."""
-    pres = Presentation((("v", 0),), (Relation(1, ((field.one(), Morphism(0, 1, ()), 0),)),))
+    pres = Presentation((("v", 0),), (Relation(1, ((1, Morphism(0, 1, ()), 0),)),))
     return from_presentation(FI, field, pres, horizon)
 
 
@@ -133,7 +133,7 @@ def test_relation_closure_matches_brute_force():
     rng = random.Random(7)
     for cat, field in [(OI, F101), (FI, F101), (OIG, F101), (FI, QQ)]:
         F = free_module(cat, field, 1, 4)
-        row = [field.zero()] * F.dims[2]
+        row = [0] * F.dims[2]
         for j in range(F.dims[2]):
             if rng.random() < 0.6:
                 row[j] = field.from_int(rng.randint(1, 5))

@@ -36,7 +36,7 @@ def projective():
 
 def finite_support():
     """k in degree 0 over FI: mu_V not injective, support ends at 0."""
-    pres = Presentation((("v", 0),), (Relation(1, ((F101.one(), Morphism(0, 1, ()), 0),)),))
+    pres = Presentation((("v", 0),), (Relation(1, ((1, Morphism(0, 1, ()), 0),)),))
     return from_presentation(FI, F101, pres, HORIZON)[0]
 
 
