@@ -121,6 +121,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RationalOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except HorizonExhausted as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

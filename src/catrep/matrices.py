@@ -7,14 +7,26 @@ Every matrix keeps its entries in one 2-D numpy array.  Over F_p it is
 int64 with entries reduced into [0, p); over Q it has dtype object and holds
 Python ints and lowest-terms Fractions, an integral value always as an int.
 So the structural operations (slicing, stacking, transposing, comparing, the
-column scatter) share one body, and only products, elimination and division
-look at the field.  Subspaces are represented throughout the package as
+basis-map paths below) share one body, and only products, elimination and
+division look at the field.  Subspaces are represented throughout the package as
 *row* spaces; the canonical basis of a row space is the reduced echelon
 form, over Q scaled to primitive integer rows with positive pivots, so equal
 subspaces compare bit-for-bit equal.  A canonical basis carries its pivot
 columns (Mat.pivots): row_basis and left_kernel set them, and an identity
 is born with them, so no caller passes, detects or recomputes pivots, and
 express_rows solves against a canonical basis only.
+
+A basis map sends each basis vector to a distinct basis vector: row i is
+the unit vector e_{cols[i]}.  Free-module actions, identities and the
+coordinate complements of quotients are basis maps.  Such a matrix holds
+only its column array (Mat.unit_cols) and builds its dense data the first
+time something reads it.  The tag is set by construction and never found by
+scanning entries: unit_rows with distinct columns, identity, take_rows of a
+basis map and the product of two basis maps are basis maps.  A product
+routes on the tags alone: two basis maps compose their column arrays, a
+basis map on the left gathers rows of the right factor, one on the right
+scatters the columns of the left factor, and only a product of two untagged
+matrices multiplies.
 
 An F_p product runs on float64 BLAS when its inner dimension k has
 k (p-1)^2 < 2^53: every partial sum is then an integer that float64 holds
@@ -268,22 +280,31 @@ class Mat:
 
     ``data`` is a 2-D numpy array in storage form (see the module
     docstring); do not mutate it after construction, all operations return
-    new matrices.  The field is a plain attribute rather than a subclass per
-    field: the perfbench tracing shim patches the kernels on this class and
-    names its spans by ``field.kind``.
+    new matrices.  A basis map builds it on first read from ``unit_cols``.
+    The field is a plain attribute rather than a subclass per field: the
+    perfbench tracing shim patches the kernels on this class and names its
+    spans by ``field.kind``.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "data", "pivots", "_unit_cols", "_npdata", "_off_pivots")
+    __slots__ = ("field", "nrows", "ncols", "_data", "pivots", "unit_cols", "_npdata", "_off_pivots")
 
     def __init__(self, field, nrows, ncols, data):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.data = data
+        self._data = data
         self.pivots = None  # pivot columns, set only on a canonical row basis
-        self._unit_cols = _UNSET  # lazily computed basis-map tag
+        self.unit_cols = None  # column per row, set only on a basis map (_basis_map)
         self._npdata = _UNSET  # lazily computed int64 copy (Q fast path)
         self._off_pivots = None  # (columns outside the pivots, block of them) for _product_equals
+
+    @property
+    def data(self):
+        if self._data is None:
+            data = np.zeros((self.nrows, self.ncols), dtype=_dtype(self.field))
+            data[np.arange(self.nrows), self.unit_cols] = 1  # p >= 2: already reduced
+            self._data = data
+        return self._data
 
     # -- constructors -------------------------------------------------
 
@@ -292,9 +313,16 @@ class Mat:
         return Mat(field, nrows, ncols, np.zeros((nrows, ncols), dtype=_dtype(field)))
 
     @staticmethod
+    def _basis_map(field, cols, ncols) -> "Mat":
+        """The basis map with distinct columns cols (an intp array); no data yet."""
+        m = Mat(field, len(cols), ncols, None)
+        m.unit_cols = cols
+        return m
+
+    @staticmethod
     def identity(field, n) -> "Mat":
-        """The n x n identity, its own canonical row basis."""
-        m = Mat(field, n, n, np.eye(n, dtype=_dtype(field)))  # p >= 2: already reduced
+        """The n x n identity: a basis map and its own canonical row basis."""
+        m = Mat._basis_map(field, np.arange(n), n)
         m.pivots = tuple(range(n))
         return m
 
@@ -302,15 +330,14 @@ class Mat:
     def unit_rows(field, cols, ncols) -> "Mat":
         """The matrix whose row i is the unit vector e_{cols[i]}.
 
-        It carries the column-scatter tag that _basis_map_cols would find by
-        scanning: the columns when they are distinct, else None.
+        A basis map when the columns are distinct; otherwise two rows
+        share a column and it is stored dense.
         """
         cols = np.asarray(cols, dtype=np.intp)
-        n = len(cols)
-        data = np.zeros((n, ncols), dtype=_dtype(field))
-        data[np.arange(n), cols] = 1
-        m = Mat(field, n, ncols, data)
-        m._unit_cols = cols if n and np.bincount(cols).max() == 1 else None
+        if not len(cols) or np.bincount(cols).max() == 1:
+            return Mat._basis_map(field, cols, ncols)
+        m = Mat.zeros(field, len(cols), ncols)
+        m.data[np.arange(len(cols)), cols] = 1
         return m
 
     @staticmethod
@@ -362,6 +389,8 @@ class Mat:
 
     def take_rows(self, indices) -> "Mat":
         indices = np.asarray(indices, dtype=np.intp)
+        if self.unit_cols is not None:
+            return Mat.unit_rows(self.field, self.unit_cols[indices], self.ncols)
         return Mat(self.field, len(indices), self.ncols, self.data[indices])
 
     def take_cols(self, indices) -> "Mat":
@@ -408,24 +437,6 @@ class Mat:
         c = self.field.from_int(c)  # reduced mod p, so the int64 product cannot overflow
         return Mat(self.field, self.nrows, self.ncols, _canon(self.field, self.data * c))
 
-    def _basis_map_cols(self):
-        """Column index per row (an int array) when every row is a single unit entry, else None.
-
-        Free-module action matrices have this shape (basis maps to basis
-        injectively), which turns multiplication into a column scatter.
-        """
-        if self._unit_cols is not _UNSET:
-            return self._unit_cols
-        cols = None
-        if self.nrows and np.count_nonzero(self.data) == self.nrows:
-            # nrows nonzeros and a 1 leading every row: one unit entry per row
-            idx = (self.data != 0).argmax(axis=1)
-            if (np.bincount(idx).max() == 1
-                    and self.data[np.arange(self.nrows), idx].tolist() == [1] * self.nrows):
-                cols = idx
-        self._unit_cols = cols
-        return cols
-
     def _np_int(self):
         if self._npdata is _UNSET:
             self._npdata = _small_ints(self.data)
@@ -434,11 +445,17 @@ class Mat:
     def __matmul__(self, other) -> "Mat":
         if self.ncols != other.nrows or self.field != other.field:
             raise ValueError(f"matmul shape/field mismatch {self.shape} @ {other.shape}")
-        cols = other._basis_map_cols() if other.nrows else None
-        if cols is not None:
-            # column scatter: other sends row i to unit vector e_{cols[i]}
+        left, right = self.unit_cols, other.unit_cols
+        if left is not None and right is not None:
+            # composition: row i goes to e_{left[i]}, then to e_{right[left[i]]}
+            return Mat._basis_map(self.field, right[left], other.ncols)
+        if left is not None:
+            # row gather: row i of the product is row left[i] of other
+            out = other.data[left]
+        elif right is not None:
+            # column scatter: other sends row i to the unit vector e_{right[i]}
             out = np.zeros((self.nrows, other.ncols), dtype=self.data.dtype)
-            out[:, cols] = self.data
+            out[:, right] = self.data
         elif self.field.kind == "fp":
             out = _fp_product(self.data, other.data, self.field.p)
         else:
@@ -514,9 +531,12 @@ class Mat:
         P (ncols x len(free)) sends v to the coordinates of v mod U in that
         basis: the identity on the free rows, -R[:, free]/pivot on the pivot
         rows.  It equals the last columns of [B; complement_rows(B)].inverse()
-        for any basis B of U, from one echelon form and no inverse.
+        for any basis B of U, from one echelon form and no inverse.  For
+        U = 0 that is the identity, kept a basis map.
         """
         R = self.row_basis()
+        if not R.pivots:
+            return list(range(self.ncols)), Mat.identity(self.field, self.ncols)
         free, K, m = _null_rows(R.data, R.pivots, self.ncols)
         P = _divide(_canon(self.field, K.T), np.array([[m]], dtype=object))
         return free, Mat(self.field, self.ncols, len(free), P)

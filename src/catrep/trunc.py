@@ -7,8 +7,12 @@ other action matrix is built on demand as act(a) @ act(b) along the
 category's split alpha = b o a (cat.split) and cached with its parts, so the
 stored table stays linear in the horizon even for FI where hom sets grow
 factorially.  Every module construction below is one loop over that table.
-A free module's table holds basis maps, read off the category's composition
-tables (cat.compose_table) with one gather per generator; a projective
+A free module's table holds basis maps (see matrices): the column array of
+generator g is the category's composition table (cat.compose_table) for
+each summand, shifted by the summand offsets, so the table costs one gather
+per generator and no dense matrix until something reads one.  Products with
+these maps are gathers, scatters or compositions of column arrays, and a
+quotient of a free module by nothing keeps them (quotient_by).  A projective
 M(W) = k[C(t, -)] (x)_{k[C(t, t)]} W places the blocks of W's representation
 along the orbit tables (cat.orbit_table) instead; W itself is a module
 concentrated in degree t (end_representation), so the matrix of any end is
@@ -334,8 +338,11 @@ def quotient_by(V: TruncatedModule, rows_per_degree):
     V_t spanning U_t; they need not be independent or in echelon form, but
     the family must be action-stable.  Q_t is coordinatised by the
     non-pivot columns of U_t's canonical basis and proj_t is read off that
-    echelon form (Mat.quotient_projection), so no inverse is formed.  Each
-    induced action is checked to be well defined (rows @ A @ P = 0).
+    echelon form (Mat.quotient_projection), so no inverse is formed.  One
+    product A @ P per generator A serves both the check that the induced
+    action is well defined (rows @ (A @ P) = 0) and the induced action, its
+    rows at the free columns.  When V is free and nothing is divided out at
+    a degree, A and P are basis maps and so is A @ P.
     """
     h = len(rows_per_degree) - 1
     pairs = [rows.quotient_projection() for rows in rows_per_degree]
@@ -343,10 +350,10 @@ def quotient_by(V: TruncatedModule, rows_per_degree):
     projs = [P for _, P in pairs]
     gens = {}
     for g in V.cat.generators(h):
-        A = V.gens[g]
-        if not (rows_per_degree[g.src] @ A @ projs[g.dst]).is_zero():
+        AP = V.gens[g] @ projs[g.dst]
+        if not (rows_per_degree[g.src] @ AP).is_zero():
             raise ValueError(f"induced action of {g} not well defined")
-        gens[g] = A.take_rows(frees[g.src]) @ projs[g.dst]
+        gens[g] = AP.take_rows(frees[g.src])
     Q = TruncatedModule(V.cat, V.field, h, [len(f) for f in frees], gens)
     proj = ModuleMap(truncate(V, h), Q, projs)
     return Q, proj

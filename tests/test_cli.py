@@ -6,6 +6,7 @@ import json
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -395,3 +396,14 @@ def test_exit_codes(files, capsys, monkeypatch, tmp_path):
         code, _, err = run(capsys, "homology", files["torsion"])
     assert code == cli.EXIT_INTERNAL == 4
     assert err.startswith("internal error: broken")
+    # 1 also when memory runs out: a typed error, not a traceback.  The
+    # errors are raised, not provoked, so nothing is allocated; numpy's
+    # carries the size it asked for
+    array_error = pytest.importorskip("numpy._core._exceptions")._ArrayMemoryError
+    for exc in (MemoryError(), array_error((5040, 40320), np.dtype(np.int64))):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "tor_groups", _raises(exc))
+            code, _, err = run(capsys, "homology", files["torsion"])
+        assert code == cli.EXIT_USAGE
+        assert err == f"error: out of memory: {exc}\n"
+    assert "1.51 GiB" in err

@@ -600,3 +600,80 @@ def test_fp_product_past_the_int64_bound_is_refused():
     k = 1 << 24  # k (p-1)^2 >= 2^63; empty operands, so nothing is allocated
     with pytest.raises(ValueError, match=r"F_1048573 product \(0, 16777216\) @ \(16777216, 0\)"):
         Mat.zeros(F_BIG, 0, k) @ Mat.zeros(F_BIG, k, 0)
+
+
+# -- basis maps: tags set at construction, the dense product as the oracle --
+
+
+def _untagged(m):
+    """A dense, untagged copy of m: its products take the multiplying path."""
+    return Mat(m.field, m.nrows, m.ncols, m.data.copy())
+
+
+def _same(a, b):
+    """Equal data, dtype and entry types."""
+    return (a.shape == b.shape and a.data.dtype == b.data.dtype and np.array_equal(a.data, b.data)
+            and [type(x) for x in a.data.flat] == [type(x) for x in b.data.flat])
+
+
+def _unit_oracle(field, cols, ncols):
+    return Mat.from_rows(field, [[int(j == c) for j in range(ncols)] for c in cols], ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_basis_map_paths_match_the_dense_product(data):
+    field = data.draw(st.sampled_from((F2, F101, QQ)))
+    # A: m x k and B: k x n basis maps, m <= k <= n; 0 rows and 0 columns drawn too
+    k = data.draw(st.integers(0, 4))
+    m = data.draw(st.integers(0, k))
+    n = k + data.draw(st.integers(0, 2))
+    a_cols = data.draw(st.permutations(range(k)))[:m]
+    b_cols = data.draw(st.permutations(range(n)))[:k]
+    A, B = Mat.unit_rows(field, a_cols, k), Mat.unit_rows(field, b_cols, n)
+    assert A.unit_cols is not None and B.unit_cols is not None
+    # composition: an index array, and no dense data built on either side
+    AB = A @ B
+    assert AB.unit_cols.tolist() == [b_cols[c] for c in a_cols]
+    assert A._data is None and B._data is None and AB._data is None
+    # lazy data: built on first read, in storage form
+    assert _same(A, _unit_oracle(field, a_cols, k)) and _same(B, _unit_oracle(field, b_cols, n))
+    assert _same(AB, _untagged(A) @ _untagged(B))
+    right = data.draw(exact_matrix(field, rows=k, cols=data.draw(st.integers(0, 3))))
+    left = data.draw(exact_matrix(field, rows=data.draw(st.integers(0, 3)), cols=k))
+    products = [
+        (A, right),  # row gather
+        (left, B),  # column scatter
+        (Mat.identity(field, k), right),  # gather by the identity
+        (left, Mat.identity(field, k)),  # scatter by the identity
+    ]
+    for x, y in products:
+        got = x @ y
+        assert got.unit_cols is None
+        assert _same(got, _untagged(x) @ _untagged(y))
+        assert_storage(got)
+    # take_rows of a basis map stays one while its rows are distinct
+    pick = data.draw(st.lists(st.integers(0, k - 1), max_size=4)) if k else []
+    taken = B.take_rows(pick)
+    assert (taken.unit_cols is not None) == (len(set(pick)) == len(pick))
+    assert _same(taken, _untagged(B).take_rows(pick))
+    below = data.draw(exact_matrix(field, rows=n, cols=2))
+    assert _same(taken @ below, _untagged(taken) @ below)
+    # non-injective unit rows stay dense, and multiply as they are
+    if k:
+        cols = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=4).filter(
+            lambda c: len(set(c)) < len(c)))
+        D = Mat.unit_rows(field, cols, k)
+        assert D.unit_cols is None and D._data is not None
+        assert _same(D, _unit_oracle(field, cols, k))
+        assert _same(D @ right, _untagged(D) @ right)
+        assert _same(D @ right, Mat.identity(field, k).take_rows(cols) @ right)
+
+
+@pytest.mark.parametrize("field", [F2, F101, QQ], ids=lambda f: f.name)
+def test_quotient_by_nothing_projects_by_the_identity(field):
+    for rows in (Mat.zeros(field, 0, 3), Mat.zeros(field, 2, 3), Mat.zeros(field, 0, 0)):
+        free, P = rows.quotient_projection()
+        assert free == list(range(rows.ncols))
+        assert P.unit_cols is not None and P.pivots == tuple(free)
+        assert _same(P, _unit_oracle(field, free, rows.ncols))

@@ -91,6 +91,18 @@ def _identical(a: Mat, b: Mat) -> bool:
             and list(map(type, a.data.flat)) == list(map(type, b.data.flat)))
 
 
+def _unit_matrix(field, cols, ncols):
+    """The dense matrix with row i the unit vector e_{cols[i]}, built entry by entry."""
+    return Mat.from_rows(field, [[int(j == c) for j in range(ncols)] for c in cols], ncols)
+
+
+def _tag_is_data(m: Mat) -> bool:
+    """m is a basis map whose tag says what its materialized data hold."""
+    cols = m.unit_cols
+    return (cols is not None and len(set(cols.tolist())) == len(cols)
+            and _identical(m, _unit_matrix(m.field, cols.tolist(), m.ncols)))
+
+
 def _oracle_gen_matrix(P: FreeModule, g):
     """Basis map of g by composing and looking up every basis element."""
     cat = P.cat
@@ -98,7 +110,7 @@ def _oracle_gen_matrix(P: FreeModule, g):
     for k, s in enumerate(P.summands):
         for m in cat.hom(s, g.src):
             rows.append(P.offsets[g.dst][k] + cat.hom_index(cat.compose(g, m)))
-    return Mat.identity(P.field, P.dims[g.dst]).take_rows(rows)
+    return _unit_matrix(P.field, rows, P.dims[g.dst])
 
 
 @lru_cache(maxsize=None)
@@ -297,11 +309,11 @@ def test_free_module_matches_compose_oracle(cat, field):
     for summands in [(0,), (2,), (1, 0, 1, 2, 2), (3, 1, 1)]:
         P = FreeModule(cat, field, summands, h)
         for g, m in P.gens.items():
+            # every generator is a basis map, tagged as built, and its tag
+            # is what its materialized data hold
+            assert m.unit_cols is not None and m._data is None, (summands, g)
             assert _identical(m, _oracle_gen_matrix(P, g)), (summands, g)
-            # the column-scatter tag is what a scan of the dense matrix finds
-            scan = Mat(field, m.nrows, m.ncols, m.data)._basis_map_cols()
-            tag = m._basis_map_cols()
-            assert (tag is None) == (scan is None) and (scan is None or list(tag) == list(scan))
+            assert _tag_is_data(m), (summands, g)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -309,10 +321,12 @@ def test_unit_rows_tag_only_distinct_columns(field):
     A = Mat.from_rows(field, [[1, 2, 3], [4, 5, 6]], 3)
     for cols in ([2, 0, 1], [0, 0, 2], [1], []):
         B = Mat.unit_rows(field, cols, 4)
-        plain = Mat(field, B.nrows, B.ncols, B.data.copy())
-        tag, scan = B._basis_map_cols(), plain._basis_map_cols()
-        assert (tag is None) == (scan is None) and (scan is None or list(tag) == list(scan))
+        assert _identical(B, _unit_matrix(field, cols, 4))
+        # a repeated column leaves the matrix dense and untagged
+        assert (B.unit_cols is not None) == (len(set(cols)) == len(cols))
+        assert B.unit_cols is None or _tag_is_data(B)
         if len(cols) == 3:
+            plain = Mat(field, B.nrows, B.ncols, B.data.copy())
             assert _identical(A @ B, A @ plain)
             assert _identical(A @ B, A @ Mat.identity(field, 4).take_rows(cols))
 

@@ -16,6 +16,7 @@ from catrep.presentations import (
     parse_presentation_text,
     resolve_coefficients,
 )
+from catrep.trunc import FreeModule
 
 OI = make_category("oi")
 F101 = parse_field("fp:101")
@@ -216,3 +217,28 @@ def test_emit_parse_emit_is_identity(cat, field, seed, profile):
     resolved = resolve_coefficients(parsed, field)
     assert resolved == pres
     assert emit_presentation_text(cat, field, 6, resolved) == text
+
+
+@pytest.mark.parametrize("spec", ["fp:2", "fp:101"])
+def test_free_cover_generators_are_never_materialized(monkeypatch, spec):
+    # OI files of the in-process CLI benchmark's kind: the fuzz profile at
+    # horizon 9.  Every product with a free generator gathers, scatters or
+    # composes its column array, so no dense copy of one is ever built.
+    field = parse_field(spec)
+    built = []
+    gen_matrix = FreeModule._gen_matrix
+    monkeypatch.setattr(FreeModule, "_gen_matrix", lambda *a: built.append(gen_matrix(*a)) or built[-1])
+    for seed in range(1, 9):
+        V, proj = from_presentation(OI, field, sample_presentation(OI, field, seed, FUZZ_PROFILE), 9)
+        assert V.dims == [m.ncols for m in proj.mats]
+    assert built and all(m.unit_cols is not None and m._data is None for m in built)
+
+
+@pytest.mark.parametrize("cat", [OI, make_category("fi"), make_category("fi_g", 2)], ids=lambda c: c.name)
+def test_relation_free_presentation_keeps_basis_maps(cat):
+    pres = Presentation((("u", 1), ("v", 2)), ())
+    V, proj = from_presentation(cat, F101, pres, 4)
+    assert all(m.unit_cols is not None for m in V.gens.values())
+    assert all(m.unit_cols is not None for m in proj.mats)
+    F = FreeModule(cat, F101, (1, 2), 4)
+    assert V.dims == F.dims and V.gens == F.gens
