@@ -37,7 +37,6 @@ from .trunc import (
     FreeModule,
     InvariantViolation,
     ModuleMap,
-    ProjectiveModule,
     TruncatedModule,
     direct_sum,
     free_module,

@@ -14,8 +14,7 @@ functoriality of these choices are enforced by the test suite rather than
 assumed.
 
 Hom sets, generator lists and index tables are memoised in one cache per
-descriptor (_memo); end_plan and each transversal of coset_plan are grown
-by one breadth-first builder (_tree).
+descriptor (_memo).
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ class FiniteGroup:
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         self.spec = spec
-        # the inverse of a is the b with a b = 0: the first zero of row a
-        self.inverse = tuple(np.argmax(self._validate() == 0, axis=1).tolist())
+        self._validate()
         self.generators = self._generating_set()
 
     @staticmethod
@@ -60,8 +58,8 @@ class FiniteGroup:
         group._check_associative()
         return group
 
-    def _validate(self) -> np.ndarray:
-        """Check the shape, the identity and inverses; the table as an array."""
+    def _validate(self):
+        """Check the shape, the identity and inverses."""
         n = self.order
         for row in self.table:
             if len(row) != n or any(not (0 <= x < n) for x in row):
@@ -73,7 +71,6 @@ class FiniteGroup:
         no_inverse = np.flatnonzero(~(T == 0).any(axis=1))
         if len(no_inverse):
             raise ValueError(f"element {no_inverse[0]} has no inverse")
-        return T
 
     def _check_associative(self):
         # the narrowest dtype that holds every element: the scan is bound by memory
@@ -175,7 +172,7 @@ class CategoryDescriptor:
 
     Immutable; hom-set enumeration, generator data and the index tables
     (compose_table, end_plan and the parent tree split reads off it,
-    step_plan, orbit_table, end_inverse, coset_plan) are pure and memoised
+    step_plan, orbit_table) are pure and memoised
     in this descriptor's one cache (_memo), safe under concurrent use.
     """
 
@@ -448,36 +445,6 @@ class CategoryDescriptor:
             out_labels = self._mul[np.array((0,) + g.labels)[images], labels]
         return self._ranks(s, g.dst, out_images, out_labels)
 
-    def _tree(self, t: int, gens, classes):
-        """Breadth-first tree in C(t, t) from the identity over gens, keeping
-        the first end met in each class not met before.
-
-        classes gives a small nonnegative class number per hom index of
-        C(t, t).  Returns the levels: each lists (g, parents, children) as hom
-        indices with children[j] = g o parents[j], every parent the identity
-        (index 0) or a child of an earlier level, and each reachable class
-        but the identity's met once as a child.
-        """
-        seen = np.zeros(classes.max() + 1, dtype=bool)
-        seen[classes[0]] = True
-        frontier = np.zeros(1, dtype=np.int64)
-        levels = []
-        while True:
-            level = []
-            for g in gens:
-                children = self.compose_table(t, g)[frontier]
-                fresh = np.flatnonzero(~seen[classes[children]])
-                # frontier order decides which child stands for a class
-                first = np.unique(classes[children[fresh]], return_index=True)[1]
-                fresh = fresh[np.sort(first)]
-                if fresh.size:
-                    seen[classes[children[fresh]]] = True
-                    level.append((g, frontier[fresh], children[fresh]))
-            if not level:
-                return tuple(levels)
-            levels.append(tuple(level))
-            frontier = np.concatenate([c for _, _, c in level])
-
     @_memo
     def end_plan(self, s: int):
         """Breadth-first spanning tree of C(s, s) from the identity, over end_generators(s).
@@ -485,16 +452,31 @@ class CategoryDescriptor:
         Returns (levels, position).  Each level lists (g, parents, children)
         as hom indices, with children[i] = g o parents[i]; every parent lies
         in an earlier level, and every element of C(s, s) but the identity
-        (index 0) is a child exactly once (_tree with each end its own
-        class).  position[i] is the place of hom element i in the order
-        identity, then each entry's children in turn.
+        (index 0) is a child exactly once.  position[i] is the place of hom
+        element i in the order identity, then each entry's children in turn.
         """
         count = self.hom_count(s, s)
-        levels = self._tree(s, self.end_generators(s), np.arange(count))
+        seen = np.zeros(count, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        levels = []
+        while True:
+            level = []
+            for g in self.end_generators(s):
+                # an end generator permutes C(s, s), so the children are distinct
+                children = self.compose_table(s, g)[frontier]
+                new = ~seen[children]
+                if new.any():
+                    seen[children[new]] = True
+                    level.append((g, frontier[new], children[new]))
+            if not level:
+                break
+            levels.append(tuple(level))
+            frontier = np.concatenate([c for _, _, c in level])
         order = np.concatenate([[0]] + [c for level in levels for _, _, c in level])
         if order.size != count:
             raise AssertionError(f"end generators of {s} reach {order.size} of {count} morphisms")
-        return levels, np.argsort(order)
+        return tuple(levels), np.argsort(order)
 
     @_memo
     def _end_tree(self, s: int):
@@ -546,51 +528,6 @@ class CategoryDescriptor:
         rep = _subset_ranks(n, t, np.take_along_axis(images, order, axis=1))
         end = self._ranks(t, t, np.argsort(order, axis=1) + 1, labels)
         return rep, end
-
-    @_memo
-    def end_inverse(self, t: int):
-        """hom_index of sigma^-1 for every sigma in C(t, t), as an int array.
-
-        sigma = (pi, g) sends i to pi(i) with label g_i, so sigma^-1 sends
-        pi(i) back to i with label g_i^-1.
-        """
-        images, labels = self.hom_arrays(t, t)
-        back = np.argsort(images, axis=1)
-        inv_labels = None
-        if self.group:
-            inv_labels = np.take_along_axis(np.array(self.group.inverse)[labels], back, axis=1)
-        return self._ranks(t, t, back + 1, inv_labels)
-
-    @_memo
-    def coset_plan(self, t: int):
-        """Left transversals along the chain H_0 < H_1 < ... < H_t = C(t, t).
-
-        H_i is the subgroup of ends fixing every point above i with the
-        identity label, a copy of C(i, i).  The left coset c H_{i-1} of c in
-        H_i is fixed by the image and label of point i, so every sigma in
-        C(t, t) is c_t o ... o c_1 in exactly one way with c_i in the i-th
-        transversal, and a sum over C(t, t) is t nested sums of sizes
-        |C(i, i)|/|C(i-1, i-1)|.  Each transversal is a _tree grown by the
-        end generators lying in H_i, classed by the image and label of
-        point i: level i - 1 lists (g, parents, children) as hom indices
-        with children[j] = g o parents[j], every coset but H_{i-1} met once
-        as a child.
-        """
-        images, labels = self.hom_arrays(t, t)
-        fixed = images == np.arange(1, t + 1)
-        key = images
-        if self.group:
-            fixed &= labels == 0
-            key = images * self.group.order + labels
-        levels = []
-        for i in range(1, t + 1):
-            gens = [g for g in self.end_generators(t) if fixed[self.hom_index(g), i:].all()]
-            level = tuple(entry for grown in self._tree(t, gens, key[:, i - 1]) for entry in grown)
-            cosets = 1 + sum(children.size for _, _, children in level)
-            if cosets * self.hom_count(i - 1, i - 1) != self.hom_count(i, i):
-                raise AssertionError(f"end generators reach {cosets} cosets of C({i - 1}, {i - 1}) in C({i}, {i})")
-            levels.append(level)
-        return tuple(levels)
 
 
 def _subset_ranks(s: int, r: int, images):

@@ -1,29 +1,24 @@
 """Homology of truncated modules: H_0, Tor, homological degrees, regularity.
 
-Resolutions are built degreewise: each step covers the current syzygy module
-Z by projectives generated exactly at the degrees where H_0(Z) is nonzero,
-so gd(P^i) = gd(Z^i) holds at every step by construction.  There are two
-routes:
+Tor comes from the Koszul complex (tor_groups).  K_i(V)_n holds one copy of
+V_{n-i} per i-subset S of {1..n}, the copy sitting on the increasing map
+n-i -> n that misses S (identity labels for the _G kinds), and d_i sends
+copy S = {s_0 < s_1 < ...} to copy S minus s_k by (-1)^k
+act(_skip_map(n-i, s_k - k)).  Then dim Tor_i(V)_n = dim K_i - rank d_i -
+rank d_{i+1}, so a degree reads only V_{n-i-1..n} and no free module is
+built.  For FI this is the complex of Church and Ellenberg ("Homology of
+FI-modules"); for every kind and field, its agreement with a resolution is
+what the tests check.
 
-* minimal, when |C(h, h)| is a unit in the field (h the horizon; it is a
-  multiple of every |C(t, t)|, t <= h, so each end algebra k[C(t, t)] is
-  semisimple): P = sum_t M(W_t), W_t = H_0(Z)_t, lifted into Z_t by an
-  equivariant section (_minimal_cover): the coordinate complement when it
-  is already stable, else a Reynolds sum taken along a chain of subgroups
-  of C(t, t), so no step enumerates an end monoid.  Its reduced
-  differentials vanish, so Tor_i is dim W^i, and the vanishing is checked.
-* free, otherwise (modular fields): one representable M(t) per greedy
-  end-orbit generator (minimal_generators, _cover).  Tor is then computed
-  by reducing the realized differentials modulo the ideal of
-  positive-degree morphisms, which stays correct for non-minimal (padded)
-  resolutions and over any field; the tests compare it with the minimal
-  route, and pad its generators to check resolution independence.
-
-Cover maps are read through the category's index tables.  Both routes walk
-the orbit representatives of C(s, t)/C(s, s) up from a generator degree s
-along the step plan (_step_reps, one product per last one-step): the free
-route from its generators' end orbits, grown along the end plan (a spanning
-tree of C(s, s)), the minimal route from its lift of W_s.
+Resolutions (resolve) are built degreewise: each step covers the current
+syzygy module Z by one representable M(t) per greedy end-orbit generator
+(minimal_generators, _cover), generated exactly at the degrees where H_0(Z)
+is nonzero, so gd(P^i) = gd(Z^i) holds at every step by construction.
+Cover maps are read through the category's index tables: they walk the
+orbit representatives of C(s, t)/C(s, s) up from a generator degree s along
+the step plan (_step_reps, one product per last one-step), from the
+generators' end orbits grown along the end plan (a spanning tree of
+C(s, s)).
 
 Directedness makes degreewise truncation exact, so a resolution loses no
 horizon: every homology number is valid up to the horizon of its module, and
@@ -35,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import comb
 from types import SimpleNamespace
 from typing import Callable
 
@@ -46,11 +42,8 @@ from .trunc import (
     FreeModule,
     InvariantViolation,
     ModuleMap,
-    ProjectiveModule,
     TruncatedModule,
-    _spread,
     end_closure,
-    end_representation,
     free_module,
     generating_degree,
     h0_dims,
@@ -111,76 +104,9 @@ def _cover(Z: TruncatedModule, gens):
     return P, ModuleMap(P, Z, mats)
 
 
-def _semisimple_ends(V: TruncatedModule) -> bool:
-    """Whether resolve(V) takes the minimal route: |C(h, h)| is a unit in
-    the field, so every k[C(t, t)] with t <= h is semisimple (Maschke)."""
-    return V.field.from_int(V.cat.hom_count(V.horizon, V.horizon)) != 0
-
-
-def _minimal_cover(Z: TruncatedModule, spans):
-    """The minimal cover sum_t M(W_t) -> Z with W_t = Z_t/(mZ)_t.
-
-    spans must be m_span(Z), and every |C(t, t)| a unit in the field.  The
-    quotient projection Q of (mZ)_t coordinatises W_t, and its free columns
-    give complement rows C with C Q = I, so rho(g) = C act(g) Q is the
-    matrix of the end generator g on W_t (kept as end_representation).
-    _equivariant_lift gives S with S act(tau) = rho(tau) S and S Q = c I
-    for a unit c; both are checked on the end generators, and the second
-    says the cover is an isomorphism on H_0, hence minimal.  The cover row
-    (f, j) is row j of S act(f) for each orbit representative f of
-    C(t, n)/C(t, t), walked up from S (_step_reps).
-    """
-    cat, field, h = Z.cat, Z.field, Z.horizon
-    summands = []
-    pieces = [[] for _ in range(h + 1)]
-    for t in range(h + 1):
-        span = spans[t].row_basis()
-        free, Q = span.quotient_projection()
-        w = len(free)
-        if not w:
-            continue
-        moved = {g: Z.gens[g].take_rows(free) for g in cat.end_generators(t)}
-        W = end_representation(cat, field, t, w, {g: m @ Q for g, m in moved.items()})
-        S, c = _equivariant_lift(Z, t, span, free, W, moved)
-        for g in cat.end_generators(t):
-            if W.gens[g] @ S != S @ Z.gens[g]:
-                raise InvariantViolation(f"lift of H_0 at degree {t} is not equivariant under {g}")
-        if S @ Q != Mat.identity(field, w).scale(c):
-            raise InvariantViolation(f"cover is not minimal at degree {t}: S Q != {c} I")
-        summands.append((t, W))
-        for n, block in _step_reps(Z, t, S):
-            pieces[n].append(block)
-    P = ProjectiveModule(cat, field, summands, h)
-    mats = [Mat.vstack(p) if p else Mat.zeros(field, 0, Z.dims[n]) for n, p in enumerate(pieces)]
-    return P, ModuleMap(P, Z, mats)
-
-
-def _equivariant_lift(Z: TruncatedModule, t: int, span, free, W: TruncatedModule, moved):
-    """(S, c): rows S lifting W_t into Z_t equivariantly, with S Q = c I.
-
-    span is the canonical basis of (mZ)_t and free its non-pivot columns.
-    The complement rows C = unit rows at free already span a stable
-    complement of (mZ)_t when no C act(g) (moved[g]) reaches a pivot
-    column of span; then S = C and c = 1.  Otherwise S is the unnormalised
-    Reynolds sum over C(t, t) of T(sigma) C, T(sigma) X = rho(sigma^-1) X
-    act(sigma), and c = |C(t, t)|.  It is taken along cat.coset_plan(t):
-    X_i is the sum of T(c_i) X_{i-1} over the i-th transversal, each term
-    T(g) of its parent's, so C(t, t) costs one product pair per transversal
-    element instead of one row block per end.
-    """
-    cat = Z.cat
-    X = Mat.unit_rows(Z.field, free, Z.dims[t])
-    if all(m.take_cols(span.pivots).is_zero() for m in moved.values()):
-        return X, 1
-    ends, inverse = cat.hom(t, t), cat.end_inverse(t)
-    for level in cat.coset_plan(t):
-        terms = {0: X}
-        for g, parents, children in level:
-            back = W.act(ends[inverse[cat.hom_index(g)]])
-            for parent, child in zip(parents.tolist(), children.tolist()):
-                terms[child] = back @ terms[parent] @ Z.gens[g]
-        X = sum(terms.values(), Mat.zeros(Z.field, *X.shape))
-    return X, cat.hom_count(t, t)
+def _spread(positions, K):
+    """Rows of a position-major block holding the given positions, each for all K entries."""
+    return (np.asarray(positions)[:, None] * K + np.arange(K)).ravel()
 
 
 def _step_reps(Z: TruncatedModule, s: int, block: Mat):
@@ -210,7 +136,7 @@ def _step_reps(Z: TruncatedModule, s: int, block: Mat):
 
 @dataclass
 class ResolutionStep:
-    free: FreeModule | ProjectiveModule
+    free: FreeModule
     gen_degrees: tuple
     diff: ModuleMap  # P^i -> Z^i (abstract syzygy coordinates)
     syzygy: TruncatedModule  # Z^{i+1}
@@ -219,36 +145,25 @@ class ResolutionStep:
 
 @dataclass
 class Resolution:
-    """An adaptable degreewise projective resolution built to the requested depth."""
+    """An adaptable degreewise free resolution built to the requested depth."""
 
     steps: list
 
-    @property
-    def minimal(self) -> bool:
-        """Built by _minimal_cover, so every reduced differential must vanish."""
-        return all(isinstance(step.free, ProjectiveModule) for step in self.steps)
-
 
 def resolve(V: TruncatedModule, depth: int) -> Resolution:
-    """Resolve V by projectives generated at its minimal generator degrees.
+    """Resolve V by free modules generated at its minimal generator degrees.
 
-    The minimal route (sum_t M(W_t), _minimal_cover) runs when the end
-    algebras are semisimple (_semisimple_ends); otherwise the free route
-    covers each syzygy by one M(t) per greedy generator.  Every step checks
-    surjectivity of the cover and the adaptability equality
+    Each step covers the syzygy by one M(t) per greedy generator.  Every
+    step checks surjectivity of the cover and the adaptability equality
     gd(P^i) = gd(Z^i), and raises InvariantViolation when one fails.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    minimal = _semisimple_ends(V)
     steps = []
     Z = V
     for i in range(depth + 1):
         spans = m_span(Z)
-        if minimal:
-            P, diff = _minimal_cover(Z, spans)
-        else:
-            P, diff = _cover(Z, minimal_generators(Z, spans=spans))
+        P, diff = _cover(Z, minimal_generators(Z, spans=spans))
         gd_z = top_degree(h0_dims(Z, spans))
         gd_p = max(P.gen_degrees, default=-1)
         if gd_p != gd_z:
@@ -281,39 +196,52 @@ class HomologyReport:
         return max((self.hd_within(i, w) - i for i in range(self.depth + 1)), default=-1)
 
 
-def tor_groups(V: TruncatedModule, depth: int) -> HomologyReport:
-    """H_i(V) = Tor_i(C/m, V) for i <= depth from the resolution resolve(V, depth).
+def _koszul_differential(V: TruncatedModule, n: int, i: int) -> Mat:
+    """d_i: K_i(V)_n -> K_{i-1}(V)_n, copies in lex order of their subsets.
 
-    Reducing P^i mod m keeps its top basis elements (P.top_indices(t): the
-    ones of the summands generated in degree t), so a reduced differential
-    is a row/column selection of a realized one; the reduced image of
-    d_{i+1} is that of Z^{i+1} = im d_{i+1} inside P^i.  On a minimal
-    resolution every reduced differential must vanish (InvariantViolation
-    otherwise), and H_i is the top part of P^i, dim W^i.
+    The block from copy S = {s_0 < ...} to copy S minus s_k is
+    (-1)^k act(_skip_map(n-i, s_k - k)): s_k is the (s_k - k)-th point
+    outside S minus s_k, so the map n-i -> n missing S is the one missing
+    S minus s_k after that skip map.
     """
-    res = resolve(V, depth)
+    a, b = V.dims[n - i], V.dims[n - i + 1]
+    faces = {S: j for j, S in enumerate(itertools.combinations(range(1, n + 1), i - 1))}
+    signed = []  # signed[p - 1] = (act, -act) of the skip map missing p
+    for p in range(1, n - i + 2):
+        m = V.act(V.cat._skip_map(n - i, p))
+        signed.append((m.data, m.scale(-1).data))
+    nrows, ncols = comb(n, i) * a, len(faces) * b
+    data = Mat.zeros(V.field, nrows, ncols).data
+    for r, S in enumerate(itertools.combinations(range(1, n + 1), i)):
+        for k, s in enumerate(S):
+            c = faces[S[:k] + S[k + 1:]]
+            data[r * a:(r + 1) * a, c * b:(c + 1) * b] = signed[s - k - 1][k % 2]
+    return Mat(V.field, nrows, ncols, data)
+
+
+def tor_groups(V: TruncatedModule, depth: int) -> HomologyReport:
+    """H_i(V) = Tor_i(C/m, V) for i <= depth, from the Koszul complex.
+
+    At each degree n, dim H_i = dim K_i - rank d_i - rank d_{i+1}, with d_0
+    and every d_i with i > n zero; each rank is taken once and serves both
+    H_{i-1} and H_i.  d_i d_{i-1} = 0 is checked at every degree, and
+    InvariantViolation raised where it fails: the actions of V then do not
+    compose as the morphisms do.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     h = V.horizon
     dims = [[0] * (h + 1) for _ in range(depth + 1)]
-    sel = [[step.free.top_indices(t) for t in range(h + 1)] for step in res.steps]
-    for t in range(h + 1):
-        for i in range(depth + 1):
-            step = res.steps[i]
-            image_red = step.syzygy_incl.mats[t].take_cols(sel[i][t])
-            if res.minimal:
-                if not image_red.is_zero():
-                    raise InvariantViolation(f"reduced differential d_{i + 1} is nonzero at degree {t}")
-                dims[i][t] = len(sel[i][t])
-                continue
-            if i == 0:
-                kernel_rows = Mat.identity(V.field, len(sel[0][t]))
-            else:
-                realized = step.diff.mats[t] @ res.steps[i - 1].syzygy_incl.mats[t]
-                reduced = realized.take_rows(sel[i][t]).take_cols(sel[i - 1][t])
-                kernel_rows = reduced.left_kernel()
-            image_red = image_red.row_basis()
-            if Mat.vstack([kernel_rows, image_red]).rank() != kernel_rows.nrows:
-                raise InvariantViolation(f"reduced image escapes reduced kernel at i={i}, t={t}")
-            dims[i][t] = kernel_rows.nrows - image_red.nrows
+    for n in range(h + 1):
+        ranks = [0] * (depth + 2)  # ranks[i] = rank d_i at degree n
+        lower = None
+        for i in range(1, min(depth + 1, n) + 1):
+            d = _koszul_differential(V, n, i)
+            if lower is not None and not (d @ lower).is_zero():
+                raise InvariantViolation(f"Koszul d_{i} d_{i - 1} is nonzero at degree {n}")
+            ranks[i], lower = d.rank(), d
+        for i in range(min(depth, n) + 1):
+            dims[i][n] = comb(n, i) * V.dims[n - i] - ranks[i] - ranks[i + 1]
     hd = [top_degree(row) for row in dims]
     reg = max((hd[i] - i for i in range(depth + 1)), default=-1)
     return HomologyReport(dims, hd, hd[0], reg, depth, h)
@@ -546,8 +474,8 @@ def verify_theorems(V: TruncatedModule, depth: int, s_bound: int = 3,
 
     seq = derive(V)
     w = h - 1  # common window for quantities involving SV/DV
-    # truncating to the window before resolving is exact (directedness) and
-    # keeps the free covers desk-sized; every value below is windowed to w
+    # truncating to the window is exact (directedness) and skips degree h,
+    # which no value below reads: every one is windowed to w
     rep_v, rep_sv, rep_dv = (tor_groups(M, depth) for M in (truncate(V, w), seq.SV, seq.DV))
     hd_v, hd_sv, hd_dv = ([rep.hd_within(i, w) for i in range(depth + 1)]
                           for rep in (rep_v, rep_sv, rep_dv))

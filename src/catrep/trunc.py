@@ -12,11 +12,7 @@ generator g is the category's composition table (cat.compose_table) for
 each summand, shifted by the summand offsets, so the table costs one gather
 per generator and no dense matrix until something reads one.  Products with
 these maps are gathers, scatters or compositions of column arrays, and a
-quotient of a free module by nothing keeps them (quotient_by).  A projective
-M(W) = k[C(t, -)] (x)_{k[C(t, t)]} W places the blocks of W's representation
-along the orbit tables (cat.orbit_table) instead; W itself is a module
-concentrated in degree t (end_representation), so the matrix of any end is
-built by act from those of the end generators.
+quotient of a free module by nothing keeps them (quotient_by).
 
 Vectors are rows; act(V, alpha) for alpha: r -> s is a dims[r] x dims[s]
 matrix applied on the right.  Degreewise truncation is exact below the
@@ -40,7 +36,8 @@ from .matrices import Mat
 
 class InvariantViolation(Exception):
     """A mathematical invariant the computation checks (exactness,
-    surjectivity, adaptability, minimality, a polynomial fit) failed."""
+    surjectivity, adaptability, d d = 0 of the Koszul complex, a polynomial
+    fit) failed."""
 
 
 class TruncatedModule:
@@ -142,93 +139,6 @@ class FreeModule(TruncatedModule):
         degree-t summands k and every sigma in C(t, t)."""
         n = self.cat.hom_count(t, t)
         return [self.offsets[t][k] + i for k, s in enumerate(self.summands) if s == t for i in range(n)]
-
-
-class ProjectiveModule(TruncatedModule):
-    """Direct sum of the projectives M(W) = k[C(t, -)] (x)_{k[C(t, t)]} W.
-
-    Each summand is (t, W): W a representation of C(t, t) on k^w, given as
-    the module concentrated in degree t (end_representation), whose act
-    gives the matrix of any end sigma on row vectors.  M(W)_n has the basis
-    (f, j), f an orbit representative of C(t, n)/C(t, t) (cat.orbit_table)
-    and j < w, representative-major; the summands follow each other from
-    offsets[n][k].  A generator g sends (f, j) to row j of W.act(sigma)
-    placed at f', where g o f = f' o sigma, so only the sigmas met there
-    are ever multiplied out.  With the regular representation this is M(t);
-    over a trivial end monoid it is M(t)^w.
-    """
-
-    def __init__(self, cat, field, summands, horizon):
-        self.summands = tuple(t for t, _ in summands)
-        self.representations = tuple(W for _, W in summands)
-        self.widths = tuple(W.dims[-1] for W in self.representations)
-        for t, W in summands:
-            if W.cat != cat or W.field != field or W.horizon != t or any(W.dims[:t]):
-                raise ValueError(f"not a representation of C({t}, {t}) concentrated in degree {t}")
-        self.offsets = []
-        dims = []
-        for n in range(horizon + 1):
-            offsets, size = [], 0
-            for t, w in zip(self.summands, self.widths):
-                offsets.append(size)
-                size += w * (cat.hom_count(t, n) // cat.hom_count(t, t))
-            self.offsets.append(tuple(offsets))
-            dims.append(size)
-        gens = {g: self._gen_matrix(cat, field, dims, g) for g in cat.generators(horizon)}
-        super().__init__(cat, field, horizon, dims, gens)
-
-    def _gen_matrix(self, cat, field, dims, g) -> Mat:
-        """Block rows (f, .) of g: W.act(sigma) at (f', .), where g o f = f' o sigma.
-
-        A basis map (Mat.unit_rows) when every sigma is the identity."""
-        a, b = g.src, g.dst
-        blocks = []  # (summand, rep numbers f' of the g o f, their sigmas)
-        for k, t in enumerate(self.summands):
-            if t <= a:
-                rep, end = cat.orbit_table(t, b)
-                composed = cat.compose_table(t, g)[np.flatnonzero(cat.orbit_table(t, a)[1] == 0)]
-                blocks.append((k, rep[composed], end[composed]))
-        if all(not ends.any() for _, _, ends in blocks):
-            cols = [self.offsets[b][k] + _spread(reps, self.widths[k]) for k, reps, _ in blocks]
-            return Mat.unit_rows(field, np.concatenate(cols) if cols else [], dims[b])
-        data = Mat.zeros(field, dims[a], dims[b]).data
-        for k, reps, ends in blocks:
-            t, w = self.summands[k], self.widths[k]
-            j = np.arange(w)
-            for e in np.unique(ends).tolist():
-                at = np.flatnonzero(ends == e)
-                rows = self.offsets[a][k] + (at[:, None] * w + j)[:, :, None]
-                cols = self.offsets[b][k] + (reps[at][:, None] * w + j)[:, None, :]
-                data[rows, cols] = self.representations[k].act(cat.hom(t, t)[e]).data
-        return Mat(field, dims[a], dims[b], data)
-
-    @property
-    def gen_degrees(self) -> tuple:
-        """Degree of each module generator: w of them per summand (t, W)."""
-        return tuple(t for t, w in zip(self.summands, self.widths) for _ in range(w))
-
-    def top_indices(self, t: int) -> list:
-        """Basis positions of degree t outside (mP)_t: (id, j) of the degree-t summands."""
-        return [self.offsets[t][k] + j for k, s in enumerate(self.summands) if s == t
-                for j in range(self.widths[k])]
-
-
-def end_representation(cat, field, t: int, w: int, ends) -> TruncatedModule:
-    """The representation of C(t, t) on k^w whose end generators act by ends[g].
-
-    It is the module concentrated in degree t, truncated there: every
-    other generator acts on zero spaces.  Its act(sigma) multiplies the
-    generator matrices out along cat.split and caches what it builds.
-    """
-    dims = [0] * t + [w]
-    gens = {g: ends[g] if g.src == g.dst == t else Mat.zeros(field, dims[g.src], dims[g.dst])
-            for g in cat.generators(t)}
-    return TruncatedModule(cat, field, t, dims, gens)
-
-
-def _spread(positions, K):
-    """Rows of a position-major block holding the given positions, each for all K entries."""
-    return (np.asarray(positions)[:, None] * K + np.arange(K)).ravel()
 
 
 class ModuleMap:

@@ -1,16 +1,12 @@
 """Seams that reach the behaviours the entry points do not select.
 
-resolve takes the minimal route wherever the end algebras are semisimple,
-and tor_groups always resolves its module itself.  The context managers
-below patch the names resolve looks up in catrep.homology:
-
-* free_route(): _semisimple_ends answers False, so every step covers by one
-  M(t) per greedy generator, the route the minimal one is checked against;
-* padded(): the free route with the first greedy generator repeated at
-  every step, a non-minimal resolution that must give the same Tor; it
-  yields the list of repeated (degree, row) generators, one per step;
-* recorded(): collects each Resolution that resolve returns, so a test can
-  inspect the one tor_groups read.
+tor_groups reads Tor off the Koszul complex; resolution_tor reads it off
+resolve instead, the reference that tests compare tor_groups against.
+padded() patches the name resolve looks up in catrep.homology so that the
+first greedy generator is repeated at every step: a non-minimal resolution
+that must give the same Tor.  It yields the list of repeated (degree, row)
+generators, one per step.  non_functorial() is a module no presentation
+can give, for the checks that guard against one.
 
 un_chain stops where the chain stabilizes; continued() extends its steps.
 """
@@ -20,13 +16,46 @@ import contextlib
 import pytest
 
 from catrep import homology
+from catrep.category import make_category
+from catrep.fields import parse_field
+from catrep.matrices import Mat
+from catrep.trunc import TruncatedModule
 
 
-@contextlib.contextmanager
-def free_route():
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(homology, "_semisimple_ends", lambda V: False)
-        yield
+def resolution_tor(V, depth):
+    """dims[i][t] = dim Tor_i(V)_t read off resolve(V, depth).
+
+    Reducing P^i mod m keeps its top basis elements (P.top_indices(t): the
+    ones of the summands generated in degree t), so a reduced differential
+    is a row/column selection of a realized one, and the reduced image of
+    d_{i+1} is that of Z^{i+1} = im d_{i+1} inside P^i.  H_i is the reduced
+    kernel modulo the reduced image, which holds for non-minimal (padded)
+    resolutions and over any field.
+    """
+    res = homology.resolve(V, depth)
+    h = V.horizon
+    dims = [[0] * (h + 1) for _ in range(depth + 1)]
+    sel = [[step.free.top_indices(t) for t in range(h + 1)] for step in res.steps]
+    for t in range(h + 1):
+        for i, step in enumerate(res.steps):
+            if i == 0:
+                kernel_rows = Mat.identity(V.field, len(sel[0][t]))
+            else:
+                realized = step.diff.mats[t] @ res.steps[i - 1].syzygy_incl.mats[t]
+                kernel_rows = realized.take_rows(sel[i][t]).take_cols(sel[i - 1][t]).left_kernel()
+            image_red = step.syzygy_incl.mats[t].take_cols(sel[i][t]).row_basis()
+            assert Mat.vstack([kernel_rows, image_red]).rank() == kernel_rows.nrows, (i, t)
+            dims[i][t] = kernel_rows.nrows - image_red.nrows
+    return dims
+
+
+def non_functorial():
+    """OI/F_101 with dims [1, 1, 1]: 0 -> 1 acts by 1 and the two one-steps
+    1 -> 2 by 2 and 3, so the two ways from 0 to 2 disagree."""
+    oi, field = make_category("oi"), parse_field("fp:101")
+    scalars = {oi._skip_map(0, 1): 1, oi._skip_map(1, 1): 2, oi._skip_map(1, 2): 3}
+    gens = {g: Mat.from_rows(field, [[scalars[g]]]) for g in oi.generators(2)}
+    return TruncatedModule(oi, field, 2, [1, 1, 1], gens)
 
 
 @contextlib.contextmanager
@@ -38,23 +67,9 @@ def padded():
         repeated.extend(gens[:1])
         return gens + gens[:1]
 
-    with free_route(), pytest.MonkeyPatch.context() as m:
+    with pytest.MonkeyPatch.context() as m:
         m.setattr(homology, "minimal_generators", with_redundant)
         yield repeated
-
-
-@contextlib.contextmanager
-def recorded():
-    resolutions = []
-    resolve = homology.resolve
-
-    def recording(V, depth):
-        resolutions.append(resolve(V, depth))
-        return resolutions[-1]
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(homology, "resolve", recording)
-        yield resolutions
 
 
 def continued(chain, max_steps):

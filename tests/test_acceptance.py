@@ -17,7 +17,7 @@ from catrep.homology import hilbert_fit, tor_groups, verify_theorems
 from catrep.presentations import Presentation, Relation, from_presentation
 from catrep.shift import annihilator_oracle, derive, sd_commutation_probe, shift_module, sin_reg, un_chain
 from catrep.trunc import free_module, generating_degree, truncate
-from seams import continued, padded
+from seams import continued, padded, resolution_tor
 
 HORIZON = 6
 COUNT = 50
@@ -259,16 +259,21 @@ def test_criterion_08_inequality_battery(corpus, hypothesis_by_config):
     assert not violations, violations
 
 
-# the paper's group categories: (kind, group, horizon, expected pass,
-# inconclusive and skipped counts) over F_101, corpus seeds 1-10; each horizon
-# is the smallest at which items are conclusive
-GROUP_LANES = [("fi_g", "cyclic:2", 5, (33, 31, 16)), ("oi_g", "cyclic:3", 6, (49, 21, 10))]
+# the paper's group categories: (kind, group, field, horizon, expected pass,
+# inconclusive and skipped counts), corpus seeds 1-10; each F_101 horizon is
+# the smallest at which items are conclusive, and the modular lanes are
+# fields dividing |G|
+GROUP_LANES = [("fi_g", "cyclic:2", "fp:101", 5, (33, 31, 16)),
+               ("oi_g", "cyclic:3", "fp:101", 6, (49, 21, 10)),
+               ("fi_g", "cyclic:2", "fp:2", 5, (35, 31, 14)),
+               ("oi_g", "cyclic:3", "fp:3", 5, (38, 26, 16)),
+               ("oi_g", "cyclic:3", "fp:3", 6, (46, 18, 16))]
 
 
-@pytest.mark.parametrize("kind, group, horizon, counts", GROUP_LANES,
-                         ids=[f"{kind}-{group}" for kind, group, _, _ in GROUP_LANES])
-def test_group_lane_inequality_battery(kind, group, horizon, counts):
-    cat, field = make_category(kind, group), parse_field("fp:101")
+@pytest.mark.parametrize("kind, group, spec, horizon, counts", GROUP_LANES,
+                         ids=[f"{kind}-{group}-{spec}-h{horizon}" for kind, group, spec, horizon, _ in GROUP_LANES])
+def test_group_lane_inequality_battery(kind, group, spec, horizon, counts):
+    cat, field = make_category(kind, group), parse_field(spec)
     t0 = time.monotonic()
     statuses = []
     violations = []
@@ -314,10 +319,9 @@ def test_criterion_10_resolution_independence(corpus):
     agreed = 0
     for seed, _, module in picks:
         small = truncate(module, 5)
-        a = tor_groups(small, 2)
+        dims = tor_groups(small, 2).dims
         with padded():
-            b = tor_groups(small, 2)
-        assert a.dims == b.dims, seed
+            assert dims == resolution_tor(small, 2), seed
         agreed += 1
     _report(10, "resolution independence", agreed == 10,
-            f"minimal vs padded Tor dims agree on {agreed} corpus modules")
+            f"Koszul vs padded-resolution Tor dims agree on {agreed} corpus modules")

@@ -3,9 +3,11 @@
 Each workload is built as perfbench/run.py builds it, with its files under
 tmp_path, and its first items must reproduce the golden digests in
 perfbench/golden.json.  One more item runs under the layer-tracing shim of
-perfbench/spans.py, whose resolve wrapper reads every step's free.dims and
-gen_degrees, and must give the same output.  A broken frozen call would
-otherwise show up only as a failed benchmark run.
+perfbench/spans.py and must give the same output.  verify no longer
+resolves, so on the verify workloads the shim is also installed around a
+direct resolve call: its resolve wrapper reads every step's free.dims and
+gen_degrees.  A broken frozen call would otherwise show up only as a failed
+benchmark run.
 """
 
 import hashlib
@@ -14,6 +16,8 @@ import json
 from pathlib import Path
 
 import pytest
+
+from catrep import homology
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 FIRST_ITEMS = 5
@@ -46,6 +50,8 @@ def test_first_items_match_the_golden_digests(name, tmp_path):
     uninstall = SPANS.install(tracer)
     try:
         assert _matches_golden(wl, FIRST_ITEMS), wl.items[FIRST_ITEMS]
+        if name in WORKLOADS.VERIFY:
+            homology.resolve(wl.prepare(FIRST_ITEMS + 1), 1)
     finally:
         uninstall()
     assert tracer.stack == []

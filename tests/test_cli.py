@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catrep import cli, homology, matrices, shift
+from catrep import cli, matrices, shift
 from catrep.category import make_category
 from catrep.cli import main
 from catrep.corpus import FUZZ_PROFILE, sample_presentation
@@ -20,6 +20,7 @@ from catrep.matrices import Mat
 from catrep.presentations import emit_presentation_text
 from catrep.reports import make_report, to_json
 from catrep.shift import un_chain
+from seams import non_functorial
 
 TORSION = """catrep-presentation v1
 category oi
@@ -145,6 +146,13 @@ def test_hilbert_inconclusive_exit_2(files, capsys):
 def test_negative_horizon_rejected(files, capsys):
     code, _, err = run(capsys, "--horizon", "-1", "info", files["torsion"])
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["homology", "verify"])
+def test_negative_depth_rejected(files, capsys, command):
+    code, _, err = run(capsys, command, files["torsion"], "--depth", "-1")
+    assert code == 1
+    assert err == "error: depth must be >= 0\n"
 
 
 def test_shift_and_homology(files, capsys):
@@ -379,13 +387,14 @@ def test_exit_codes(files, capsys, monkeypatch, tmp_path):
     missing = str(tmp_path / "missing.pres")
     assert run(capsys, "homology", missing)[0] == cli.EXIT_USAGE == 1
     assert run(capsys, "--horizon", "2", "decompose", files["torsion"])[0] == cli.EXIT_INCONCLUSIVE == 2
-    # 3: a checked invariant fails.  With every (mV)_t claimed empty, the
-    # cover is no longer minimal and a reduced differential is nonzero
+    # 3: a checked invariant fails.  On a module whose actions do not
+    # compose, the Koszul differentials do not square to zero
+    V = non_functorial()
     with monkeypatch.context() as m:
-        m.setattr(homology, "m_span", lambda V: [Mat.zeros(V.field, 0, d) for d in V.dims])
+        m.setattr(cli, "build_module", lambda *a, **k: (V.cat, V.field, V.horizon, V))
         code, _, err = run(capsys, "homology", files["torsion"])
     assert code == cli.EXIT_VIOLATION == 3
-    assert err.startswith("violation: reduced differential")
+    assert err.startswith("violation: Koszul d_2 d_1 is nonzero")
     # 3 also for a lemma violation raised out of a command
     with monkeypatch.context() as m:
         m.setattr(cli, "tor_groups", _raises(VerificationViolation("lemma")))

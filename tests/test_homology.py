@@ -1,13 +1,14 @@
 """Resolutions, Tor, regularity, Hilbert fits, and the verification suite.
 
-Resolution independence compares Tor of the minimal resolution with Tor of
-a padded one, reached through seams.padded: the free route
-(homology._semisimple_ends patched to False) with a redundant generator at
-every step.
+Tor from the Koszul complex (tor_groups) is compared with Tor read off a
+resolution (seams.resolution_tor), both the greedy one and a padded one
+(seams.padded: a redundant generator at every step).
 """
 
 from fractions import Fraction
 from math import factorial
+
+import pytest
 
 from catrep import homology, trunc
 from catrep.category import Morphism, make_category
@@ -20,8 +21,8 @@ from catrep.homology import (
     verify_theorems,
 )
 from catrep.presentations import Presentation, Relation, from_presentation
-from catrep.trunc import free_module, generating_degree, h0_dims, top_degree, zero_module
-from seams import padded
+from catrep.trunc import InvariantViolation, free_module, generating_degree, h0_dims, top_degree, zero_module
+from seams import non_functorial, padded, resolution_tor
 
 F101 = parse_field("fp:101")
 FI = make_category("fi")
@@ -120,21 +121,52 @@ def test_tor_torsion_module():
 
 
 def test_tor_resolution_independence():
-    # minimal versus padded resolutions give the same homology
-    mods = []
-    for field in (F101, QQ):
-        mods += [oi_torsion(field=field), free_module(FI, field, 1, 5)]
-        for kind in ("oi", "fi"):
-            cat = make_category(kind)
-            for seed in (1, 2, 3):
-                pres = sample_presentation(cat, field, seed)
-                mods.append(from_presentation(cat, field, pres, 5)[0])
-    for V in mods:
-        a = tor_groups(V, 2)
-        with padded() as repeated:
-            b = tor_groups(V, 2)
-        assert len(repeated) == 3  # every step, syzygy covers included
-        assert a.dims == b.dims
+    # Koszul Tor against Tor of greedy and padded resolutions, on every kind
+    # and field; the _G kinds stop at horizon 4, where resolving stays cheap
+    fields = [parse_field(spec) for spec in ("fp:101", "q", "fp:2", "fp:3")]
+    for cat in (OI, FI, make_category("fi_g", 2), make_category("oi_g", 3)):
+        h = 5 if cat.group is None else 4
+        for field in fields:
+            mods = [free_module(cat, field, 1, h)]
+            mods += [from_presentation(cat, field, sample_presentation(cat, field, seed), h)[0]
+                     for seed in (1, 2, 3)]
+            if cat == OI:
+                mods.append(oi_torsion(h, field))
+            for V in mods:
+                dims = tor_groups(V, 2).dims
+                assert dims == resolution_tor(V, 2), (cat.name, field.name, V)
+                with padded() as repeated:
+                    assert dims == resolution_tor(V, 2), (cat.name, field.name, V)
+                assert len(repeated) == 3  # every step, syzygy covers included
+
+
+# Tor dims of corpus modules (horizon 4, depth 2) by seed over fields that
+# divide some |C(t, t)|, recorded from the free route of resolve
+MODULAR = {
+    ("fi", None, "fp:2"): {
+        1: [[0, 1, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]],
+        2: [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]],
+        3: [[0, 0, 2, 0, 0], [0, 0, 0, 6, 0], [0, 0, 0, 0, 12]],
+    },
+    ("fi_g", 3, "fp:3"): {
+        1: [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 2, 0]],
+    },
+}
+
+
+def test_modular_tor_keeps_recorded_dims():
+    for (kind, group, spec), by_seed in MODULAR.items():
+        cat, field = make_category(kind, group), parse_field(spec)
+        for seed, want in by_seed.items():
+            V, _ = from_presentation(cat, field, sample_presentation(cat, field, seed), 4)
+            assert tor_groups(V, 2).dims == want, (kind, spec, seed)
+
+
+def test_koszul_check_catches_a_non_functorial_module():
+    V = non_functorial()
+    assert tor_groups(V, 0).dims == [[1, 0, 0]]  # depth 0 builds no d_2
+    with pytest.raises(InvariantViolation, match="Koszul d_2 d_1 is nonzero at degree 2"):
+        tor_groups(V, 1)
 
 
 def test_hd0_equals_gd_across_modules():

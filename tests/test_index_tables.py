@@ -54,37 +54,6 @@ def _oracle_end_plan(cat, s):
     return tuple(levels), position
 
 
-def _oracle_coset_plan(cat, t):
-    """coset_plan(t) grown one element at a time, with a set of seen cosets."""
-    images, labels = cat.hom_arrays(t, t)
-    fixed = images == np.arange(1, t + 1)
-    key = images
-    if cat.group:
-        fixed &= labels == 0
-        key = images * cat.group.order + labels
-    levels = []
-    for i in range(1, t + 1):
-        gens = [g for g in cat.end_generators(t) if fixed[cat.hom_index(g), i:].all()]
-        seen = {key[0, i - 1]}
-        frontier, level = [0], []
-        while frontier:
-            grown = []
-            for g in gens:
-                parents, children = [], []
-                for parent, child in zip(frontier, cat.compose_table(t, g)[frontier].tolist()):
-                    if key[child, i - 1] not in seen:
-                        seen.add(key[child, i - 1])
-                        parents.append(parent)
-                        children.append(child)
-                if children:
-                    level.append((g, np.array(parents), np.array(children)))
-                    grown += children
-            frontier = grown
-        assert len(seen) * cat.hom_count(i - 1, i - 1) == cat.hom_count(i, i)
-        levels.append(tuple(level))
-    return tuple(levels)
-
-
 def _identical(a: Mat, b: Mat) -> bool:
     return (a.field == b.field and a.shape == b.shape and a.data.dtype == b.data.dtype
             and np.array_equal(a.data, b.data)
@@ -254,16 +223,12 @@ def test_tree_builder_matches_the_plans_it_replaced(cat):
         old_levels, old_position = _oracle_end_plan(cat, t)
         _same_levels(levels, old_levels)
         assert np.array_equal(position, old_position)
-        plan, old_plan = cat.coset_plan(t), _oracle_coset_plan(cat, t)
-        assert len(plan) == len(old_plan) == t
-        for level, old in zip(plan, old_plan):
-            _same_levels((level,), (old,))
 
 
 def test_memo_runs_each_body_once_per_descriptor(monkeypatch):
     memoised = {name: f for name, f in vars(CategoryDescriptor).items() if hasattr(f, "__wrapped__")}
-    assert {"hom", "_hom_positions", "compose_table", "end_plan", "step_plan", "orbit_table",
-            "end_inverse", "coset_plan"} <= set(memoised)
+    assert {"hom", "_hom_positions", "compose_table", "end_plan", "step_plan",
+            "orbit_table"} <= set(memoised)
     runs = []
 
     def counted(name, body):
@@ -279,9 +244,9 @@ def test_memo_runs_each_body_once_per_descriptor(monkeypatch):
     assert a == b
     for cat in (a, b, a):
         V, _ = from_presentation(cat, field, sample_presentation(cat, field, 1), 4)
-        homology.tor_groups(V, 1)
+        homology.resolve(V, 1)
         for t in range(4):
-            cat.coset_plan(t), cat.end_inverse(t), cat.hom_index(cat.hom(t, t)[-1])
+            cat.hom_index(cat.hom(t, t)[-1])
     assert len(runs) == len(set(runs)), "a memoised body ran twice for one argument tuple"
     assert {name for _, name, _ in runs} == set(memoised)
     tables = [{(name, args) for i, name, args in runs if i == id(cat)} for cat in (a, b)]
@@ -383,13 +348,10 @@ def test_kernel_rows_are_not_echeloned_again(monkeypatch, field):
 
 
 @pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
-def test_orbit_table_and_end_inverse_match_compose(cat):
+def test_orbit_table_matches_compose(cat):
     h = 4 if cat.group is None or cat.group.order < 3 else 3
     for t in range(h + 1):
         ends = cat.hom(t, t)
-        inverse = cat.end_inverse(t)
-        for i, sigma in enumerate(ends):
-            assert cat.compose(ends[inverse[i]], sigma) == cat.identity(t) == cat.compose(sigma, ends[inverse[i]])
         for n in range(h + 1):
             rep, end = cat.orbit_table(t, n)
             homs = cat.hom(t, n)
@@ -400,26 +362,3 @@ def test_orbit_table_and_end_inverse_match_compose(cat):
                 f = homs[reps[rep[i]]]
                 assert list(f.images) == sorted(f.images) and not any(f.labels or ())
                 assert cat.compose(f, ends[end[i]]) == alpha
-
-
-@pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
-def test_coset_plan_factors_every_end_once(cat):
-    # the i-th transversal is a tree of children g o parent inside H_i, and
-    # c_t o ... o c_1 over the transversals meets each end of t exactly once
-    h = 4 if cat.group is None or cat.group.order < 3 else 3
-    for t in range(h + 1):
-        ends = cat.hom(t, t)
-        plan = cat.coset_plan(t)
-        assert len(plan) == t
-        products = [cat.identity(t)]
-        for i, level in enumerate(plan, start=1):
-            reps = [0]
-            for g, parents, children in level:
-                assert [cat.hom_index(cat.compose(g, ends[p])) for p in parents] == children.tolist()
-                reps += children.tolist()
-            for c in reps:
-                moved = ends[c]
-                assert moved.images[i:] == tuple(range(i + 1, t + 1)) and not any((moved.labels or ())[i:])
-            assert len(reps) * cat.hom_count(i - 1, i - 1) == cat.hom_count(i, i)
-            products = [cat.compose(ends[c], p) for c in reps for p in products]
-        assert sorted(cat.hom_index(m) for m in products) == list(range(len(ends)))
