@@ -171,9 +171,9 @@ class CategoryDescriptor:
     """One of the four category kinds, with its group decoration if any.
 
     Immutable; hom-set enumeration, generator data and the index tables
-    (compose_table, end_plan and the parent tree split reads off it,
-    step_plan, orbit_table) are pure and memoised
-    in this descriptor's one cache (_memo), safe under concurrent use.
+    (compose_table, end_plan and the parent tree split reads off it) are
+    pure and memoised in this descriptor's one cache (_memo), safe under
+    concurrent use.
     """
 
     def __init__(self, kind: str, group: FiniteGroup | None = None):
@@ -395,11 +395,11 @@ class CategoryDescriptor:
 
     # -- index tables --------------------------------------------------
     #
-    # Free modules and covers act on whole hom sets at once.  These tables
-    # give, as int arrays, the hom index of every composite or factor they
-    # need, so that no Morphism is built, composed or looked up per basis
-    # element.  Each is built once per descriptor with numpy and memoised.
-    # split factors single morphisms through the same end plan (_end_tree).
+    # Free modules act on whole hom sets at once.  These tables give, as
+    # int arrays, the hom index of every composite they need, so that no
+    # Morphism is built, composed or looked up per basis element.  Each is
+    # built once per descriptor with numpy and memoised.  split factors
+    # single morphisms through the end plan (_end_tree).
 
     @_memo
     def hom_arrays(self, r: int, s: int):
@@ -449,11 +449,10 @@ class CategoryDescriptor:
     def end_plan(self, s: int):
         """Breadth-first spanning tree of C(s, s) from the identity, over end_generators(s).
 
-        Returns (levels, position).  Each level lists (g, parents, children)
-        as hom indices, with children[i] = g o parents[i]; every parent lies
-        in an earlier level, and every element of C(s, s) but the identity
-        (index 0) is a child exactly once.  position[i] is the place of hom
-        element i in the order identity, then each entry's children in turn.
+        Returns the levels.  Each level lists (g, parents, children) as hom
+        indices, with children[i] = g o parents[i]; every parent lies in an
+        earlier level, and every element of C(s, s) but the identity (index
+        0) is a child exactly once.
         """
         count = self.hom_count(s, s)
         seen = np.zeros(count, dtype=bool)
@@ -473,10 +472,9 @@ class CategoryDescriptor:
                 break
             levels.append(tuple(level))
             frontier = np.concatenate([c for _, _, c in level])
-        order = np.concatenate([[0]] + [c for level in levels for _, _, c in level])
-        if order.size != count:
-            raise AssertionError(f"end generators of {s} reach {order.size} of {count} morphisms")
-        return tuple(levels), np.argsort(order)
+        if not seen.all():
+            raise AssertionError(f"end generators of {s} reach {seen.sum()} of {count} morphisms")
+        return tuple(levels)
 
     @_memo
     def _end_tree(self, s: int):
@@ -484,50 +482,10 @@ class CategoryDescriptor:
         homs = self.hom(s, s)
         return {
             child: (homs[parent], g)
-            for level in self.end_plan(s)[0]
+            for level in self.end_plan(s)
             for g, parents, children in level
             for parent, child in zip(parents.tolist(), children.tolist())
         }
-
-    @_memo
-    def step_plan(self, s: int, t: int):
-        """Each alpha in C(s, t), t > s, factored as gamma o beta as in _factor_once.
-
-        gamma is the plain one-step t-1 -> t that misses alpha's largest
-        missed point.  Returns the entries (gamma, betas, alphas): hom
-        indices into C(s, t-1) and C(s, t) of the alphas with that gamma.
-        """
-        images, labels = self.hom_arrays(s, t)
-        count = len(images)
-        present = np.zeros((count, t + 1), dtype=bool)
-        present[np.arange(count)[:, None], images] = True
-        # the first missing point scanning down from t
-        missed = t - np.argmin(present[:, :0:-1], axis=1)
-        betas = self._ranks(s, t - 1, images - (images > missed[:, None]), labels)
-        entries = []
-        for p in np.unique(missed).tolist():
-            alphas = np.flatnonzero(missed == p)
-            entries.append((self._skip_map(t - 1, p), betas[alphas], alphas))
-        return tuple(entries)
-
-    @_memo
-    def orbit_table(self, t: int, n: int):
-        """Each alpha in C(t, n) as f o sigma, with sigma in C(t, t) and f an
-        orbit representative of C(t, n)/C(t, t).
-
-        C(t, t) acts freely on C(t, n) by precomposition, and each orbit holds
-        one increasing injection with identity labels: f has alpha's images
-        sorted, sigma sends i to the rank of alpha's i-th image and carries
-        alpha's labels.  Representatives are numbered in lex order of their
-        images, which is their hom order.  Returns (rep, end): int arrays over
-        hom(t, n) of f's number and sigma's hom index, so the representatives
-        are the alphas with end == 0.
-        """
-        images, labels = self.hom_arrays(t, n)
-        order = np.argsort(images, axis=1)
-        rep = _subset_ranks(n, t, np.take_along_axis(images, order, axis=1))
-        end = self._ranks(t, t, np.argsort(order, axis=1) + 1, labels)
-        return rep, end
 
 
 def _subset_ranks(s: int, r: int, images):

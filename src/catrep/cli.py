@@ -204,6 +204,8 @@ def _cmd_homology(args, module, cfg) -> int:
 
 def _cmd_decompose(args, module, cfg) -> int:
     max_steps = args.max_steps if args.max_steps is not None else max(module.horizon, 1)
+    if max_steps < 1:
+        raise ValueError("--max-steps must be >= 1")
     chain = un_chain(module, max_steps)
     items = []
     for n in range(1, len(chain.bases)):
@@ -264,6 +266,8 @@ def _cmd_verify(args, module, cfg) -> int:
 
 def _cmd_oracle(args, module, cfg) -> int:
     max_n = args.max_n
+    if max_n < 1:
+        raise ValueError("--max-n must be >= 1")
     chain = un_chain(module, max_n)
     items = []
     status = EXIT_OK

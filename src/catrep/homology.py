@@ -14,11 +14,9 @@ Resolutions (resolve) are built degreewise: each step covers the current
 syzygy module Z by one representable M(t) per greedy end-orbit generator
 (minimal_generators, _cover), generated exactly at the degrees where H_0(Z)
 is nonzero, so gd(P^i) = gd(Z^i) holds at every step by construction.
-Cover maps are read through the category's index tables: they walk the
-orbit representatives of C(s, t)/C(s, s) up from a generator degree s along
-the step plan (_step_reps, one product per last one-step), from the
-generators' end orbits grown along the end plan (a spanning tree of
-C(s, s)).
+A cover map M(s) -> Z is fixed by the image v of id_s, its row alpha being
+v act(alpha); _cover fills these rows in one walk along the free module's
+generator table, one product per generator and batch of new rows.
 
 Directedness makes degreewise truncation exact, so a resolution loses no
 horizon: every homology number is valid up to the horizon of its module, and
@@ -76,62 +74,46 @@ def minimal_generators(V: TruncatedModule, spans=None):
 
 
 def _cover(Z: TruncatedModule, gens):
-    """Free module on the given generators and the cover map onto Z.
+    """Free module P on the given generators and the cover map P -> Z.
 
     Row (k, alpha) of the map at degree t is v_k act(alpha) for alpha in
-    C(s_k, t).  Each run of consecutive generators of one degree s is done
-    at once: its orbit block (v_k act(sigma) for sigma in C(s, s), row
-    position[sigma] * K + k) walks the end plan of C(s, s), one product per
-    generator and tree level.  As v act(f o sigma) = v act(sigma) act(f),
-    each degree t > s walks only the orbit representatives f (_step_reps),
-    and orbit_table puts the rows summand-major in hom order.
+    C(s_k, t).  A generator g sends row (k, m) to row (k, g o m), whose
+    place is the column P.gens[g].unit_cols gives, and whose value is
+    row @ Z.gens[g].  Degree t starts from the rows (k, id) = v_k and the
+    rows of degree t - 1 pushed along the step generators, then pushes each
+    round's new rows along the end generators.  A push keeps only the rows
+    that land on unfilled places, so each row is computed once.
     """
-    cat, field, h = Z.cat, Z.field, Z.horizon
-    P = FreeModule(cat, field, tuple(t for t, _ in gens), h)
-    pieces = [[] for _ in range(h + 1)]
-    for s, run in itertools.groupby(gens, key=lambda gen: gen[0]):
-        block = Mat.from_rows(field, [v for _, v in run], Z.dims[s])
-        K = block.nrows
-        levels, position = cat.end_plan(s)
-        for level in levels:
-            block = Mat.vstack([block] + [block.take_rows(_spread(position[parents], K)) @ Z.gens[g]
-                                          for g, parents, _ in level])
-        for t, rows in _step_reps(Z, s, block):
-            rep, end = cat.orbit_table(s, t)
-            first = rep * block.nrows + position[end] * K  # the row of (0, alpha)
-            pieces[t].append(rows.take_rows((np.arange(K)[:, None] + first).ravel()))
-    mats = [Mat.vstack(p) if p else Mat.zeros(field, 0, Z.dims[t]) for t, p in enumerate(pieces)]
+    cat, field = Z.cat, Z.field
+    P = FreeModule(cat, field, tuple(t for t, _ in gens), Z.horizon)
+    mats = []
+    for t in range(Z.horizon + 1):
+        filled = np.zeros(P.dims[t], dtype=bool)
+
+        def push(cols, rows, g):
+            """(new columns, their rows) of the given rows, at distinct columns, sent along g."""
+            cols = P.gens[g].unit_cols[cols]  # distinct, as g acts injectively
+            fresh = np.flatnonzero(~filled[cols])
+            filled[cols[fresh]] = True
+            return cols[fresh], rows.take_rows(fresh) @ Z.gens[g]
+
+        ids = [k for k, (s, _) in enumerate(gens) if s == t]
+        seeds = np.array([P.offsets[t][k] for k in ids], dtype=np.intp)  # the rows (k, id)
+        filled[seeds] = True
+        frontier = [(seeds, Mat.from_rows(field, [gens[k][1] for k in ids], Z.dims[t]))]
+        for g in cat.step_generators(t - 1) if t else ():
+            frontier.append(push(np.arange(P.dims[t - 1]), mats[t - 1], g))
+        parts = []
+        while frontier:
+            parts += frontier
+            cols = np.concatenate([c for c, _ in frontier])
+            rows = Mat.vstack([r for _, r in frontier])
+            frontier = [push(cols, rows, g) for g in cat.end_generators(t)] if len(cols) else []
+        if not filled.all():
+            raise AssertionError(f"generators reach {filled.sum()} of {P.dims[t]} rows at degree {t}")
+        order = np.argsort(np.concatenate([c for c, _ in parts]))
+        mats.append(Mat.vstack([r for _, r in parts]).take_rows(order))
     return P, ModuleMap(P, Z, mats)
-
-
-def _spread(positions, K):
-    """Rows of a position-major block holding the given positions, each for all K entries."""
-    return (np.asarray(positions)[:, None] * K + np.arange(K)).ravel()
-
-
-def _step_reps(Z: TruncatedModule, s: int, block: Mat):
-    """(t, rows) for the orbit representatives of C(s, t), t = s..horizon.
-
-    block holds the K rows of the identity, the one representative of
-    C(s, s).  Each yielded block holds K rows per representative f of
-    C(s, t), position-major in representative order.  A representative's
-    last one-step gamma leaves a representative beta of C(s, t - 1)
-    (increasing images, identity labels), so its rows are beta's rows times
-    act(gamma): one product per gamma.
-    """
-    cat, K = Z.cat, block.nrows
-    yield s, block
-    for t in range(s + 1, Z.horizon + 1):
-        prev = cat.orbit_table(s, t - 1)[0]
-        rep, end = cat.orbit_table(s, t)
-        parts, order = [], []
-        for gamma, betas, alphas in cat.step_plan(s, t):
-            keep = end[alphas] == 0
-            if keep.any():
-                parts.append(block.take_rows(_spread(prev[betas[keep]], K)) @ Z.act(gamma))
-                order.append(rep[alphas[keep]])
-        block = Mat.vstack(parts).take_rows(_spread(np.argsort(np.concatenate(order)), K))
-        yield t, block
 
 
 @dataclass

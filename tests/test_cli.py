@@ -155,6 +155,13 @@ def test_negative_depth_rejected(files, capsys, command):
     assert err == "error: depth must be >= 0\n"
 
 
+@pytest.mark.parametrize("command, flag", [("oracle", "--max-n"), ("decompose", "--max-steps")])
+def test_step_count_below_one_rejected(files, capsys, command, flag):
+    code, _, err = run(capsys, command, files["torsion"], flag, "0")
+    assert code == 1
+    assert err == f"error: {flag} must be >= 1\n"
+
+
 def test_shift_and_homology(files, capsys):
     code, out, _ = run(capsys, "shift", files["torsion"])
     assert code == 0 and "key-sequence-exact" in out
