@@ -255,6 +255,31 @@ def test_memo_runs_each_body_once_per_descriptor(monkeypatch):
     _same_levels(a.end_plan(3), b.end_plan(3))
 
 
+@pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
+def test_step_plan_partitions_each_hom_set(cat):
+    # split factors each alpha in C(s, t), t > s, by _factor_once as gamma o beta,
+    # gamma the plain one-step missing alpha's largest missed point; grouped by
+    # gamma the betas are distinct and compose_table sends them back to the alphas
+    for s in range(4):
+        for t in range(s + 1, 5 if cat.group is None else 4):
+            homs = cat.hom(s, t)
+            plan = {}
+            for a, alpha in enumerate(homs):
+                beta, gamma = cat._factor_once(alpha)
+                assert (gamma.src, gamma.dst) == (t - 1, t) and not any(gamma.labels or ())
+                assert list(gamma.images) == sorted(gamma.images)
+                missed = set(range(1, t + 1)) - set(alpha.images)
+                assert set(range(1, t + 1)) - set(gamma.images) == {max(missed)}
+                plan.setdefault(gamma, []).append((cat.hom_index(beta), a))
+            order = []
+            for gamma, pairs in plan.items():
+                betas, alphas = (np.array(x, dtype=np.int64) for x in zip(*pairs))
+                assert len(set(betas.tolist())) == len(betas)
+                assert cat.compose_table(s, gamma)[betas].tolist() == alphas.tolist()
+                order += alphas.tolist()
+            assert sorted(order) == list(range(len(homs)))
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 @pytest.mark.parametrize("cat", CATS, ids=lambda c: c.name)
 def test_free_module_matches_compose_oracle(cat, field):
@@ -346,3 +371,28 @@ def test_kernel_rows_are_not_echeloned_again(monkeypatch, field):
     assert all(_identical(K.gens[g], K_old.gens[g]) for g in K.gens)
     assert all(_identical(a, b) for a, b in zip(incl.mats, incl_old.mats))
     assert kernel_of_map(diff)[0].dims == K.dims
+
+
+@pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
+def test_orbit_table_matches_compose(cat):
+    # C(t, t) acts freely on C(t, n) by precomposition, and each orbit holds one
+    # increasing injection with identity labels: alpha = f o sigma, f with alpha's
+    # images sorted, sigma sending i to the rank of alpha's i-th image with
+    # alpha's labels.  The ranks _subset_ranks and _ranks give f and sigma over
+    # whole hom arrays must agree with compose.
+    h = 4 if cat.group is None or cat.group.order < 3 else 3
+    for t in range(h + 1):
+        ends = cat.hom(t, t)
+        for n in range(h + 1):
+            images, labels = cat.hom_arrays(t, n)
+            order = np.argsort(images, axis=1)
+            rep = category._subset_ranks(n, t, np.take_along_axis(images, order, axis=1))
+            end = cat._ranks(t, t, np.argsort(order, axis=1) + 1, labels)
+            homs = cat.hom(t, n)
+            reps = np.flatnonzero(end == 0)
+            assert len(rep) == len(homs) and rep[reps].tolist() == list(range(len(reps)))
+            assert len(reps) * len(ends) == len(homs)
+            for i, alpha in enumerate(homs):
+                f = homs[reps[rep[i]]]
+                assert list(f.images) == sorted(f.images) and not any(f.labels or ())
+                assert cat.compose(f, ends[end[i]]) == alpha
