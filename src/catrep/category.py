@@ -305,11 +305,7 @@ class CategoryDescriptor:
 
     def mu_witness(self, s: int) -> Morphism:
         """The natural-transformation witness m_s: s -> s+1."""
-        if self.ordered:
-            images = tuple(range(2, s + 2))
-        else:
-            images = tuple(range(1, s + 1))
-        return Morphism(s, s + 1, images, self._identity_labels(s))
+        return self._skip_map(s, 1 if self.ordered else s + 1)
 
     # -- factorization and generators ----------------------------------
 
@@ -334,32 +330,26 @@ class CategoryDescriptor:
     def split(self, alpha: Morphism):
         """alpha = b o a as (a, b), each part nearer the generator table; None for identities.
 
-        Above the diagonal, b is alpha's last one-step and a the rest
-        (_factor_once).  A plain FI-kind one-step r -> r+1 other than m_r is
-        m_r followed by the end morphism sending r+1 to the missed point.  An
-        end morphism is its parent in end_plan(s) followed by one end
-        generator.  Repeated splitting reaches generators() from every
-        morphism, so a module's action is a product along these splits.
+        Above the diagonal, b is alpha's last one-step, a skip map and so a
+        step generator, and a the rest (_factor_once).  An end morphism is
+        its parent in end_plan(s) followed by one end generator.  Repeated
+        splitting reaches generators() from every morphism, so a module's
+        action is a product along these splits.
         """
-        r, s = alpha.src, alpha.dst
-        if s == r:
-            return self._end_tree(s).get(self.hom_index(alpha))
-        beta, gamma = self._factor_once(alpha)
-        if self.ordered or beta != self.identity(r):
-            return beta, gamma
-        missed = next(iter(set(range(1, s + 1)) - set(alpha.images)))
-        return self.mu_witness(r), Morphism(s, s, alpha.images + (missed,), self._identity_labels(s))
+        if alpha.src == alpha.dst:
+            return self._end_tree(alpha.dst).get(self.hom_index(alpha))
+        return self._factor_once(alpha)
 
     @_memo
     def step_generators(self, r: int):
-        """Plain one-step morphisms r -> r+1 stored on every module.
+        """The r+1 skip maps r -> r+1, missing p = r+1, ..., 1 in turn.
 
-        FI kinds store only m_r (ends act transitively on one-steps); OI kinds
-        store all r+1 strictly increasing one-steps.
+        Every morphism r -> r+1 is one of them after an end of r, so the
+        images of an end-stable row space of degree r under these span its
+        images under every one-step, and that span is end-stable: e o s_p is
+        again some s_q after an end.  So (mV)_{r+1} needs no end closure.
         """
-        if self.ordered:
-            return tuple(self._skip_map(r, p) for p in range(r + 1, 0, -1))
-        return (self.mu_witness(r),)
+        return tuple(self._skip_map(r, p) for p in range(r + 1, 0, -1))
 
     @_memo
     def end_generators(self, s: int):

@@ -170,13 +170,6 @@ class HomologyReport:
     depth: int
     valid_to: int
 
-    def hd_within(self, i: int, w: int) -> int:
-        """Top degree <= w where H_i is nonzero, or -1."""
-        return top_degree(self.dims[i][t] for t in range(min(w, self.valid_to) + 1))
-
-    def reg_within(self, w: int) -> int:
-        return max((self.hd_within(i, w) - i for i in range(self.depth + 1)), default=-1)
-
 
 def _koszul_differential(V: TruncatedModule, n: int, i: int) -> Mat:
     """d_i: K_i(V)_n -> K_{i-1}(V)_n, copies in lex order of their subsets.
@@ -457,16 +450,16 @@ def verify_theorems(V: TruncatedModule, depth: int, s_bound: int = 3,
     seq = derive(V)
     w = h - 1  # common window for quantities involving SV/DV
     # truncating to the window is exact (directedness) and skips degree h,
-    # which no value below reads: every one is windowed to w
+    # which no value below reads: every one is windowed to w, where all
+    # three reports end (SV and DV have horizon h - 1)
     rep_v, rep_sv, rep_dv = (tor_groups(M, depth) for M in (truncate(V, w), seq.SV, seq.DV))
-    hd_v, hd_sv, hd_dv = ([rep.hd_within(i, w) for i in range(depth + 1)]
-                          for rep in (rep_v, rep_sv, rep_dv))
+    hd_v, hd_sv, hd_dv = (rep.hd for rep in (rep_v, rep_sv, rep_dv))
     support_top = top_degree(V.dims)
     values = SimpleNamespace(
         h=h, w=w, depth=depth, big_n=big_n, support_top=support_top,
         reg_sm=hypothesis_ok, mu_injective=not any(seq.KV.dims), finite_support=support_top < h,
         gd_v=hd_v[0], gd_sv=hd_sv[0], gd_dv=hd_dv[0], hd_v=hd_v, hd_sv=hd_sv, hd_dv=hd_dv,
-        reg_v=rep_v.reg_within(w), reg_sv=rep_sv.reg_within(w), reg_dv=rep_dv.reg_within(w),
+        reg_v=rep_v.reg, reg_sv=rep_sv.reg, reg_dv=rep_dv.reg,
     )
     for lemma in LEMMAS:
         outcome = judge(lemma, values)

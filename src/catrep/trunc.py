@@ -2,11 +2,12 @@
 
 A TruncatedModule stores dimensions for degrees 0..horizon and one table
 of action matrices, keyed by the generating morphisms cat.generators(horizon):
-the plain one-steps r -> r+1 and the end generators of each C(t, t).  Every
-other action matrix is built on demand as act(a) @ act(b) along the
-category's split alpha = b o a (cat.split) and cached with its parts, so the
-stored table stays linear in the horizon even for FI where hom sets grow
-factorially.  Every module construction below is one loop over that table.
+the r+1 skip maps r -> r+1 (cat.step_generators) and the end generators of
+each C(t, t).  Every other action matrix is built on demand as act(a) @ act(b)
+along the category's split alpha = b o a (cat.split) and cached with its
+parts, so the stored table holds O(t) generators per degree t even for FI,
+where hom sets grow factorially.  Every module construction below is one loop
+over that table.
 A free module's table holds basis maps (see matrices): the column array of
 generator g is the category's composition table (cat.compose_table) for
 each summand, shifted by the summand offsets, so the table costs one gather
@@ -288,15 +289,11 @@ def _block_diag(a: Mat, b: Mat) -> Mat:
 
 
 def m_span(V: TruncatedModule):
-    """Row bases of (mV)_t: the span of all actions arriving from below."""
-    out = []
-    for t in range(V.horizon + 1):
-        if t == 0:
-            out.append(Mat.zeros(V.field, 0, V.dims[0]))
-            continue
-        pieces = [V.gens[g] for g in V.cat.step_generators(t - 1)]
-        seed = Mat.vstack(pieces) if pieces else Mat.zeros(V.field, 0, V.dims[t])
-        out.append(end_closure(V, t, seed))
+    """Row bases of (mV)_t: the span of all actions arriving from below,
+    which is the span of the step generators' images (cat.step_generators)."""
+    out = [Mat.zeros(V.field, 0, V.dims[0])] if V.horizon >= 0 else []
+    for t in range(1, V.horizon + 1):
+        out.append(Mat.vstack([V.gens[g] for g in V.cat.step_generators(t - 1)]).row_basis())
     return out
 
 
@@ -321,19 +318,16 @@ def generating_degree(V: TruncatedModule) -> int:
 
 def module_closure_of_rows(V: TruncatedModule, seed_rows_per_degree):
     """Smallest action-stable row-space family containing the seeds, given
-    as a dict {degree: rows} that leaves out degrees without seed rows."""
-    h = V.horizon
+    as a dict {degree: rows} that leaves out degrees without seed rows.
+
+    The step generators' images of the stable family at t - 1 are already
+    end-stable (cat.step_generators), so only the seed rows are closed.
+    """
     out = []
-    for t in range(h + 1):
-        pieces = []
-        if t > 0 and out[t - 1].nrows:
-            for g in V.cat.step_generators(t - 1):
-                pieces.append(out[t - 1] @ V.gens[g])
+    for t in range(V.horizon + 1):
+        pieces = [out[t - 1] @ V.gens[g] for g in V.cat.step_generators(t - 1)] if t else []
         seed = seed_rows_per_degree.get(t)
         if seed is not None and seed.nrows:
-            pieces.append(seed)
-        if pieces:
-            out.append(end_closure(V, t, Mat.vstack(pieces)))
-        else:
-            out.append(Mat.zeros(V.field, 0, V.dims[t]))
+            pieces.append(end_closure(V, t, seed))
+        out.append(Mat.vstack(pieces).row_basis() if pieces else Mat.zeros(V.field, 0, V.dims[t]))
     return out

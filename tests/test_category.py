@@ -117,6 +117,7 @@ def test_mu_naturality_exhaustive():
 
 
 def test_split_above_the_diagonal():
+    # every off-table alpha: r -> s is a: r -> s-1, then a step generator of s-1
     for cat, lim in [(FI, 4), (OI, 5), (FIG, 3), (OIG, 3)]:
         table = set(cat.generators(lim))
         for r in range(lim):
@@ -126,13 +127,7 @@ def test_split_above_the_diagonal():
                         continue
                     a, b = cat.split(alpha)
                     assert cat.compose(b, a) == alpha
-                    if (a.src, a.dst) == (r, s - 1):
-                        # the last one-step is plain: labels ride on a
-                        assert b.src == s - 1 and b.labels == cat.identity(s - 1).labels
-                    else:
-                        # an FI-kind one-step off the table: m_r, then an end morphism
-                        assert not cat.ordered and s == r + 1
-                        assert a == cat.mu_witness(r) and b.src == b.dst == s
+                    assert (a.src, a.dst) == (r, s - 1) and b in cat.step_generators(s - 1)
 
 
 def _end_closure_size(cat, s):

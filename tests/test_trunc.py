@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from catrep import homology, trunc
+from catrep import homology, presentations, trunc
 from catrep.category import Morphism, make_category
 from catrep.corpus import sample_presentation
 from catrep.fields import QQ, parse_field
@@ -146,14 +146,17 @@ def test_relation_closure_matches_brute_force():
             assert closure[t] == oracle[t], (cat.kind, t)
 
 
-def test_m_span_matches_brute_force():
-    for cat, field in [(OI, F101), (FI, F101), (OIG, F101)]:
-        V, _ = from_presentation(
-            cat,
-            field,
-            Presentation((("a", 0), ("b", 1)), ()),
-            4,
-        )
+def _corpus(cat, field, horizon, count=2):
+    """The first corpus presentations with relations, as modules."""
+    pres = (sample_presentation(cat, field, seed) for seed in range(1, 50))
+    return [from_presentation(cat, field, p, horizon)[0] for p in pres if p.relations][:count]
+
+
+@pytest.mark.parametrize("field", [parse_field("fp:2"), F101, QQ], ids=lambda f: f.name)
+@pytest.mark.parametrize("cat", [FI, OI, FIG, OIG], ids=lambda c: c.kind)
+def test_m_span_matches_brute_force(cat, field):
+    free, _ = from_presentation(cat, field, Presentation((("a", 0), ("b", 1)), ()), 4)
+    for V in [free] + _corpus(cat, field, 4):
         spans = m_span(V)
         # oracle: images of every positive-degree morphism, enumerated directly
         for t in range(V.horizon + 1):
@@ -166,7 +169,30 @@ def test_m_span_matches_brute_force():
                 if rows
                 else Mat.zeros(field, 0, V.dims[t])
             )
-            assert spans[t] == expected
+            assert spans[t] == expected, (V, t)
+
+
+@pytest.mark.parametrize("cat", [FI, FIG], ids=lambda c: c.kind)
+def test_only_seed_rows_reach_end_closure(monkeypatch, cat):
+    # one-step images of a stable family are end-stable, so m_span closes
+    # nothing and the relation closure closes only the relation rows
+    seeds, closed = [], []
+
+    def closure(F, seed_rows_per_degree):
+        seeds.append(seed_rows_per_degree)
+        return trunc.module_closure_of_rows(F, seed_rows_per_degree)
+
+    monkeypatch.setattr(presentations, "module_closure_of_rows", closure)
+    monkeypatch.setattr(trunc, "end_closure",
+                        lambda V, t, rows: closed.append((t, rows)) or end_closure(V, t, rows))
+    modules = _corpus(cat, F101, 4, count=4)
+    want = [(t, s[t]) for s in seeds for t in sorted(s)]
+    assert want and len(closed) == len(want)
+    assert all(t == u and rows is seed for (t, rows), (u, seed) in zip(closed, want))
+    closed.clear()
+    for V in modules:
+        m_span(V)
+    assert closed == []
 
 
 def test_kernel_of_identity_and_zero():
@@ -376,8 +402,8 @@ def _full_respin_closure(V, t, rows):
 @pytest.mark.parametrize("field", [parse_field("fp:2"), F101, QQ], ids=lambda f: f.name)
 @pytest.mark.parametrize("cat", [FI, OI, FIG, OIG], ids=lambda c: c.kind)
 def test_frontier_end_closure_matches_full_respin(monkeypatch, cat, field):
-    # every end_closure call of building corpus modules (relation closure,
-    # m_span) and of minimal_generators (the W + v calls) is checked
+    # every end_closure call of building corpus modules (the relation rows)
+    # and of minimal_generators (the W + v calls) is checked
     grown = []
 
     def checked(V, t, rows):
