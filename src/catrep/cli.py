@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 = computation done / all checks passed, 1 = parse or config
-error, 2 = inconclusive within the horizon, 3 = violation (a lemma
-inequality or a checked mathematical invariant failed; witness printed),
-4 = internal error (a bare assertion failed: a bug, not a counterexample).  All numeric output carries its validity horizon; JSON output is
-versioned and byte-stable for a fixed config and seed.
+Each subcommand is declared once in build_parser, with its options, their
+lower bounds and its handler, which returns one report's config and items.
+Exit codes: 0 = done / all checks passed, 1 = usage, parse or config error,
+2 = inconclusive within the horizon, 3 = violation (a lemma inequality or a
+checked mathematical invariant failed; witness printed), 4 = internal error
+(a bare assertion failed: a bug, not a counterexample).  A report's worst
+check status gives 0, 2 or 3 (reports.overall_status).  All numeric output
+carries its validity horizon; JSON output is versioned and byte-stable for
+a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -29,13 +33,13 @@ from .presentations import (
     PresentationError,
     build_module,
     emit_presentation_text,
+    from_presentation,
     load_presentation,
     normalize_presentation,
     resolve_coefficients,
 )
 from .corpus import FUZZ_PROFILE, sample_presentation
-from .presentations import from_presentation
-from .reports import check_item, dims_item, emit, make_report, value_item
+from .reports import check_item, dims_item, emit, make_report, overall_status, value_item
 from .shift import (
     HorizonExhausted,
     annihilator_oracle,
@@ -52,6 +56,8 @@ EXIT_INCONCLUSIVE = 2
 EXIT_VIOLATION = 3
 EXIT_INTERNAL = 4
 
+EXIT_FOR_STATUS = {"pass": EXIT_OK, "inconclusive": EXIT_INCONCLUSIVE, "violation": EXIT_VIOLATION}
+
 # the verify rows the fuzz battery runs: they need no resolution
 GD_LEMMAS = [lemma for lemma in LEMMAS if lemma.name in ("gd-derivative-drop", "gd-shift-window")]
 
@@ -61,40 +67,51 @@ def build_parser() -> argparse.ArgumentParser:
         prog="catrep",
         description="Exact computations with truncated FI/OI/FI_G/OI_G modules",
     )
+    bounds = {}  # option dest -> (flag, least value), checked by _dispatch
+
+    def number(p, flag, least, **kw):
+        bounds[p.add_argument(flag, type=int, **kw).dest] = (flag, least)
+
+    def command(name, run, help, file=True):
+        p = sub.add_parser(name, help=help)
+        if file:
+            p.add_argument("file", help="presentation file")
+        p.set_defaults(run=run)
+        return p
+
     ap.add_argument("--cat", help="category kind: fi | oi | fi_g | oi_g")
     ap.add_argument("--group", help="group spec for decorated kinds: cyclic:<m> or table:<n>:<entries>")
     ap.add_argument("--field", help="field spec: q or fp:<prime>")
-    ap.add_argument("--horizon", type=int, help="truncation horizon")
+    number(ap, "--horizon", 0, help="truncation horizon")
     ap.add_argument("--format", choices=("text", "json"), default="text")
+    ap.set_defaults(bounds=bounds)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def with_file(p):
-        p.add_argument("file", help="presentation file")
-        return p
-
-    info = with_file(sub.add_parser("info", help="dimensions and generating degree"))
+    info = command("info", _cmd_info, "dimensions and generating degree")
     info.add_argument("--emit-normalized", action="store_true",
                       help="print the normalized presentation file instead")
-    with_file(sub.add_parser("hilbert", help="polynomial fit of the dimension sequence"))
-    hom = with_file(sub.add_parser("homology", help="Tor groups, hd_i and regularity"))
-    hom.add_argument("--depth", type=int, default=2)
-    dec = with_file(sub.add_parser("decompose", help="U^n chain and singular/regular parts"))
-    dec.add_argument("--max-steps", type=int, default=None)
-    with_file(sub.add_parser("shift", help="S/K/D dimensions and key-sequence check"))
-    with_file(sub.add_parser("probe-sd", help="compare S(DV) against D(SV)"))
-    ver = with_file(sub.add_parser("verify", help="lemma and corollary instance checks"))
-    ver.add_argument("--depth", type=int, default=2)
-    ver.add_argument("--smax", type=int, default=3)
-    ver.add_argument("--bign", type=int, default=0)
-    fuzz = sub.add_parser("fuzz", help="random presentations through the invariant battery")
-    fuzz.add_argument("--count", type=int, default=5)
-    fuzz.add_argument("--seed", type=int, required=True)
-    orc = with_file(sub.add_parser("oracle", help="compare un_chain with the annihilator oracle"))
-    orc.add_argument("--max-n", type=int, default=3)
+    command("hilbert", _cmd_hilbert, "polynomial fit of the dimension sequence")
+    number(command("homology", _cmd_homology, "Tor groups, hd_i and regularity"),
+           "--depth", 0, default=2)
+    number(command("decompose", _cmd_decompose, "U^n chain and singular/regular parts"),
+           "--max-steps", 1, default=None)
+    command("shift", _cmd_shift, "S/K/D dimensions and key-sequence check")
+    command("probe-sd", _cmd_probe_sd, "compare S(DV) against D(SV)")
+    ver = command("verify", _cmd_verify, "lemma and corollary instance checks")
+    number(ver, "--depth", 0, default=2)
+    number(ver, "--smax", 0, default=3)
+    number(ver, "--bign", 0, default=0)
+    fuzz = command("fuzz", _cmd_fuzz, "random presentations through the invariant battery",
+                   file=False)
+    number(fuzz, "--count", 1, default=5)
+    number(fuzz, "--seed", 0, required=True)
+    number(command("oracle", _cmd_oracle, "compare un_chain with the annihilator oracle"),
+           "--max-n", 1, default=3)
     return ap
 
 
 def _load(args):
+    """(module, presentation, report config) of the presentation file."""
     header, pres = load_presentation(args.file)
     # each flag overrides only its own header line
     if args.cat:
@@ -102,23 +119,22 @@ def _load(args):
     if args.group:
         header["group"] = args.group
     field = parse_field(args.field) if args.field else None
-    return build_module(header, pres, field=field, horizon=args.horizon), pres
+    cat, field, horizon, module = build_module(header, pres, field=field, horizon=args.horizon)
+    return module, pres, _config(cat, field, horizon, file=args.file)
 
 
 def _config(cat, field, horizon, **extra) -> dict:
-    cfg = {"category": cat.name, "field": field.name, "horizon": horizon}
-    cfg.update(extra)
-    return cfg
+    return {"category": cat.name, "field": field.name, "horizon": horizon, **extra}
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed a usage error, or --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _dispatch(args)
-    except PresentationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, RationalOverflowError) as exc:
+    except (PresentationError, ValueError, OSError, RationalOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # numpy's _ArrayMemoryError included
@@ -136,44 +152,34 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "fuzz":
-        return _cmd_fuzz(args)
-    (cat, field, horizon, module), pres = _load(args)
-    cfg = _config(cat, field, horizon, file=args.file)
-    if cmd == "info":
-        return _cmd_info(args, cat, field, horizon, module, pres, cfg)
-    if cmd == "hilbert":
-        return _cmd_hilbert(args, module, cfg)
-    if cmd == "homology":
-        return _cmd_homology(args, module, cfg)
-    if cmd == "decompose":
-        return _cmd_decompose(args, module, cfg)
-    if cmd == "shift":
-        return _cmd_shift(args, module, cfg)
-    if cmd == "probe-sd":
-        return _cmd_probe_sd(args, module, cfg)
-    if cmd == "verify":
-        return _cmd_verify(args, module, cfg)
-    if cmd == "oracle":
-        return _cmd_oracle(args, module, cfg)
-    raise ValueError(f"unknown command {cmd}")
-
-
-def _cmd_info(args, cat, field, horizon, module, pres, cfg) -> int:
-    if args.emit_normalized:
-        pres = normalize_presentation(cat, resolve_coefficients(pres, field))
-        sys.stdout.write(emit_presentation_text(cat, field, horizon, pres))
+    """Check the option bounds, run the command, print its report and read
+    the exit code off the report."""
+    for dest, (flag, least) in args.bounds.items():
+        if (value := getattr(args, dest, None)) is not None and value < least:
+            raise ValueError(f"{flag} must be >= {least}")
+    report = args.run(args)
+    if report is None:  # info --emit-normalized printed a presentation file
         return EXIT_OK
-    items = [
+    cfg, items = report
+    print(emit(make_report(args.command, cfg, items), args.format), end="")
+    return EXIT_FOR_STATUS[overall_status(it["status"] for it in items if it["type"] == "check")]
+
+
+def _cmd_info(args):
+    module, pres, cfg = _load(args)
+    if args.emit_normalized:
+        cat, field = module.cat, module.field
+        pres = normalize_presentation(cat, resolve_coefficients(pres, field))
+        sys.stdout.write(emit_presentation_text(cat, field, module.horizon, pres))
+        return None
+    return cfg, [
         dims_item("dims", module.dims, module.horizon),
         value_item("gd", generating_degree(module), module.horizon),
     ]
-    print(emit(make_report("info", cfg, items), args.format), end="")
-    return EXIT_OK
 
 
-def _cmd_hilbert(args, module, cfg) -> int:
+def _cmd_hilbert(args):
+    module, _, cfg = _load(args)
     fit = hilbert_fit(module)
     items = [dims_item("dims", fit.raw_dims, fit.valid_to)]
     if fit.status == "ok":
@@ -186,48 +192,42 @@ def _cmd_hilbert(args, module, cfg) -> int:
     else:
         items.append(check_item("fit", "inconclusive",
                                 "no onset with vanishing differences within the horizon"))
-    print(emit(make_report("hilbert", cfg, items), args.format), end="")
-    return EXIT_OK if fit.status == "ok" else EXIT_INCONCLUSIVE
+    return cfg, items
 
 
-def _cmd_homology(args, module, cfg) -> int:
+def _cmd_homology(args):
+    module, _, cfg = _load(args)
     rep = tor_groups(module, args.depth)
-    items = []
-    for i in range(args.depth + 1):
-        items.append(dims_item(f"H_{i}", rep.dims[i], rep.valid_to, hd=rep.hd[i]))
+    items = [dims_item(f"H_{i}", rep.dims[i], rep.valid_to, hd=rep.hd[i])
+             for i in range(args.depth + 1)]
     items.append(value_item("gd", rep.gd, rep.valid_to))
     items.append(value_item("reg", rep.reg, rep.valid_to,
                             note=f"lower bound within depth {rep.depth}"))
-    print(emit(make_report("homology", {**cfg, "depth": args.depth}, items), args.format), end="")
-    return EXIT_OK
+    return {**cfg, "depth": args.depth}, items
 
 
-def _cmd_decompose(args, module, cfg) -> int:
-    max_steps = args.max_steps if args.max_steps is not None else max(module.horizon, 1)
-    if max_steps < 1:
-        raise ValueError("--max-steps must be >= 1")
-    chain = un_chain(module, max_steps)
-    items = []
-    for n in range(1, len(chain.bases)):
-        items.append(dims_item(f"U^{n}", chain.dims(n), chain.valid_horizons[n]))
+def _cmd_decompose(args):
+    module, _, cfg = _load(args)
+    chain = un_chain(module, args.max_steps or max(module.horizon, 1))
+    items = [dims_item(f"U^{n}", chain.dims(n), chain.valid_horizons[n])
+             for n in range(1, len(chain.bases))]
     if chain.status != "stabilized":
         items.append(check_item("stabilization", "inconclusive",
                                 f"undecidable within horizon {module.horizon}"))
-        print(emit(make_report("decompose", cfg, items), args.format), end="")
-        return EXIT_INCONCLUSIVE
+        return cfg, items
     result = sin_reg(chain)
     items.append(value_item("stabilized_at", chain.stabilized_at))
     items.append(dims_item("V_sin", result.sin.dims, result.valid_to))
     items.append(dims_item("V_reg", result.reg.dims, result.valid_to))
     items.append(check_item("K(V_reg)=0", "pass",
                             f"verified degreewise to {result.valid_to - 1}"))
-    print(emit(make_report("decompose", cfg, items), args.format), end="")
-    return EXIT_OK
+    return cfg, items
 
 
-def _cmd_shift(args, module, cfg) -> int:
+def _cmd_shift(args):
+    module, _, cfg = _load(args)
     seq = derive(module)
-    items = [
+    return cfg, [
         dims_item("V", module.dims, module.horizon),
         dims_item("SV", seq.SV.dims, seq.SV.horizon),
         dims_item("KV", seq.KV.dims, seq.KV.horizon),
@@ -236,46 +236,34 @@ def _cmd_shift(args, module, cfg) -> int:
                    "alternating dim sum vanishes at every valid degree"),
         value_item("mu-injective", not any(seq.KV.dims), seq.KV.horizon),
     ]
-    print(emit(make_report("shift", cfg, items), args.format), end="")
-    return EXIT_OK
 
 
-def _cmd_probe_sd(args, module, cfg) -> int:
+def _cmd_probe_sd(args):
+    module, _, cfg = _load(args)
     probe = sd_commutation_probe(module)
-    items = [
+    return cfg, [
         dims_item("SDV", probe.sd_dims, probe.valid_to),
         dims_item("DSV", probe.ds_dims, probe.valid_to),
         value_item("agree", probe.agree, probe.valid_to),
     ]
-    print(emit(make_report("probe-sd", cfg, items), args.format), end="")
-    return EXIT_OK
 
 
-def _cmd_verify(args, module, cfg) -> int:
+def _cmd_verify(args):
+    module, _, cfg = _load(args)
     report = verify_theorems(module, args.depth, s_bound=args.smax,
                              big_n=args.bign, halt_on_violation=False)
     items = [check_item(it.name, it.status, it.detail) for it in report.items]
-    cfg = {**cfg, "depth": args.depth, "smax": args.smax, "bign": args.bign}
-    print(emit(make_report("verify", cfg, items), args.format), end="")
-    if report.overall == "violation":
-        return EXIT_VIOLATION
-    if report.overall == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return {**cfg, "depth": args.depth, "smax": args.smax, "bign": args.bign}, items
 
 
-def _cmd_oracle(args, module, cfg) -> int:
-    max_n = args.max_n
-    if max_n < 1:
-        raise ValueError("--max-n must be >= 1")
-    chain = un_chain(module, max_n)
+def _cmd_oracle(args):
+    module, _, cfg = _load(args)
+    chain = un_chain(module, args.max_n)
     items = []
-    status = EXIT_OK
-    for n in range(1, min(max_n, len(chain.bases) - 1) + 1):
+    for n in range(1, min(args.max_n, len(chain.bases) - 1) + 1):
         valid = chain.valid_horizons[n]
         if valid < 0:
             items.append(check_item(f"U^{n}", "inconclusive", "window empty"))
-            status = max(status, EXIT_INCONCLUSIVE)
             continue
         witness = _oracle_mismatch(module, chain, n)
         if witness is None:
@@ -284,9 +272,7 @@ def _cmd_oracle(args, module, cfg) -> int:
         else:
             items.append(check_item(f"U^{n}", "violation",
                                     f"mismatch at degree {witness}"))
-            status = EXIT_VIOLATION
-    print(emit(make_report("oracle", {**cfg, "max_n": max_n}, items), args.format), end="")
-    return status
+    return {**cfg, "max_n": args.max_n}, items
 
 
 def _oracle_mismatch(module, chain, n):
@@ -297,24 +283,17 @@ def _oracle_mismatch(module, chain, n):
                  if chain.bases[n][t] != oracle.bases[t]), None)
 
 
-def _cmd_fuzz(args) -> int:
+def _cmd_fuzz(args):
     if not args.cat or not args.field or args.horizon is None:
         raise ValueError("fuzz needs --cat, --field and --horizon")
     cat = make_category(args.cat, args.group)
     field = parse_field(args.field)
     horizon = args.horizon
     items = []
-    worst = EXIT_OK
     for seed in range(args.seed, args.seed + args.count):
         status, detail = _fuzz_one(cat, field, horizon, seed)
         items.append(check_item(f"seed-{seed}", status, detail, seed=seed))
-        if status == "violation":
-            worst = EXIT_VIOLATION
-        elif status == "inconclusive" and worst == EXIT_OK:
-            worst = EXIT_INCONCLUSIVE
-    cfg = _config(cat, field, horizon, seed=args.seed, count=args.count)
-    print(emit(make_report("fuzz", cfg, items), args.format), end="")
-    return worst
+    return _config(cat, field, horizon, seed=args.seed, count=args.count), items
 
 
 def _fuzz_one(cat, field, horizon, seed):

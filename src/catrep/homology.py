@@ -36,6 +36,7 @@ import numpy as np
 
 from .fields import QQ
 from .matrices import Mat
+from .reports import overall_status
 from .trunc import (
     FreeModule,
     InvariantViolation,
@@ -298,7 +299,10 @@ class VerifyItem:
 @dataclass
 class VerifyReport:
     items: list
-    overall: str
+
+    @property
+    def overall(self) -> str:
+        return overall_status(item.status for item in self.items)
 
     def by_name(self, name: str) -> VerifyItem:
         for item in self.items:
@@ -445,7 +449,7 @@ def verify_theorems(V: TruncatedModule, depth: int, s_bound: int = 3,
 
     if V.horizon < 1 or V.is_zero():
         emit("module-checks", "skipped", "module is zero or horizon too small")
-        return _finish(items)
+        return VerifyReport(items)
 
     seq = derive(V)
     w = h - 1  # common window for quantities involving SV/DV
@@ -465,13 +469,4 @@ def verify_theorems(V: TruncatedModule, depth: int, s_bound: int = 3,
         outcome = judge(lemma, values)
         if outcome is not None:
             emit(lemma.name, *outcome)
-    return _finish(items)
-
-
-def _finish(items) -> VerifyReport:
-    overall = "pass"
-    if any(it.status == "violation" for it in items):
-        overall = "violation"
-    elif any(it.status == "inconclusive" for it in items):
-        overall = "inconclusive"
-    return VerifyReport(items, overall)
+    return VerifyReport(items)

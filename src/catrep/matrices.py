@@ -425,14 +425,6 @@ class Mat:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other) -> "Mat":
-        self._check_same_shape(other)
-        return Mat(self.field, self.nrows, self.ncols, _canon(self.field, self.data + other.data))
-
-    def __sub__(self, other) -> "Mat":
-        self._check_same_shape(other)
-        return Mat(self.field, self.nrows, self.ncols, _canon(self.field, self.data - other.data))
-
     def scale(self, c) -> "Mat":
         c = self.field.from_int(c)  # reduced mod p, so the int64 product cannot overflow
         return Mat(self.field, self.nrows, self.ncols, _canon(self.field, self.data * c))
@@ -461,10 +453,6 @@ class Mat:
         else:
             out = _q_product(self, other)
         return Mat(self.field, self.nrows, other.ncols, out)
-
-    def _check_same_shape(self, other):
-        if self.shape != other.shape or self.field != other.field:
-            raise ValueError("shape/field mismatch")
 
     # -- elimination ---------------------------------------------------
 

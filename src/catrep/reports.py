@@ -41,6 +41,12 @@ def check_item(name: str, status: str, detail: str = "", **extra) -> dict:
     return item
 
 
+def overall_status(statuses) -> str:
+    """The status rule: any violation, else any inconclusive check, else pass."""
+    statuses = set(statuses)
+    return next((s for s in ("violation", "inconclusive") if s in statuses), "pass")
+
+
 def to_json(report: dict) -> str:
     doc = {k: v for k, v in report.items() if k not in ("command", "config") or v}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

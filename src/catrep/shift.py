@@ -249,7 +249,7 @@ def _oracle_chunk(V: TruncatedModule, alphas, width: int) -> list:
 
 
 def _oracle_morphisms(cat, s: int, n: int, h: int):
-    if cat.kind in ("fi", "fi_g"):
+    if not cat.ordered:
         yield from cat.hom(s, s + n)
         return
     if s == 0:

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -146,20 +149,37 @@ def test_hilbert_inconclusive_exit_2(files, capsys):
 def test_negative_horizon_rejected(files, capsys):
     code, _, err = run(capsys, "--horizon", "-1", "info", files["torsion"])
     assert code == 1
+    assert err == "error: --horizon must be >= 0\n"
 
 
 @pytest.mark.parametrize("command", ["homology", "verify"])
 def test_negative_depth_rejected(files, capsys, command):
     code, _, err = run(capsys, command, files["torsion"], "--depth", "-1")
     assert code == 1
-    assert err == "error: depth must be >= 0\n"
+    assert err == "error: --depth must be >= 0\n"
 
 
-@pytest.mark.parametrize("command, flag", [("oracle", "--max-n"), ("decompose", "--max-steps")])
-def test_step_count_below_one_rejected(files, capsys, command, flag):
-    code, _, err = run(capsys, command, files["torsion"], flag, "0")
-    assert code == 1
-    assert err == f"error: {flag} must be >= 1\n"
+BELOW_BOUND = [  # (command, flag, value, least value)
+    ("oracle", "--max-n", "0", 1),
+    ("decompose", "--max-steps", "0", 1),
+    # below 0 the hypothesis reg(SM(s)) <= s + N would go unchecked
+    ("verify", "--smax", "-2", 0),
+    # and no module has reg(SM(0)) = 0 <= -3
+    ("verify", "--bign", "-3", 0),
+    ("fuzz", "--count", "-2", 1),
+    ("fuzz", "--seed", "-1", 0),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, least", BELOW_BOUND,
+                         ids=[f"{command}-{flag}" for command, flag, _, _ in BELOW_BOUND])
+def test_step_count_below_one_rejected(files, capsys, command, flag, value, least):
+    # each numeric option's lower bound is checked before anything runs
+    head = (["--cat", "oi", "--field", "fp:2", "--horizon", "3", "fuzz", "--seed", "1"]
+            if command == "fuzz" else [command, files["torsion"]])
+    code, out, err = run(capsys, *head, flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} must be >= {least}\n"
 
 
 def test_shift_and_homology(files, capsys):
@@ -388,12 +408,33 @@ def _raises(exc):
     return command
 
 
+def test_process_exit_status(files):
+    # the status of a real ``python -m catrep.cli`` process, not only main's return
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def status(*argv):
+        return subprocess.run([sys.executable, "-m", "catrep.cli", *argv], env=env,
+                              capture_output=True).returncode
+
+    assert status("info") == cli.EXIT_USAGE == 1
+    assert status("--help") == cli.EXIT_OK == 0
+    assert status("--horizon", "2", "decompose", files["torsion"]) == cli.EXIT_INCONCLUSIVE == 2
+
+
 def test_exit_codes(files, capsys, monkeypatch, tmp_path):
     # 0 done, 1 usage, 2 inconclusive: each on a real input
     assert run(capsys, "homology", files["torsion"])[0] == cli.EXIT_OK == 0
     missing = str(tmp_path / "missing.pres")
     assert run(capsys, "homology", missing)[0] == cli.EXIT_USAGE == 1
     assert run(capsys, "--horizon", "2", "decompose", files["torsion"])[0] == cli.EXIT_INCONCLUSIVE == 2
+    # an argparse usage error is 1 as well, and --help is 0
+    for argv in (["--format", "xml", "info", files["torsion"]],
+                 ["homology", files["torsion"], "--depth", "two"], ["info"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (cli.EXIT_USAGE, "") and "usage: catrep" in err
+    code, out, _ = run(capsys, "--help")
+    assert code == cli.EXIT_OK and out.startswith("usage: catrep")
     # 3: a checked invariant fails.  On a module whose actions do not
     # compose, the Koszul differentials do not square to zero
     V = non_functorial()

@@ -5,7 +5,8 @@ presentations with relations and a free one among them) go through every
 command but fuzz with --format json.  The sha256 of each stdout and the
 exit code must match DIGESTS, which were recorded when FI kinds stored only
 m_r as their step generator, so any change to the generator table or the
-closures that moves a single output byte shows here.  Regenerate the table
+closures that moves a single output byte shows here; each exit code must
+also be the worst check status of its report.  Regenerate the table
 with ``PYTHONPATH=src python tests/test_cli_golden.py`` only when an output
 is meant to change.
 """
@@ -13,6 +14,7 @@ is meant to change.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -33,8 +35,8 @@ def lane_id(lane):
     return "/".join(x for x in lane if x)
 
 
-def lane_outputs(kind, group, field_spec):
-    """{"seed/command": "exit code:sha256 of stdout"} for one lane.
+def lane_runs(kind, group, field_spec):
+    """{"seed/command": (exit code, stdout)} for one lane.
 
     The files go to the working directory: a report names its file, so a
     relative name keeps the bytes stable.
@@ -50,9 +52,14 @@ def lane_outputs(kind, group, field_spec):
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
                 code = main(["--format", "json", command, name])
-            digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
-            out[f"{seed}/{command}"] = f"{code}:{digest}"
+            out[f"{seed}/{command}"] = code, stdout.getvalue()
     return out
+
+
+def digests(runs):
+    """{"seed/command": "exit code:sha256 of stdout"} of lane_runs."""
+    return {key: f"{code}:{hashlib.sha256(stdout.encode()).hexdigest()}"
+            for key, (code, stdout) in runs.items()}
 
 
 DIGESTS = {
@@ -134,15 +141,22 @@ DIGESTS = {
 @pytest.mark.parametrize("lane", LANES, ids=lane_id)
 def test_cli_json_matches_the_golden_digests(lane, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert lane_outputs(*lane) == DIGESTS[lane_id(lane)]
+    runs = lane_runs(*lane)
+    assert digests(runs) == DIGESTS[lane_id(lane)]
+    # the worst check status decides: a violation gives 3, else an
+    # inconclusive check 2, else 0
+    for key, (code, stdout) in runs.items():
+        statuses = {item["status"] for item in json.loads(stdout)["items"]
+                    if item["type"] == "check"}
+        worst = 3 if "violation" in statuses else 2 if "inconclusive" in statuses else 0
+        assert code == worst, key
 
 
 if __name__ == "__main__":
-    import json
     import os
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        table = {lane_id(lane): lane_outputs(*lane) for lane in LANES}
+        table = {lane_id(lane): digests(lane_runs(*lane)) for lane in LANES}
     print(json.dumps(table, indent=4))
