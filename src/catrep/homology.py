@@ -3,12 +3,16 @@
 Tor comes from the Koszul complex (tor_groups).  K_i(V)_n holds one copy of
 V_{n-i} per i-subset S of {1..n}, the copy sitting on the increasing map
 n-i -> n that misses S (identity labels for the _G kinds), and d_i sends
-copy S = {s_0 < s_1 < ...} to copy S minus s_k by (-1)^k
-act(_skip_map(n-i, s_k - k)).  Then dim Tor_i(V)_n = dim K_i - rank d_i -
-rank d_{i+1}, so a degree reads only V_{n-i-1..n} and no free module is
-built.  For FI this is the complex of Church and Ellenberg ("Homology of
-FI-modules"); for every kind and field, its agreement with a resolution is
-what the tests check.
+copy S = {s_0 < s_1 < ...} to copy S minus s_k by (-1)^k times the action
+of the step generator n-i -> n-i+1 missing s_k - k.  Then dim Tor_i(V)_n =
+dim K_i - rank d_i - rank d_{i+1}, so a degree reads only V_{n-i-1..n} and
+no free module is built.  A d_i with an empty term has rank 0 and is not
+built; the step generator actions of a source degree, and their negatives,
+are read once per call; and the face pattern of d_i depends only on (n, i),
+so each d_i is one block placement per step generator and sign.  For FI
+this is the complex of Church and Ellenberg ("Homology of FI-modules"); for
+every kind and field, its agreement with a resolution is what the tests
+check.
 
 Resolutions (resolve) are built degreewise: each step covers the current
 syzygy module Z by one representable M(t) per greedy end-orbit generator
@@ -25,6 +29,7 @@ reg is reported as computed within the built depth.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -172,26 +177,43 @@ class HomologyReport:
     valid_to: int
 
 
-def _koszul_differential(V: TruncatedModule, n: int, i: int) -> Mat:
-    """d_i: K_i(V)_n -> K_{i-1}(V)_n, copies in lex order of their subsets.
+@functools.lru_cache(maxsize=None)
+def _faces(n: int, i: int):
+    """Face pattern of d_i at degree n, subsets in lex order.
 
-    The block from copy S = {s_0 < ...} to copy S minus s_k is
-    (-1)^k act(_skip_map(n-i, s_k - k)): s_k is the (s_k - k)-th point
-    outside S minus s_k, so the map n-i -> n missing S is the one missing
-    S minus s_k after that skip map.
+    Copy S = {s_0 < ...} meets copy S minus s_k through the step generator
+    missing p = s_k - k with sign (-1)^k: s_k is the (s_k - k)-th point
+    outside S minus s_k, so the map n-i -> n missing S is the one missing S
+    minus s_k after that step.  Returns one (p, k % 2, copies, faces) per
+    step generator and sign that occur, the last two read-only arrays of
+    copy and face positions.
     """
-    a, b = V.dims[n - i], V.dims[n - i + 1]
-    faces = {S: j for j, S in enumerate(itertools.combinations(range(1, n + 1), i - 1))}
-    signed = []  # signed[p - 1] = (act, -act) of the skip map missing p
-    for p in range(1, n - i + 2):
-        m = V.act(V.cat._skip_map(n - i, p))
-        signed.append((m.data, m.scale(-1).data))
-    nrows, ncols = comb(n, i) * a, len(faces) * b
-    data = Mat.zeros(V.field, nrows, ncols).data
+    place = {S: j for j, S in enumerate(itertools.combinations(range(1, n + 1), i - 1))}
+    groups = {}
     for r, S in enumerate(itertools.combinations(range(1, n + 1), i)):
         for k, s in enumerate(S):
-            c = faces[S[:k] + S[k + 1:]]
-            data[r * a:(r + 1) * a, c * b:(c + 1) * b] = signed[s - k - 1][k % 2]
+            groups.setdefault((s - k, k % 2), []).append((r, place[S[:k] + S[k + 1:]]))
+    out = []
+    for (p, sign), pairs in sorted(groups.items()):
+        copies, faces = np.array(pairs, dtype=np.intp).T
+        copies.flags.writeable = faces.flags.writeable = False
+        out.append((p, sign, copies, faces))
+    return tuple(out)
+
+
+def _koszul_differential(V: TruncatedModule, n: int, i: int, signed) -> Mat:
+    """d_i: K_i(V)_n -> K_{i-1}(V)_n, copies in lex order of their subsets.
+
+    signed[p - 1] holds the data of (act, -act) for the step generator
+    n-i -> n-i+1 missing p.  The matrix is a (C(n, i), a, C(n, i-1), b) grid
+    of blocks, filled by one assignment per entry of _faces(n, i).
+    """
+    a, b = V.dims[n - i], V.dims[n - i + 1]
+    nrows, ncols = comb(n, i) * a, comb(n, i - 1) * b
+    data = Mat.zeros(V.field, nrows, ncols).data
+    blocks = data.reshape(comb(n, i), a, comb(n, i - 1), b)
+    for p, sign, copies, faces in _faces(n, i):
+        blocks[copies, :, faces, :] = signed[p - 1][sign]
     return Mat(V.field, nrows, ncols, data)
 
 
@@ -200,19 +222,31 @@ def tor_groups(V: TruncatedModule, depth: int) -> HomologyReport:
 
     At each degree n, dim H_i = dim K_i - rank d_i - rank d_{i+1}, with d_0
     and every d_i with i > n zero; each rank is taken once and serves both
-    H_{i-1} and H_i.  d_i d_{i-1} = 0 is checked at every degree, and
+    H_{i-1} and H_i.  A d_i with V_{n-i} or V_{n-i+1} zero has rank 0 and is
+    not built; the step generator actions out of each degree r (and their
+    negatives) are read once.  d_i d_{i-1} = 0 is checked wherever both
+    differentials are built, which is every pair whose terms are all
+    nonzero (one with an empty term composes to zero), and
     InvariantViolation raised where it fails: the actions of V then do not
     compose as the morphisms do.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     h = V.horizon
+    signed = {}  # r -> (act, -act) data of the step generators out of r, missing 1, ..., r+1
     dims = [[0] * (h + 1) for _ in range(depth + 1)]
     for n in range(h + 1):
         ranks = [0] * (depth + 2)  # ranks[i] = rank d_i at degree n
         lower = None
         for i in range(1, min(depth + 1, n) + 1):
-            d = _koszul_differential(V, n, i)
+            if not (V.dims[n - i] and V.dims[n - i + 1]):
+                lower = None  # rank 0; both products with d_i have an empty side
+                continue
+            r = n - i
+            if r not in signed:
+                acts = [V.gens[g] for g in reversed(V.cat.step_generators(r))]
+                signed[r] = [(m.data, m.scale(-1).data) for m in acts]
+            d = _koszul_differential(V, n, i, signed[r])
             if lower is not None and not (d @ lower).is_zero():
                 raise InvariantViolation(f"Koszul d_{i} d_{i - 1} is nonzero at degree {n}")
             ranks[i], lower = d.rank(), d

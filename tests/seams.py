@@ -2,6 +2,8 @@
 
 tor_groups reads Tor off the Koszul complex; resolution_tor reads it off
 resolve instead, the reference that tests compare tor_groups against.
+koszul_differential builds one Koszul differential block by block, the
+reference for the grouped block placement tor_groups uses.
 padded() patches the name resolve looks up in catrep.homology so that the
 first greedy generator is repeated at every step: a non-minimal resolution
 that must give the same Tor.  It yields the list of repeated (degree, row)
@@ -12,6 +14,8 @@ un_chain stops where the chain stabilizes; continued() extends its steps.
 """
 
 import contextlib
+import itertools
+from math import comb
 
 import pytest
 
@@ -47,6 +51,27 @@ def resolution_tor(V, depth):
             assert Mat.vstack([kernel_rows, image_red]).rank() == kernel_rows.nrows, (i, t)
             dims[i][t] = kernel_rows.nrows - image_red.nrows
     return dims
+
+
+def koszul_differential(V, n, i):
+    """d_i: K_i(V)_n -> K_{i-1}(V)_n, one block copy per subset and face.
+
+    The block from copy S = {s_0 < ...} to copy S minus s_k is (-1)^k
+    act(_skip_map(n-i, s_k - k)), read and negated afresh for each p.
+    """
+    a, b = V.dims[n - i], V.dims[n - i + 1]
+    faces = {S: j for j, S in enumerate(itertools.combinations(range(1, n + 1), i - 1))}
+    signed = []  # signed[p - 1] = (act, -act) of the skip map missing p
+    for p in range(1, n - i + 2):
+        m = V.act(V.cat._skip_map(n - i, p))
+        signed.append((m.data, m.scale(-1).data))
+    nrows, ncols = comb(n, i) * a, len(faces) * b
+    data = Mat.zeros(V.field, nrows, ncols).data
+    for r, S in enumerate(itertools.combinations(range(1, n + 1), i)):
+        for k, s in enumerate(S):
+            c = faces[S[:k] + S[k + 1:]]
+            data[r * a:(r + 1) * a, c * b:(c + 1) * b] = signed[s - k - 1][k % 2]
+    return Mat(V.field, nrows, ncols, data)
 
 
 def non_functorial():

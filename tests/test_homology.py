@@ -2,7 +2,9 @@
 
 Tor from the Koszul complex (tor_groups) is compared with Tor read off a
 resolution (seams.resolution_tor), both the greedy one and a padded one
-(seams.padded: a redundant generator at every step).
+(seams.padded: a redundant generator at every step), and each Koszul
+differential it builds with the one seams.koszul_differential builds block
+by block.
 """
 
 from fractions import Fraction
@@ -20,9 +22,19 @@ from catrep.homology import (
     tor_groups,
     verify_theorems,
 )
+from catrep.matrices import Mat
 from catrep.presentations import Presentation, Relation, from_presentation
-from catrep.trunc import InvariantViolation, free_module, generating_degree, h0_dims, top_degree, zero_module
-from seams import non_functorial, padded, resolution_tor
+from catrep.trunc import (
+    InvariantViolation,
+    direct_sum,
+    free_module,
+    generating_degree,
+    h0_dims,
+    quotient_by,
+    top_degree,
+    zero_module,
+)
+from seams import koszul_differential, non_functorial, padded, resolution_tor
 
 F101 = parse_field("fp:101")
 FI = make_category("fi")
@@ -120,24 +132,98 @@ def test_tor_torsion_module():
     assert rep.reg == 1
 
 
+KINDS = (OI, FI, make_category("fi_g", 2), make_category("oi_g", 3))
+FIELDS = tuple(parse_field(spec) for spec in ("fp:101", "q", "fp:2", "fp:3"))
+
+
+def _tor_modules(cat, field, h):
+    """A free module, corpus quotients for seeds 1-3 and, on OI, oi_torsion."""
+    mods = [free_module(cat, field, 1, h)]
+    mods += [from_presentation(cat, field, sample_presentation(cat, field, seed), h)[0]
+             for seed in (1, 2, 3)]
+    if cat == OI:
+        mods.append(oi_torsion(h, field))
+    return mods
+
+
 def test_tor_resolution_independence():
     # Koszul Tor against Tor of greedy and padded resolutions, on every kind
     # and field; the _G kinds stop at horizon 4, where resolving stays cheap
-    fields = [parse_field(spec) for spec in ("fp:101", "q", "fp:2", "fp:3")]
-    for cat in (OI, FI, make_category("fi_g", 2), make_category("oi_g", 3)):
+    for cat in KINDS:
         h = 5 if cat.group is None else 4
-        for field in fields:
-            mods = [free_module(cat, field, 1, h)]
-            mods += [from_presentation(cat, field, sample_presentation(cat, field, seed), h)[0]
-                     for seed in (1, 2, 3)]
-            if cat == OI:
-                mods.append(oi_torsion(h, field))
-            for V in mods:
+        for field in FIELDS:
+            for V in _tor_modules(cat, field, h):
                 dims = tor_groups(V, 2).dims
                 assert dims == resolution_tor(V, 2), (cat.name, field.name, V)
                 with padded() as repeated:
                     assert dims == resolution_tor(V, 2), (cat.name, field.name, V)
                 assert len(repeated) == 3  # every step, syzygy covers included
+
+
+def _spy_differentials(monkeypatch):
+    """Record (n, i, d_i) for every Koszul differential tor_groups builds."""
+    built, assemble = [], homology._koszul_differential
+
+    def spy(V, n, i, signed):
+        d = assemble(V, n, i, signed)
+        built.append((n, i, d))
+        return d
+
+    monkeypatch.setattr(homology, "_koszul_differential", spy)
+    return built
+
+
+def _nonzero_pairs(V, depth):
+    """(n, i) of every d_i tor_groups needs whose two terms are nonzero."""
+    return {(n, i) for n in range(V.horizon + 1) for i in range(1, min(depth + 1, n) + 1)
+            if V.dims[n - i] and V.dims[n - i + 1]}
+
+
+@pytest.mark.parametrize("cat", KINDS, ids=lambda c: c.name)
+def test_koszul_assembly_matches_the_per_block_oracle(monkeypatch, cat):
+    # grouped block placement from cached step generator actions against one
+    # block copy per subset and face; empty differentials are never built
+    built = _spy_differentials(monkeypatch)
+    h = 5 if cat.group is None else 4
+    for field in FIELDS:
+        for V in _tor_modules(cat, field, h):
+            built.clear()
+            tor_groups(V, 3)
+            assert {(n, i) for n, i, _ in built} == _nonzero_pairs(V, 3), (field.name, V.dims)
+            for n, i, d in built:
+                assert d == koszul_differential(V, n, i), (field.name, V.dims, n, i)
+
+
+def _gap_module(cat, field, gap, h=6):
+    """M(0) cut down below the gap degree, plus M(gap + 1): zero at the gap only."""
+    M0 = free_module(cat, field, 0, h)
+    rows = [Mat.zeros(field, 0, 1) if t < gap else Mat.identity(field, M0.dims[t]) for t in range(h + 1)]
+    S, _ = quotient_by(M0, rows)
+    return direct_sum(S, free_module(cat, field, gap + 1, h))
+
+
+@pytest.mark.parametrize("cat", (OI, FI), ids=lambda c: c.name)
+@pytest.mark.parametrize("spec", ("fp:2", "fp:101", "q"))
+def test_tor_across_a_zero_degree(monkeypatch, cat, spec):
+    field = parse_field(spec)
+    built = _spy_differentials(monkeypatch)
+    V = _gap_module(cat, field, 1)
+    assert V.dims[:4] == ([1, 0, 1, 3] if cat == OI else [1, 0, 2, 6])
+    dims = tor_groups(V, 2).dims
+    assert {(n, i) for n, i, _ in built} == _nonzero_pairs(V, 2)
+    # the degree-0 summand has Tor_i in degree i, read across the gap
+    assert dims[1][1] == 1 and dims[2][2] == 1
+    assert dims == resolution_tor(V, 2)
+    # a gap at degree 2 skips d_2 and d_3 at degree 4 between built d_1 and d_4
+    V = _gap_module(cat, field, 2)
+    built.clear()
+    assert tor_groups(V, 3).dims == resolution_tor(V, 3)
+    assert {(4, 1), (4, 4)} <= {(n, i) for n, i, _ in built} == _nonzero_pairs(V, 3)
+    # every degree is a gap: nothing is built
+    V = zero_module(cat, field, 5)
+    built.clear()
+    assert tor_groups(V, 2).dims == resolution_tor(V, 2) == [[0] * 6] * 3
+    assert not built
 
 
 # Tor dims of corpus modules (horizon 4, depth 2) by seed over fields that

@@ -1,0 +1,41 @@
+"""Layering rules, read off the source text of src/catrep.
+
+Arithmetic that depends on the field lives in matrices.py, one kernel per
+backend, so no other module branches on field.kind.  Factorisation of
+morphisms lives in category.py: other modules reach skip maps through
+step_generators and split, not through its private helpers.
+"""
+
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "catrep"
+
+FIELD_KIND = re.compile(r"\bfield\.kind\b")
+# corpus.py picks sampling profiles and coefficient pools by field kind; it
+# does no arithmetic
+FIELD_KIND_ALLOWED = {"matrices.py", "corpus.py"}
+
+PRIVATE_FACTORING = re.compile(r"\._(skip_map|factor_once)\(")
+PRIVATE_FACTORING_OWNER = "category.py"
+
+
+def _offences(pattern, allowed):
+    """'file:line: text' of every match of pattern outside the allowed files."""
+    return [f"{path.name}:{k}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py")) if path.name not in allowed
+            for k, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
+
+
+def test_patterns_match_where_they_are_allowed():
+    # a pattern that matches nothing anywhere would pass every file
+    assert FIELD_KIND.search((SRC / "matrices.py").read_text())
+    assert PRIVATE_FACTORING.search((SRC / PRIVATE_FACTORING_OWNER).read_text())
+
+
+def test_field_kind_only_in_matrices():
+    assert _offences(FIELD_KIND, FIELD_KIND_ALLOWED) == []
+
+
+def test_private_factoring_only_in_category():
+    assert _offences(PRIVATE_FACTORING, {PRIVATE_FACTORING_OWNER}) == []
