@@ -38,7 +38,6 @@ from .trunc import (
     InvariantViolation,
     ModuleMap,
     TruncatedModule,
-    direct_sum,
     free_module,
     generating_degree,
     kernel_of_map,

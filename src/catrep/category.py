@@ -171,7 +171,7 @@ class CategoryDescriptor:
     """One of the four category kinds, with its group decoration if any.
 
     Immutable; hom-set enumeration, generator data and the index tables
-    (compose_table, end_plan and the parent tree split reads off it) are
+    (compose_table, and _end_tree, the end-monoid tree split reads off) are
     pure and memoised in this descriptor's one cache (_memo), safe under
     concurrent use.
     """
@@ -332,9 +332,9 @@ class CategoryDescriptor:
 
         Above the diagonal, b is alpha's last one-step, a skip map and so a
         step generator, and a the rest (_factor_once).  An end morphism is
-        its parent in end_plan(s) followed by one end generator.  Repeated
-        splitting reaches generators() from every morphism, so a module's
-        action is a product along these splits.
+        its parent in the breadth-first tree _end_tree(s) followed by one end
+        generator.  Repeated splitting reaches generators() from every
+        morphism, so a module's action is a product along these splits.
         """
         if alpha.src == alpha.dst:
             return self._end_tree(alpha.dst).get(self.hom_index(alpha))
@@ -389,7 +389,7 @@ class CategoryDescriptor:
     # int arrays, the hom index of every composite they need, so that no
     # Morphism is built, composed or looked up per basis element.  Each is
     # built once per descriptor with numpy and memoised.  split factors
-    # single morphisms through the end plan (_end_tree).
+    # single morphisms through the end-monoid tree (_end_tree).
 
     @_memo
     def hom_arrays(self, r: int, s: int):
@@ -436,46 +436,28 @@ class CategoryDescriptor:
         return self._ranks(s, g.dst, out_images, out_labels)
 
     @_memo
-    def end_plan(self, s: int):
-        """Breadth-first spanning tree of C(s, s) from the identity, over end_generators(s).
-
-        Returns the levels.  Each level lists (g, parents, children) as hom
-        indices, with children[i] = g o parents[i]; every parent lies in an
-        earlier level, and every element of C(s, s) but the identity (index
-        0) is a child exactly once.
-        """
-        count = self.hom_count(s, s)
-        seen = np.zeros(count, dtype=bool)
+    def _end_tree(self, s: int):
+        """Breadth-first spanning tree of C(s, s) from the identity over end_generators(s):
+        hom index -> (parent, g) with child = g o parent, for every end but the
+        identity (index 0), in the order reached, so each parent precedes its children."""
+        homs = self.hom(s, s)
+        seen = np.zeros(len(homs), dtype=bool)
         seen[0] = True
-        frontier = np.zeros(1, dtype=np.int64)
-        levels = []
-        while True:
-            level = []
+        tree, frontier = {}, np.zeros(1, dtype=np.int64)
+        while len(frontier):
+            reached = [frontier[:0]]
             for g in self.end_generators(s):
                 # an end generator permutes C(s, s), so the children are distinct
                 children = self.compose_table(s, g)[frontier]
                 new = ~seen[children]
-                if new.any():
-                    seen[children[new]] = True
-                    level.append((g, frontier[new], children[new]))
-            if not level:
-                break
-            levels.append(tuple(level))
-            frontier = np.concatenate([c for _, _, c in level])
+                parents, children = frontier[new], children[new]
+                seen[children] = True
+                tree.update(zip(children.tolist(), [(homs[p], g) for p in parents.tolist()]))
+                reached.append(children)
+            frontier = np.concatenate(reached)
         if not seen.all():
-            raise AssertionError(f"end generators of {s} reach {seen.sum()} of {count} morphisms")
-        return tuple(levels)
-
-    @_memo
-    def _end_tree(self, s: int):
-        """end_plan(s) keyed by child: hom index -> (parent, g) with child = g o parent."""
-        homs = self.hom(s, s)
-        return {
-            child: (homs[parent], g)
-            for level in self.end_plan(s)
-            for g, parents, children in level
-            for parent, child in zip(parents.tolist(), children.tolist())
-        }
+            raise AssertionError(f"end generators of {s} reach {seen.sum()} of {len(homs)} morphisms")
+        return tree
 
 
 def _subset_ranks(s: int, r: int, images):

@@ -23,7 +23,11 @@ class RationalOverflowError(Exception):
 
 def rational_bit_limit() -> int:
     """Bit bound for rational growth, configurable via CATREP_MAX_RATIONAL_BITS."""
-    return int(os.environ.get("CATREP_MAX_RATIONAL_BITS", "8192"))
+    text = os.environ.get("CATREP_MAX_RATIONAL_BITS", "8192")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"CATREP_MAX_RATIONAL_BITS must be an integer, got {text!r}") from None
 
 
 def _is_prime(p: int) -> bool:

@@ -41,7 +41,6 @@ import numpy as np
 
 from .fields import QQ
 from .matrices import Mat
-from .reports import overall_status
 from .trunc import (
     FreeModule,
     InvariantViolation,
@@ -153,14 +152,14 @@ def resolve(V: TruncatedModule, depth: int) -> Resolution:
         spans = m_span(Z)
         P, diff = _cover(Z, minimal_generators(Z, spans=spans))
         gd_z = top_degree(h0_dims(Z, spans))
-        gd_p = max(P.gen_degrees, default=-1)
+        gd_p = max(P.summands, default=-1)
         if gd_p != gd_z:
             raise InvariantViolation(f"adaptability broken at step {i}: gd(P)={gd_p}, gd(Z)={gd_z}")
         syz, syz_incl = kernel_of_map(diff)
         for t in range(Z.horizon + 1):
             if P.dims[t] - syz.dims[t] != Z.dims[t]:
                 raise InvariantViolation(f"cover not surjective at step {i}, degree {t}")
-        steps.append(ResolutionStep(P, P.gen_degrees, diff, syz, syz_incl))
+        steps.append(ResolutionStep(P, P.summands, diff, syz, syz_incl))
         Z = syz
     return Resolution(steps)
 
@@ -333,16 +332,6 @@ class VerifyItem:
 @dataclass
 class VerifyReport:
     items: list
-
-    @property
-    def overall(self) -> str:
-        return overall_status(item.status for item in self.items)
-
-    def by_name(self, name: str) -> VerifyItem:
-        for item in self.items:
-            if item.name == name:
-                return item
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)

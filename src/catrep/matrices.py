@@ -368,12 +368,6 @@ class Mat:
     def row(self, i) -> list:
         return self.data[i].tolist()
 
-    def rows(self) -> list:
-        return self.data.tolist()
-
-    def entry(self, i, j):
-        return self.data.item(i, j)
-
     def is_zero(self) -> bool:
         return not self.data.any()
 
@@ -395,9 +389,6 @@ class Mat:
 
     def take_cols(self, indices) -> "Mat":
         return Mat(self.field, self.nrows, len(indices), self.data[:, list(indices)])
-
-    def transpose(self) -> "Mat":
-        return Mat(self.field, self.ncols, self.nrows, self.data.T.copy())
 
     @staticmethod
     def vstack(mats) -> "Mat":

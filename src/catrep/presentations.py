@@ -218,8 +218,9 @@ def _parse_relation(line: str, ln: int, gen_index: dict) -> Relation:
         raise PresentationError("bad relation degree", ln, 5)
     terms = []
     cols = []
-    for chunk in _split_terms(terms_text):
-        col = line.find(chunk) + 1
+    start = len(line) - len(terms_text)  # terms_text is the tail of line
+    for offset, chunk in _split_terms(terms_text):
+        col = start + offset + 1
         if "*" not in chunk or "@" not in chunk:
             raise PresentationError(
                 "expected '<coeff>*<morphism>@<gen>'", ln, col
@@ -254,21 +255,25 @@ def _check_coefficient(text: str, ln: int, col: int) -> str:
 
 
 def _split_terms(text: str):
-    """Split at each '+' that closes a '...@<gen>' term, spaced or not.
+    """Split at each '+' that closes a '...@<gen>' term, spaced or not, into
+    (offset of the term in text, term) pairs.
 
     A '+' before the '@' of its term is a sign ('+1*...'), so it stays with
     the term; a tail without '@' is kept for the caller to reject.
     """
+    def term(a, b):
+        chunk = text[a:b]
+        return a + len(chunk) - len(chunk.lstrip()), chunk.strip()
+
     out = []
-    pending = []
+    start = end = 0
     for piece in text.split("+"):
-        pending.append(piece)
+        end += len(piece) + 1  # past the '+' that ends this piece
         if "@" in piece:
-            out.append("+".join(pending).strip())
-            pending = []
-    tail = "+".join(pending).strip()
-    if tail:
-        out.append(tail)
+            out.append(term(start, end - 1))
+            start = end
+    if text[start:].strip():
+        out.append(term(start, len(text)))
     return out
 
 

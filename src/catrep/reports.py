@@ -60,19 +60,16 @@ def to_text(report: dict) -> str:
     width = max((len(str(item.get("name", ""))) for item in report["items"]), default=0)
     for item in report["items"]:
         name = str(item.get("name", "")).ljust(width)
-        kind = item.get("type")
-        if kind == "dims":
-            lines.append(
-                f"{name}  dims={item['dims']}  (valid to degree {item['valid_to']})"
-            )
-        elif kind == "value":
-            suffix = f"  (valid to degree {item['valid_to']})" if "valid_to" in item else ""
-            lines.append(f"{name}  {item['value']}{suffix}")
-        elif kind == "check":
+        if item["type"] == "check":
             detail = f"  {item['detail']}" if item.get("detail") else ""
             lines.append(f"{name}  [{item['status'].upper()}]{detail}")
-        else:
-            lines.append(f"{name}  {json.dumps(item, sort_keys=True)}")
+            continue
+        body = f"dims={item['dims']}" if item["type"] == "dims" else str(item["value"])
+        # every other key (hd of H_i, the note on reg) follows the body as key=value
+        extras = "".join(f"  {k}={v}" for k, v in sorted(item.items())
+                         if k not in ("type", "name", "dims", "value", "valid_to"))
+        suffix = f"  (valid to degree {item['valid_to']})" if "valid_to" in item else ""
+        lines.append(f"{name}  {body}{extras}{suffix}")
     return "\n".join(lines) + "\n"
 
 

@@ -130,17 +130,6 @@ class FreeModule(TruncatedModule):
     def basis_index(self, t: int, k: int, m: Morphism) -> int:
         return self.offsets[t][k] + self.cat.hom_index(m)
 
-    @property
-    def gen_degrees(self) -> tuple:
-        """Degree of each module generator: one per summand."""
-        return self.summands
-
-    def top_indices(self, t: int) -> list:
-        """Basis positions of degree t outside (mP)_t: (k, sigma) for the
-        degree-t summands k and every sigma in C(t, t)."""
-        n = self.cat.hom_count(t, t)
-        return [self.offsets[t][k] + i for k, s in enumerate(self.summands) if s == t for i in range(n)]
-
 
 class ModuleMap:
     """A degreewise linear map commuting with all stored category actions."""
@@ -159,17 +148,6 @@ class ModuleMap:
     @property
     def horizon(self) -> int:
         return len(self.mats) - 1
-
-    def commutation_defect(self):
-        """First (source degree, generator) square that fails to commute, in
-        generator table order, else None."""
-        for g in self.domain.cat.generators(self.horizon):
-            if self.domain.gens[g] @ self.mats[g.dst] != self.mats[g.src] @ self.codomain.gens[g]:
-                return (g.src, g)
-        return None
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.mats)
 
     def __repr__(self):
         return f"ModuleMap(h={self.horizon}, {self.domain!r} -> {self.codomain!r})"
@@ -268,24 +246,6 @@ def quotient_by(V: TruncatedModule, rows_per_degree):
     Q = TruncatedModule(V.cat, V.field, h, [len(f) for f in frees], gens)
     proj = ModuleMap(truncate(V, h), Q, projs)
     return Q, proj
-
-
-def direct_sum(V: TruncatedModule, W: TruncatedModule):
-    """Block-diagonal direct sum truncated at the smaller horizon."""
-    if V.cat != W.cat or V.field != W.field:
-        raise ValueError("direct sum needs matching category and field")
-    h = min(V.horizon, W.horizon)
-    Vh, Wh = truncate(V, h), truncate(W, h)
-    dims = [Vh.dims[t] + Wh.dims[t] for t in range(h + 1)]
-    gens = {g: _block_diag(Vh.gens[g], Wh.gens[g]) for g in V.cat.generators(h)}
-    return TruncatedModule(V.cat, V.field, h, dims, gens)
-
-
-def _block_diag(a: Mat, b: Mat) -> Mat:
-    return Mat.vstack([
-        Mat.hstack([a, Mat.zeros(a.field, a.nrows, b.ncols)]),
-        Mat.hstack([Mat.zeros(a.field, b.nrows, a.ncols), b]),
-    ])
 
 
 def m_span(V: TruncatedModule):

@@ -11,6 +11,7 @@ generators, one per step.  non_functorial() is a module no presentation
 can give, for the checks that guard against one.
 
 un_chain stops where the chain stabilizes; continued() extends its steps.
+commutation_defect() checks a ModuleMap against the actions; direct_sum() adds two modules.
 """
 
 import contextlib
@@ -23,23 +24,25 @@ from catrep import homology
 from catrep.category import make_category
 from catrep.fields import parse_field
 from catrep.matrices import Mat
-from catrep.trunc import TruncatedModule
+from catrep.trunc import TruncatedModule, truncate
 
 
 def resolution_tor(V, depth):
     """dims[i][t] = dim Tor_i(V)_t read off resolve(V, depth).
 
-    Reducing P^i mod m keeps its top basis elements (P.top_indices(t): the
-    ones of the summands generated in degree t), so a reduced differential
-    is a row/column selection of a realized one, and the reduced image of
-    d_{i+1} is that of Z^{i+1} = im d_{i+1} inside P^i.  H_i is the reduced
-    kernel modulo the reduced image, which holds for non-minimal (padded)
-    resolutions and over any field.
+    Reducing P^i mod m keeps its top basis elements (sel[i][t]: (k, sigma)
+    for the summands k generated in degree t and every sigma in C(t, t)),
+    so a reduced differential is a row/column selection of a realized one,
+    and the reduced image of d_{i+1} is that of Z^{i+1} = im d_{i+1} inside
+    P^i.  H_i is the reduced kernel modulo the reduced image, which holds
+    for non-minimal (padded) resolutions and over any field.
     """
     res = homology.resolve(V, depth)
     h = V.horizon
     dims = [[0] * (h + 1) for _ in range(depth + 1)]
-    sel = [[step.free.top_indices(t) for t in range(h + 1)] for step in res.steps]
+    sel = [[[P.offsets[t][k] + j for k, s in enumerate(P.summands) if s == t
+             for j in range(P.cat.hom_count(t, t))] for t in range(h + 1)]
+           for P in (step.free for step in res.steps)]
     for t in range(h + 1):
         for i, step in enumerate(res.steps):
             if i == 0:
@@ -51,6 +54,33 @@ def resolution_tor(V, depth):
             assert Mat.vstack([kernel_rows, image_red]).rank() == kernel_rows.nrows, (i, t)
             dims[i][t] = kernel_rows.nrows - image_red.nrows
     return dims
+
+
+def commutation_defect(f):
+    """First (source degree, generator) square of the ModuleMap f that fails
+    to commute, in generator table order, else None."""
+    for g in f.domain.cat.generators(f.horizon):
+        if f.domain.gens[g] @ f.mats[g.dst] != f.mats[g.src] @ f.codomain.gens[g]:
+            return (g.src, g)
+    return None
+
+
+def direct_sum(V, W):
+    """Block-diagonal direct sum truncated at the smaller horizon."""
+    if V.cat != W.cat or V.field != W.field:
+        raise ValueError("direct sum needs matching category and field")
+    h = min(V.horizon, W.horizon)
+    Vh, Wh = truncate(V, h), truncate(W, h)
+    dims = [Vh.dims[t] + Wh.dims[t] for t in range(h + 1)]
+    gens = {g: _block_diag(Vh.gens[g], Wh.gens[g]) for g in V.cat.generators(h)}
+    return TruncatedModule(V.cat, V.field, h, dims, gens)
+
+
+def _block_diag(a, b):
+    return Mat.vstack([
+        Mat.hstack([a, Mat.zeros(a.field, a.nrows, b.ncols)]),
+        Mat.hstack([Mat.zeros(a.field, b.nrows, a.ncols), b]),
+    ])
 
 
 def koszul_differential(V, n, i):

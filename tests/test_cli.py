@@ -187,7 +187,9 @@ def test_shift_and_homology(files, capsys):
     assert code == 0 and "key-sequence-exact" in out
     code, out, _ = run(capsys, "homology", files["torsion"], "--depth", "2")
     assert code == 0
-    assert "H_1" in out and "reg" in out
+    # the text form shows what the JSON holds: hd of each H_i and the note on reg
+    assert "H_1  dims=[0, 0, 1, 0, 0, 0, 0]  hd=2  (valid to degree 6)" in out
+    assert "reg  1  note=lower bound within depth 2  (valid to degree 6)" in out
 
 
 def test_verify_exit_codes(files, capsys):
@@ -348,6 +350,12 @@ def test_inexact_product_exits_1(monkeypatch, files, capsys):
     monkeypatch.setattr(matrices, "_INT64_EXACT", 1)
     code, _, err = run(capsys, "info", files["torsion"])
     assert code == 1 and "is not exact in int64" in err
+
+
+def test_malformed_rational_bit_limit_exits_1(monkeypatch, files, capsys):
+    monkeypatch.setenv("CATREP_MAX_RATIONAL_BITS", "abc")
+    code, _, err = run(capsys, "info", files["M1"])
+    assert (code, err) == (1, "error: CATREP_MAX_RATIONAL_BITS must be an integer, got 'abc'\n")
 
 
 def test_flag_overrides_field(files, capsys):

@@ -64,14 +64,18 @@ def test_row_reduce_rational_example():
     # hand Gaussian elimination of [[1,2],[2,4]]
     A = Mat.from_rows(QQ, [[1, 2], [2, 4]])
     R, piv = A.rref()
-    assert R.rows() == [[1, 2], [0, 0]]
+    assert R.data.tolist() == [[1, 2], [0, 0]]
     assert piv == (0,)
+
+
+def _transpose(m):
+    return Mat(m.field, m.ncols, m.nrows, m.data.T.copy())
 
 
 def test_kernel_basis_identity_and_zero():
     # rows spanning {v : A @ v^T = 0}: the left kernel of the transpose
-    assert Mat.identity(QQ, 3).transpose().left_kernel().nrows == 0
-    K = Mat.zeros(F3, 2, 4).transpose().left_kernel()
+    assert _transpose(Mat.identity(QQ, 3)).left_kernel().nrows == 0
+    K = _transpose(Mat.zeros(F3, 2, 4)).left_kernel()
     assert K.nrows == 4 and K.rank() == 4
 
 
@@ -83,7 +87,7 @@ def test_kernel_basis_f2_brute_force():
         if (v[0] * 1 + v[1] * 1) % 2 == 0 and any(v)
     ]
     assert expected == [(1, 1)]
-    K = A.transpose().left_kernel()
+    K = _transpose(A).left_kernel()
     assert K.nrows == 1
     assert K.row(0) == [1, 1]
 
@@ -99,9 +103,9 @@ def test_membership_examples():
     # a Fraction solution comes out exact: the canonical Q basis keeps its
     # primitive integer row, so the coefficient is 3 / 2
     basis = Mat.from_rows(QQ, [[2, 1]]).row_basis()
-    assert basis.rows() == [[2, 1]] and basis.pivots == (0,)
+    assert basis.data.tolist() == [[2, 1]] and basis.pivots == (0,)
     x = Mat.from_rows(QQ, [[3, Fraction(3, 2)]]).express_rows(basis)
-    assert x.rows() == [[Fraction(3, 2)]]
+    assert x.data.tolist() == [[Fraction(3, 2)]]
 
 
 def test_complement_basis_examples():
@@ -140,8 +144,8 @@ def test_rref_idempotent_and_rank_nullity(A):
     R, piv = A.rref()
     R2, piv2 = R.rref()
     assert R == R2 and piv == piv2
-    K = A.transpose().left_kernel()
-    assert (A @ K.transpose()).is_zero()
+    K = _transpose(A).left_kernel()
+    assert (A @ _transpose(K)).is_zero()
     assert len(piv) + K.nrows == A.ncols
     assert K.rank() == K.nrows
 
@@ -149,8 +153,8 @@ def test_rref_idempotent_and_rank_nullity(A):
 @settings(max_examples=60, deadline=None)
 @given(small_matrix())
 def test_complement_completes(A):
-    C = A.transpose().complement_rows()
-    assert Mat.vstack([A.transpose(), C]).rank() == A.nrows
+    C = _transpose(A).complement_rows()
+    assert Mat.vstack([_transpose(A), C]).rank() == A.nrows
     assert A.take_cols([]).ncols == 0
 
 
@@ -164,8 +168,8 @@ def test_q_matmul_matches_naive(data):
     prod = A @ B
     for i in range(A.nrows):
         for j in range(B.ncols):
-            acc = sum(A.entry(i, k) * B.entry(k, j) for k in range(A.ncols))
-            assert prod.entry(i, j) == acc
+            acc = sum(A.data.item(i, k) * B.data.item(k, j) for k in range(A.ncols))
+            assert prod.data.item(i, j) == acc
     assert_storage(prod)
 
 
@@ -191,8 +195,8 @@ def test_q_product_past_the_int64_bound_takes_python_ints(monkeypatch):
         B = Mat.from_rows(QQ, [[big, 1]] * k)
         prod = A @ B
         assert refused == refusals
-        assert prod.rows() == [[sum(a * b for a, b in zip(row, col)) for col in zip(*B.rows())]
-                               for row in A.rows()]
+        assert prod.data.tolist() == [[sum(a * b for a, b in zip(row, col)) for col in B.data.T.tolist()]
+                                      for row in A.data.tolist()]
         assert_storage(prod)
 
 
@@ -204,7 +208,7 @@ def test_row_basis_canonical(A):
     C = Mat.vstack([A, B]).row_basis()
     assert C == B
     if A.field.kind == "q":
-        for row in B.rows():
+        for row in B.data.tolist():
             assert all(type(x) is int for x in row)
 
 
@@ -213,7 +217,7 @@ def test_express_rows_detects_outside():
     with pytest.raises(NotInSpan):
         Mat.from_rows(QQ, [[0, 1, 0]]).express_rows(basis)
     X = Mat.from_rows(QQ, [[5, 0, 0]]).express_rows(basis)
-    assert X.entry(0, 0) == 5
+    assert X.data.item(0, 0) == 5
 
 
 def test_rational_growth_guard(monkeypatch):
@@ -241,9 +245,9 @@ def test_numpy_integers_accepted():
     # exact integers of any type are taken, and stored as Python ints
     for field, expect in ((QQ, [[1, -2]]), (F101, [[1, 99]])):
         m = Mat.from_rows(field, np.array([[1, -2]]))
-        assert m.rows() == expect
+        assert m.data.tolist() == expect
         assert_storage(m)
-    assert Mat.from_rows(QQ, [[np.int32(3), True]]).rows() == [[3, 1]]
+    assert Mat.from_rows(QQ, [[np.int32(3), True]]).data.tolist() == [[3, 1]]
     with pytest.raises(TypeError):
         Mat.from_rows(QQ, np.array([[1.0, 2.0]]))
 
@@ -280,9 +284,9 @@ def assert_storage(m):
             assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
     else:
         assert m.data.dtype == np.int64
-        for row in m.rows():
+        for row in m.data.tolist():
             assert all(type(x) is int and 0 <= x < m.field.p for x in row)
-        assert all(type(m.entry(i, j)) is int for i in range(m.nrows) for j in range(m.ncols))
+        assert all(type(m.data.item(i, j)) is int for i in range(m.nrows) for j in range(m.ncols))
 
 
 @settings(max_examples=80, deadline=None)
@@ -298,10 +302,10 @@ def test_storage_form(data):
     X = data.draw(exact_matrix(field, cols=basis.nrows)) if basis.nrows else None
     results = [
         A @ Mat.identity(field, A.ncols).take_rows(perm),  # column scatter
-        A @ B, B.transpose() @ A.transpose(),
+        A @ B, _transpose(B) @ _transpose(A),
         A.scale(3), A.scale(Fraction(3, 2) if field is QQ else 2),
         R, E, A.left_kernel(), A.complement_rows(),
-        Mat.vstack([A, R]), Mat.hstack([A, E]), A.take_rows([0]), A.take_cols([0]), A.transpose(),
+        Mat.vstack([A, R]), Mat.hstack([A, E]), A.take_rows([0]), A.take_cols([0]),
     ]
     if X is not None:
         M = X @ basis
@@ -328,9 +332,9 @@ def _to_domain(m):
 
     K = _domain(m.field)
     if m.field is QQ:
-        rows = [[K(x.numerator, x.denominator) for x in r] for r in m.rows()]
+        rows = [[K(x.numerator, x.denominator) for x in r] for r in m.data.tolist()]
     else:
-        rows = [[K(x) for x in r] for r in m.rows()]
+        rows = [[K(x) for x in r] for r in m.data.tolist()]
     return DomainMatrix(rows, m.shape, K)
 
 
@@ -374,7 +378,7 @@ def test_kernels_match_sympy(data):
 
 def _left_kernel_two_echelons(A):
     """Reference: echelon A^T, build its null rows, then echelon those rows again."""
-    R, pivots = A.transpose().echelon()
+    R, pivots = _transpose(A).echelon()
     n = A.nrows
     if len(pivots) == n:
         return Mat.zeros(A.field, 0, n).row_basis()
@@ -444,7 +448,7 @@ def test_identity_is_its_own_row_basis(monkeypatch):
 def test_express_rows_checks_every_non_pivot_column(field):
     rows = Mat.from_rows(field, [[1, 1, 1, 1], [0, 0, 1, 1]])
     basis = rows.row_basis()
-    assert basis.rows() == [[1, 1, 0, 0], [0, 0, 1, 1]] and basis.pivots == (0, 2)
+    assert basis.data.tolist() == [[1, 1, 0, 0], [0, 0, 1, 1]] and basis.pivots == (0, 2)
     inside = Mat.from_rows(field, [[1, 1, 1, 1]])
     assert inside.express_rows(basis) == Mat.from_rows(field, [[1, 1]])
     # each row agrees with a span element on the pivot columns and differs in one other column
@@ -453,7 +457,7 @@ def test_express_rows_checks_every_non_pivot_column(field):
             Mat.from_rows(field, [bad]).express_rows(basis)
     # a basis that is not canonical, or canonical rows not made by
     # row_basis, carries no pivots and is refused
-    for other in (rows, Mat.from_rows(field, basis.rows(), 4)):
+    for other in (rows, Mat.from_rows(field, basis.data.tolist(), 4)):
         for M in (inside, Mat.zeros(field, 0, 4)):
             with pytest.raises(ValueError, match="canonical basis"):
                 M.express_rows(other)
@@ -470,7 +474,7 @@ def test_reduced_product_check_agrees_with_the_full_product(data):
     assert matrices._product_equals(X, basis, M)
     if data.draw(st.booleans()):  # move one entry, perhaps off the span
         i, j = data.draw(st.integers(0, M.nrows - 1)), data.draw(st.integers(0, M.ncols - 1))
-        rows = M.rows()
+        rows = M.data.tolist()
         rows[i][j] += data.draw(st.integers(1, 3))
         M = Mat.from_rows(field, rows, M.ncols)
     # the solution read off the pivot columns, as express_rows reads it; a
@@ -557,8 +561,8 @@ F_BIG = PrimeField(1048573)  # the largest prime below 2^20
 
 def _python_product(A, B):
     p = A.field.p
-    cols = B.transpose().rows()
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in A.rows()]
+    cols = B.data.T.tolist()
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in A.data.tolist()]
 
 
 @settings(max_examples=80, deadline=None)
@@ -575,7 +579,7 @@ def test_fp_product_paths_agree(data):
     int64 = matrices._int64_product(A.data, B.data, field.p)
     assert blas.dtype == int64.dtype == np.int64
     assert blas.tolist() == int64.tolist() == _python_product(A, B)
-    assert (A @ B).rows() == _python_product(A, B)
+    assert (A @ B).data.tolist() == _python_product(A, B)
 
 
 def test_fp_product_past_the_float_bound_takes_int64(monkeypatch):
@@ -592,7 +596,7 @@ def test_fp_product_past_the_float_bound_takes_int64(monkeypatch):
         # entries at p - 1 and p - 2 put the float sums right at the bound
         A = Mat.from_rows(F_BIG, rng.integers(p - 2, p, (2, k)).tolist(), k)
         B = Mat.from_rows(F_BIG, rng.integers(p - 2, p, (k, 3)).tolist(), 3)
-        assert (A @ B).rows() == _python_product(A, B)
+        assert (A @ B).data.tolist() == _python_product(A, B)
     assert calls == [("_float_product", 8192), ("_int64_product", 8193)]
 
 

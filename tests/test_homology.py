@@ -24,9 +24,9 @@ from catrep.homology import (
 )
 from catrep.matrices import Mat
 from catrep.presentations import Presentation, Relation, from_presentation
+from catrep.reports import overall_status
 from catrep.trunc import (
     InvariantViolation,
-    direct_sum,
     free_module,
     generating_degree,
     h0_dims,
@@ -34,7 +34,7 @@ from catrep.trunc import (
     top_degree,
     zero_module,
 )
-from seams import koszul_differential, non_functorial, padded, resolution_tor
+from seams import direct_sum, koszul_differential, non_functorial, padded, resolution_tor
 
 F101 = parse_field("fp:101")
 FI = make_category("fi")
@@ -299,16 +299,17 @@ def test_verify_theorems_projective():
     names = {it.name: it.status for it in rep.items}
     assert names["gd-derivative-drop"] == "pass"
     assert names["reg-shift-window"] == "pass"
-    assert rep.overall in ("pass", "inconclusive")
+    assert overall_status(it.status for it in rep.items) in ("pass", "inconclusive")
 
 
 def test_verify_theorems_skips_mu_bound_without_injectivity():
     rep = verify_theorems(oi_torsion(), 2, s_bound=1)
-    item = rep.by_name("hd-mu-injective-bound")
+    items = {it.name: it for it in rep.items}
+    item = items["hd-mu-injective-bound"]
     assert item.status == "skipped"
     assert "mu_V" in item.detail
-    assert rep.by_name("reg-derivative-bound").status == "skipped"
-    assert rep.overall != "violation"
+    assert items["reg-derivative-bound"].status == "skipped"
+    assert overall_status(it.status for it in rep.items) != "violation"
 
 
 def test_verify_theorems_finite_support():
@@ -318,19 +319,20 @@ def test_verify_theorems_finite_support():
     )
     V, _ = from_presentation(FI, F101, pres, 6)
     rep = verify_theorems(V, 2, s_bound=1)
-    item = rep.by_name("reg-finite-support")
+    item = {it.name: it for it in rep.items}["reg-finite-support"]
     assert item.status == "pass"
     assert item.data["support_top"] == 0
 
 
 def test_verify_theorems_zero_module():
     rep = verify_theorems(zero_module(OI, F101, 5), 2, s_bound=0)
-    assert rep.by_name("module-checks").status == "skipped"
+    assert {it.name: it.status for it in rep.items}["module-checks"] == "skipped"
 
 
 def test_hypothesis_reg_sm_recorded():
     rep = verify_theorems(free_module(OI, F101, 1, 6), 1, s_bound=3)
+    items = {it.name: it for it in rep.items}
     for s in range(4):
-        item = rep.by_name(f"hypothesis-reg-SM({s})")
+        item = items[f"hypothesis-reg-SM({s})"]
         assert item.status == "pass"
         assert item.data["reg"] == s

@@ -29,7 +29,8 @@ TABLE_CATS = CATS + [make_category("fi_g", S3), make_category("oi_g", S3)]
 
 
 def _oracle_end_plan(cat, s):
-    """end_plan(s) as its own breadth-first loop over the end generators."""
+    """The breadth-first levels of C(s, s) from the identity, as (g, parents,
+    children) per end generator g, in a loop of their own."""
     reached = {0}
     frontier = np.zeros(1, dtype=np.int64)
     levels = []
@@ -195,27 +196,16 @@ def test_act_matches_product_along_a_word(cat, field):
 
 @pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
 def test_end_plan_reaches_each_end_morphism_once(cat):
+    # the end tree lists its children breadth-first, each parent before them
     for s in range(5 if cat.group is None else 4):
         homs = cat.hom(s, s)
         assert homs[0] == cat.identity(s)
-        reached = [0]
-        for level in cat.end_plan(s):
-            earlier = set(reached)
-            for g, parents, children in level:
-                assert set(parents.tolist()) <= earlier
-                for a, b in zip(parents.tolist(), children.tolist()):
-                    assert homs[b] == cat.compose(g, homs[a])
-                reached += children.tolist()
-        assert sorted(reached) == list(range(len(homs)))
-
-
-def _same_levels(got, want):
-    assert len(got) == len(want)
-    for level, old in zip(got, want):
-        assert [g for g, _, _ in level] == [g for g, _, _ in old]
-        for (_, parents, children), (_, old_parents, old_children) in zip(level, old):
-            assert parents.dtype == old_parents.dtype and np.array_equal(parents, old_parents)
-            assert children.dtype == old_children.dtype and np.array_equal(children, old_children)
+        reached = {0}
+        for child, (parent, g) in cat._end_tree(s).items():
+            assert cat.hom_index(parent) in reached and child not in reached
+            assert homs[child] == cat.compose(g, parent)
+            reached.add(child)
+        assert reached == set(range(len(homs)))
 
 
 @pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
@@ -223,12 +213,15 @@ def test_tree_builder_matches_the_plans_it_replaced(cat):
     # FI_G over S3 stops at degree 3: C(4, 4) alone has 31,104 morphisms there
     h = 3 if cat.kind == "fi_g" and cat.group.order == 6 else 4
     for t in range(h + 1):
-        _same_levels(cat.end_plan(t), _oracle_end_plan(cat, t))
+        homs = cat.hom(t, t)
+        want = [(c, (homs[p], g)) for level in _oracle_end_plan(cat, t) for g, parents, children in level
+                for p, c in zip(parents.tolist(), children.tolist())]
+        assert list(cat._end_tree(t).items()) == want
 
 
 def test_memo_runs_each_body_once_per_descriptor(monkeypatch):
     memoised = {name: f for name, f in vars(CategoryDescriptor).items() if hasattr(f, "__wrapped__")}
-    assert {"hom", "_hom_positions", "compose_table", "end_plan", "_end_tree"} <= set(memoised)
+    assert {"hom", "_hom_positions", "compose_table", "_end_tree"} <= set(memoised)
     runs = []
 
     def counted(name, body):
@@ -246,13 +239,13 @@ def test_memo_runs_each_body_once_per_descriptor(monkeypatch):
         V, _ = from_presentation(cat, field, sample_presentation(cat, field, 1), 4)
         homology.resolve(V, 1)
         for t in range(4):
-            V.act(cat.hom(t, t)[-1])  # split reads end_plan through _end_tree
+            V.act(cat.hom(t, t)[-1])  # split reads _end_tree
     assert len(runs) == len(set(runs)), "a memoised body ran twice for one argument tuple"
     assert {name for _, name, _ in runs} == set(memoised)
     tables = [{(name, args) for i, name, args in runs if i == id(cat)} for cat in (a, b)]
     assert tables[0] == tables[1], "equal descriptors share tables"
-    assert a._cache is not b._cache and a.end_plan(3) is not b.end_plan(3)
-    _same_levels(a.end_plan(3), b.end_plan(3))
+    assert a._cache is not b._cache and a._end_tree(3) is not b._end_tree(3)
+    assert list(a._end_tree(3).items()) == list(b._end_tree(3).items())
 
 
 @pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)

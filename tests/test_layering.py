@@ -3,9 +3,13 @@
 Arithmetic that depends on the field lives in matrices.py, one kernel per
 backend, so no other module branches on field.kind.  Factorisation of
 morphisms lives in category.py: other modules reach skip maps through
-step_generators and split, not through its private helpers.
+step_generators and split, not through its private helpers.  The free
+resolution route (resolve, minimal_generators, _cover) is the tests' Tor
+oracle: nothing in the program calls it, and it calls itself only inside
+homology.resolve.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -19,18 +23,32 @@ FIELD_KIND_ALLOWED = {"matrices.py", "corpus.py"}
 PRIVATE_FACTORING = re.compile(r"\._(skip_map|factor_once)\(")
 PRIVATE_FACTORING_OWNER = "category.py"
 
+# a call, not a definition; resolve_coefficients( does not match
+ORACLE_ROUTE = re.compile(r"(?<!def )\b(resolve|minimal_generators|_cover)\(")
+
 
 def _offences(pattern, allowed):
-    """'file:line: text' of every match of pattern outside the allowed files."""
+    """'file:line: text' of every match of pattern outside the allowed files
+    and (file, line) places."""
     return [f"{path.name}:{k}: {line.strip()}"
             for path in sorted(SRC.glob("*.py")) if path.name not in allowed
-            for k, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
+            for k, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line) and (path.name, k) not in allowed]
+
+
+def _lines_of(name, function):
+    """The (file, line) places of a top-level function of src/catrep/name."""
+    tree = ast.parse((SRC / name).read_text())
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    return {(name, k) for k in range(node.lineno, node.end_lineno + 1)}
 
 
 def test_patterns_match_where_they_are_allowed():
     # a pattern that matches nothing anywhere would pass every file
     assert FIELD_KIND.search((SRC / "matrices.py").read_text())
     assert PRIVATE_FACTORING.search((SRC / PRIVATE_FACTORING_OWNER).read_text())
+    assert ORACLE_ROUTE.search((SRC / "homology.py").read_text())
+    assert not ORACLE_ROUTE.search("resolve_coefficients(pres, field)")
 
 
 def test_field_kind_only_in_matrices():
@@ -39,3 +57,7 @@ def test_field_kind_only_in_matrices():
 
 def test_private_factoring_only_in_category():
     assert _offences(PRIVATE_FACTORING, {PRIVATE_FACTORING_OWNER}) == []
+
+
+def test_resolution_route_only_inside_resolve():
+    assert _offences(ORACLE_ROUTE, _lines_of("homology.py", "resolve")) == []

@@ -79,6 +79,11 @@ def test_parse_errors_carry_position():
     with pytest.raises(PresentationError) as exc:
         parse_presentation_text(bad_rel)
     assert exc.value.line == 8
+    # the column is the bad term's own, though its text also occurs in the term before
+    twin = "catrep-presentation v1\ncategory oi\nfield fp:101\nhorizon 3\ngen uv deg 1\n"
+    with pytest.raises(PresentationError, match="unknown generator 'u'") as exc:
+        parse_presentation_text(twin + "rel 2: 21*1->2:[1]@uv + 1*1->2:[1]@u\n")
+    assert (exc.value.line, exc.value.col) == (6, 25)
     dup = "catrep-presentation v1\ngen u deg 1\ngen u deg 2\n"
     with pytest.raises(PresentationError):
         parse_presentation_text(dup)
