@@ -20,7 +20,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 from .category import make_category
-from .fields import RationalOverflowError, parse_field
+from .fields import RationalOverflowError, parse_field, rational_bit_limit
 from .homology import (
     LEMMAS,
     VerificationViolation,
@@ -152,8 +152,9 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    """Check the option bounds, run the command, print its report and read
-    the exit code off the report."""
+    """Check CATREP_MAX_RATIONAL_BITS and the option bounds, run the
+    command, print its report and read the exit code off the report."""
+    rational_bit_limit()  # raises on a malformed value, whatever the field
     for dest, (flag, least) in args.bounds.items():
         if (value := getattr(args, dest, None)) is not None and value < least:
             raise ValueError(f"{flag} must be >= {least}")

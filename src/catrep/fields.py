@@ -25,9 +25,12 @@ def rational_bit_limit() -> int:
     """Bit bound for rational growth, configurable via CATREP_MAX_RATIONAL_BITS."""
     text = os.environ.get("CATREP_MAX_RATIONAL_BITS", "8192")
     try:
-        return int(text)
+        limit = int(text)
     except ValueError:
         raise ValueError(f"CATREP_MAX_RATIONAL_BITS must be an integer, got {text!r}") from None
+    if limit < 1:
+        raise ValueError(f"CATREP_MAX_RATIONAL_BITS must be >= 1, got {text!r}")
+    return limit
 
 
 def _is_prime(p: int) -> bool:

@@ -33,6 +33,23 @@ k (p-1)^2 < 2^53: every partial sum is then an integer that float64 holds
 exactly, so the result equals the int64 product.  Past that bound it runs
 on int64, and past k (p-1)^2 >= 2^63 it is refused with a ValueError.
 
+F_p elimination takes unit rows as pivots before its pivot loop, the
+singleton step of structured Gaussian elimination (LaMacchia-Odlyzko,
+CRYPTO 1990).  Free-module actions are basis maps, so the stacks that
+closures, m_span, left kernels and quotients eliminate are mostly rows with
+one nonzero entry.  Such a row, at column c, puts e_c in the row space: c is
+a pivot of the rref, its row there is e_c, and column c is zero in every
+other row.  So one vectorised pass takes every unit column as a pivot, the
+loop runs once on the other rows restricted to the other columns, and the
+two parts written into one array in pivot order are exactly the rref the
+loop gives on the whole matrix, with no loop iteration per unit row.  The
+pass runs only on a stack with at least _MIN_UNIT_ROWS rows and no fewer
+rows than columns, and only with at least _MIN_UNIT_ROWS unit rows: on the
+wide Koszul rank matrices, which have none, its row count would cost more
+than it saves, and on tiny matrices its assembly outweighs the loop.  Q
+elimination keeps the plain loop: there the pass scans object arrays, and a
+prototype of it made the FI/Q verify battery's median item 4-10% slower.
+
 Rational elimination is fraction-free: rows are cleared to integers up
 front, cross-multiplication updates keep them integral, and each update is
 reduced by its gcd.  One Gauss-Jordan routine serves int64 and
@@ -183,8 +200,59 @@ def _echelon_q(data):
     return _gauss_jordan(work)
 
 
+# the unit-row pass scans a stack only when it has at least this many rows
+# and no fewer rows than columns, and peels it only when at least this many
+# of its rows are unit rows: below that its half-dozen whole-array passes
+# cost more than the pivot loop iterations they save
+_MIN_UNIT_ROWS = 8
+
+
 def _rref_fp(data, p):
-    A = data.copy()
+    """Canonical rref of an F_p residue array: (a fresh array, pivot columns).
+
+    Unit rows are taken as pivots first (_peel_unit_rows); the pivot loop
+    runs once, on what they leave, and both parts are written into one
+    array in pivot order.
+    """
+    nr, nc = data.shape
+    peeled = _peel_unit_rows(data) if nr >= max(nc, _MIN_UNIT_ROWS) else None
+    if peeled is None:
+        A = data.copy()
+        return A, _pivot_loop(A, p)
+    unit_col, R = peeled
+    rest = np.flatnonzero(~unit_col)
+    sub = rest[list(_pivot_loop(R, p))]
+    is_pivot = unit_col.copy()
+    is_pivot[sub] = True
+    pivots = np.flatnonzero(is_pivot)
+    unit_row = unit_col[pivots]  # output row k is e_{pivots[k]}, or a residual row
+    out = np.zeros(data.shape, dtype=data.dtype)  # C order, as data.copy() gives
+    out[np.flatnonzero(unit_row), pivots[unit_row]] = 1
+    out[np.ix_(np.flatnonzero(~unit_row), rest)] = R[:len(sub)]
+    return out, tuple(pivots.tolist())
+
+
+def _peel_unit_rows(data):
+    """(unit columns as a mask, residual), or None when data has fewer than
+    _MIN_UNIT_ROWS unit rows.
+
+    A row with one nonzero entry, at column c, puts e_c in the row space, so
+    c is a pivot with row e_c and column c is zero in every other row.  The
+    residual is the other rows on the other columns: reducing them by the
+    e_c only clears the unit columns.
+    """
+    nonzero = data != 0
+    unit = nonzero.sum(axis=1) == 1
+    if unit.sum() < _MIN_UNIT_ROWS:
+        return None
+    unit_col = nonzero[unit].any(axis=0)
+    del nonzero  # only the residual is built beside the input
+    return unit_col, data[np.ix_(np.flatnonzero(~unit), np.flatnonzero(~unit_col))]
+
+
+def _pivot_loop(A, p):
+    """Gauss-Jordan on an F_p residue array, in place: A becomes its rref.
+    Returns the pivot columns."""
     nr, nc = A.shape
     pivots = []
     r = 0
@@ -208,7 +276,7 @@ def _rref_fp(data, p):
             A[mask] = (A[mask] - np.outer(col[mask], A[r])) % p
         pivots.append(c)
         r += 1
-    return A, tuple(pivots)
+    return tuple(pivots)
 
 
 def _echelon(m):

@@ -358,6 +358,21 @@ def test_malformed_rational_bit_limit_exits_1(monkeypatch, files, capsys):
     assert (code, err) == (1, "error: CATREP_MAX_RATIONAL_BITS must be an integer, got 'abc'\n")
 
 
+@pytest.mark.parametrize("value, message", [
+    ("abc", "must be an integer, got 'abc'"),
+    ("0", "must be >= 1, got '0'"),
+    ("-3", "must be >= 1, got '-3'"),
+])
+@pytest.mark.parametrize("name", ["torsion", "M1"])
+def test_bad_rational_bit_limit_exits_1_before_any_command(monkeypatch, files, capsys, name, value, message):
+    # checked up front, so an F_p file that never eliminates over Q is
+    # refused too, and a limit below 1 never reaches an elimination
+    monkeypatch.setenv("CATREP_MAX_RATIONAL_BITS", value)
+    for command in (["info"], ["hilbert"], ["homology", "--depth", "1"]):
+        code, out, err = run(capsys, *command, files[name])
+        assert (code, out, err) == (1, "", f"error: CATREP_MAX_RATIONAL_BITS {message}\n")
+
+
 def test_flag_overrides_field(files, capsys):
     code, out, _ = run(capsys, "--field", "fp:7", "info", files["M1"])
     assert code == 0 and "dims=[0, 1, 2, 3, 4, 5, 6]" in out

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catrep import matrices
+from catrep import free_module, make_category, matrices
 from catrep.fields import PrimeField, QQ, RationalOverflowError, parse_field
 from catrep.matrices import Mat, NotInSpan
+from catrep.trunc import m_span
 
 F2 = parse_field("fp:2")
 F3 = parse_field("fp:3")
@@ -681,3 +682,93 @@ def test_quotient_by_nothing_projects_by_the_identity(field):
         assert free == list(range(rows.ncols))
         assert P.unit_cols is not None and P.pivots == tuple(free)
         assert _same(P, _unit_oracle(field, free, rows.ncols))
+
+
+# -- the F_p echelon's unit-row pass against the plain pivot loop ------
+
+ROW_KINDS = ("random", "unit", "copy", "two", "zero")
+
+
+@st.composite
+def unit_row_stack(draw):
+    """(residue array, p), tall, square or wide and at least as big as the
+    unit-row gate, with rows planted in it: unit rows at random columns and
+    scales, rescaled copies of them, rows with one entry at a planted unit
+    column and one elsewhere (unit once the unit columns are dropped), zero
+    rows, or a stack of unit rows only."""
+    p = draw(st.sampled_from((2, 3, 101)))
+    lo = matrices._MIN_UNIT_ROWS
+    nr = draw(st.integers(lo, 3 * lo))
+    shape = draw(st.sampled_from(("tall", "square", "wide")))
+    if shape == "tall":
+        nc = draw(st.integers(1, nr - 1))
+    elif shape == "square":
+        nc = nr
+    else:
+        nc = draw(st.integers(nr + 1, 4 * lo))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.1, 0.3, 0.8)))
+    A = np.where(rng.random((nr, nc)) < density, rng.integers(1, p, (nr, nc)), 0)
+    pool = ("unit", "copy") if draw(st.booleans()) else ROW_KINDS
+    planted = []
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(pool), min_size=nr, max_size=nr))):
+        if kind == "random":
+            continue
+        A[i] = 0
+        if kind == "zero":
+            continue
+        if kind == "copy" and planted:
+            A[i] = A[rng.choice(planted)] * int(rng.integers(1, p)) % p
+        elif kind == "two" and planted and nc > 1:
+            c = int(A[planted[-1]].argmax())
+            A[i, [c, (c + 1 + int(rng.integers(nc - 1))) % nc]] = rng.integers(1, p, 2)
+            continue
+        else:
+            A[i, rng.integers(nc)] = rng.integers(1, p)
+        planted.append(i)
+    A = A.astype(np.int64)
+    if draw(st.booleans()):
+        # a strided view, as left_kernel passes its reversed transpose
+        A = np.ascontiguousarray(A.T[::-1]).T[:, ::-1]
+    return A, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_row_stack())
+def test_unit_row_pass_matches_the_pivot_loop(stack):
+    A, p = stack
+    before = A.copy()
+    got, pivots = matrices._rref_fp(A, p)
+    ref = A.copy()
+    ref_pivots = matrices._pivot_loop(ref, p)
+    assert np.array_equal(A, before)  # the input is left alone
+    assert got.dtype == ref.dtype == np.int64 and got.flags.c_contiguous
+    assert got.tolist() == ref.tolist()
+    assert pivots == ref_pivots and all(type(c) is int for c in pivots)
+
+
+@pytest.mark.parametrize("kind, degree, horizon", [("fi", 3, 6), ("oi", 7, 9)])
+def test_m_span_of_a_free_module_runs_the_pivot_loop_on_no_unit_row(monkeypatch, kind, degree, horizon):
+    # above the generator's degree every m_span stack is skip-map actions,
+    # unit rows only, and at least as big as the gate: the unit-row pass
+    # takes all of them and leaves the loop nothing
+    peeled, loop_unit_rows = [], []
+    peel, loop = matrices._peel_unit_rows, matrices._pivot_loop
+
+    def spy_peel(data):
+        out = peel(data)
+        peeled.append(out is not None)
+        return out
+
+    def spy_loop(A, p):
+        loop_unit_rows.append(int((np.count_nonzero(A, axis=1) == 1).sum()))
+        return loop(A, p)
+
+    monkeypatch.setattr(matrices, "_peel_unit_rows", spy_peel)
+    monkeypatch.setattr(matrices, "_pivot_loop", spy_loop)
+    V = free_module(make_category(kind), F101, degree, horizon)
+    spans = m_span(V)
+    assert peeled == [True] * (horizon - degree)
+    assert loop_unit_rows == [0] * (horizon - degree)
+    for t in range(degree + 1, horizon + 1):
+        assert spans[t] == Mat.identity(F101, V.dims[t])

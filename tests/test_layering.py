@@ -6,7 +6,9 @@ morphisms lives in category.py: other modules reach skip maps through
 step_generators and split, not through its private helpers.  The free
 resolution route (resolve, minimal_generators, _cover) is the tests' Tor
 oracle: nothing in the program calls it, and it calls itself only inside
-homology.resolve.
+homology.resolve.  The F_p elimination has one entry, matrices._rref_fp:
+nothing else calls its pivot loop or its unit-row pass, so the pass's gate
+cannot be bypassed or dropped, and the Q elimination reaches neither.
 """
 
 import ast
@@ -25,6 +27,9 @@ PRIVATE_FACTORING_OWNER = "category.py"
 
 # a call, not a definition; resolve_coefficients( does not match
 ORACLE_ROUTE = re.compile(r"(?<!def )\b(resolve|minimal_generators|_cover)\(")
+
+FP_KERNEL_PARTS = ("_pivot_loop", "_peel_unit_rows")
+FP_KERNEL = re.compile(r"(?<!def )\b(%s)\(" % "|".join(FP_KERNEL_PARTS))
 
 
 def _offences(pattern, allowed):
@@ -49,6 +54,7 @@ def test_patterns_match_where_they_are_allowed():
     assert PRIVATE_FACTORING.search((SRC / PRIVATE_FACTORING_OWNER).read_text())
     assert ORACLE_ROUTE.search((SRC / "homology.py").read_text())
     assert not ORACLE_ROUTE.search("resolve_coefficients(pres, field)")
+    assert set(FP_KERNEL.findall((SRC / "matrices.py").read_text())) == set(FP_KERNEL_PARTS)
 
 
 def test_field_kind_only_in_matrices():
@@ -61,3 +67,30 @@ def test_private_factoring_only_in_category():
 
 def test_resolution_route_only_inside_resolve():
     assert _offences(ORACLE_ROUTE, _lines_of("homology.py", "resolve")) == []
+
+
+def test_fp_kernel_parts_only_inside_rref_fp():
+    assert _offences(FP_KERNEL, _lines_of("matrices.py", "_rref_fp")) == []
+
+
+def _reachable(name, function):
+    """Top-level functions of src/catrep/name that function calls, directly
+    or through others of them, by plain name."""
+    tree = ast.parse((SRC / name).read_text())
+    calls = {n.name: {c.func.id for c in ast.walk(n)
+                      if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+             for n in tree.body if isinstance(n, ast.FunctionDef)}
+    seen, todo = set(), [function]
+    while todo:
+        for callee in calls.get(todo.pop(), ()):
+            if callee in calls and callee not in seen:
+                seen.add(callee)
+                todo.append(callee)
+    return seen
+
+
+def test_q_elimination_reaches_no_fp_kernel_part():
+    q_path = _reachable("matrices.py", "_echelon_q")
+    assert "_gauss_jordan" in q_path  # the walk sees the Q kernel itself
+    assert q_path.isdisjoint({"_rref_fp", *FP_KERNEL_PARTS})
+    assert set(FP_KERNEL_PARTS) <= _reachable("matrices.py", "_rref_fp")
