@@ -171,9 +171,9 @@ class CategoryDescriptor:
     """One of the four category kinds, with its group decoration if any.
 
     Immutable; hom-set enumeration, generator data and the index tables
-    (compose_table, and _end_tree, the end-monoid tree split reads off) are
-    pure and memoised in this descriptor's one cache (_memo), safe under
-    concurrent use.
+    (compose_table, step_table, and _end_tree, the end-monoid tree split
+    reads off) are pure and memoised in this descriptor's one cache (_memo),
+    safe under concurrent use.
     """
 
     def __init__(self, kind: str, group: FiniteGroup | None = None):
@@ -311,7 +311,7 @@ class CategoryDescriptor:
 
     def _skip_map(self, t: int, p: int) -> Morphism:
         """The increasing one-step t -> t+1 whose image misses p."""
-        images = tuple(j if j < p else j + 1 for j in range(1, t + 1))
+        images = tuple(range(1, p)) + tuple(range(p + 1, t + 2))
         return Morphism(t, t + 1, images, self._identity_labels(t))
 
     def _factor_once(self, alpha: Morphism):
@@ -377,6 +377,16 @@ class CategoryDescriptor:
             for g in (self.step_generators(t - 1) if t else ()) + self.end_generators(t)
         )
 
+    @_memo
+    def generator_groups(self, h: int):
+        """generators(h) as ((src, dst), generators) pairs in table order: for
+        each degree t, the skip maps into t, then the end generators of C(t, t).
+        Module constructions act one group at a time."""
+        groups = {}
+        for g in self.generators(h):
+            groups.setdefault((g.src, g.dst), []).append(g)
+        return tuple((key, tuple(gens)) for key, gens in groups.items())
+
     def _label_generator(self, s: int, j: int, g: int) -> Morphism:
         """The end generator of C(s, s) carrying label g at slot j, identity elsewhere."""
         labels = [0] * s
@@ -434,6 +444,20 @@ class CategoryDescriptor:
         if self.group:
             out_labels = self._mul[np.array((0,) + g.labels)[images], labels]
         return self._ranks(s, g.dst, out_images, out_labels)
+
+    @_memo
+    def step_table(self, s: int, r: int):
+        """compose_table(s, g) for the skip maps g in step_generators(r), as
+        the rows of one (r+1) x |hom(s, r)| int array.
+
+        The skip map missing p sends image point i to i + (i >= p) and keeps
+        the labels, so every row comes from one broadcast and one _ranks call.
+        """
+        images, labels = self.hom_arrays(s, r)
+        missing = np.arange(r + 1, 0, -1)[:, None, None]
+        out_images = (images + (images >= missing)).reshape((r + 1) * len(images), s)
+        out_labels = None if labels is None else np.tile(labels, (r + 1, 1))
+        return self._ranks(s, r + 1, out_images, out_labels).reshape(r + 1, len(images))
 
     @_memo
     def _end_tree(self, s: int):

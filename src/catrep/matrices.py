@@ -26,7 +26,10 @@ basis map and the product of two basis maps are basis maps.  A product
 routes on the tags alone: two basis maps compose their column arrays, a
 basis map on the left gathers rows of the right factor, one on the right
 scatters the columns of the left factor, and only a product of two untagged
-matrices multiplies.
+matrices multiplies.  The stacked forms serve a group of generators at
+once: push scatters one matrix into the columns of several basis maps in
+one array, unit_row_maps tags the rows of one column table, and
+stack_row_basis reads the row space of stacked basis maps off their columns.
 
 An F_p product runs on float64 BLAS when its inner dimension k has
 k (p-1)^2 < 2^53: every partial sum is then an integer that float64 holds
@@ -36,7 +39,7 @@ on int64, and past k (p-1)^2 >= 2^63 it is refused with a ValueError.
 F_p elimination takes unit rows as pivots before its pivot loop, the
 singleton step of structured Gaussian elimination (LaMacchia-Odlyzko,
 CRYPTO 1990).  Free-module actions are basis maps, so the stacks that
-closures, m_span, left kernels and quotients eliminate are mostly rows with
+closures, left kernels and quotients eliminate are mostly rows with
 one nonzero entry.  Such a row, at column c, puts e_c in the row space: c is
 a pivot of the rref, its row there is e_c, and column c is zero in every
 other row.  So one vectorised pass takes every unit column as a pivot, the
@@ -409,6 +412,16 @@ class Mat:
         return m
 
     @staticmethod
+    def unit_row_maps(field, table, ncols) -> list:
+        """[unit_rows(field, cols, ncols) for cols in table] for the rows of a
+        2-D column table, checked for repeated columns all at once."""
+        table = np.asarray(table, dtype=np.intp)
+        hit = np.zeros((len(table), ncols), dtype=bool)
+        hit[np.arange(len(table))[:, None], table] = True
+        return [Mat._basis_map(field, c, ncols) if n == len(c) else Mat.unit_rows(field, c, ncols)
+                for c, n in zip(table, hit.sum(axis=1))]
+
+    @staticmethod
     def from_rows(field, rows, ncols=None) -> "Mat":
         rows = [list(r) for r in rows]
         nrows = len(rows)
@@ -460,27 +473,42 @@ class Mat:
 
     @staticmethod
     def vstack(mats) -> "Mat":
-        mats = list(mats)
-        if not mats:
-            raise ValueError("vstack of nothing")
-        field, ncols = mats[0].field, mats[0].ncols
-        for m in mats:
-            if m.ncols != ncols or m.field != field:
-                raise ValueError("vstack shape/field mismatch")
-        nrows = sum(m.nrows for m in mats)
-        return Mat(field, nrows, ncols, np.vstack([m.data for m in mats]))
+        return _stack(list(mats), 0)
+
+    @staticmethod
+    def stack_row_basis(mats) -> "Mat":
+        """vstack(mats).row_basis() for a list mats.  When every one is a
+        basis map, that is the unit rows at their distinct columns in
+        ascending order, read off the column arrays: no stack is built and
+        nothing is eliminated."""
+        cols = _column_table(mats, mats[0].shape, mats[0].field)
+        if cols is None:
+            return Mat.vstack(mats).row_basis()
+        hit = np.zeros(mats[0].ncols, dtype=bool)
+        hit[cols] = True
+        basis = Mat._basis_map(mats[0].field, np.flatnonzero(hit), mats[0].ncols)
+        basis.pivots = tuple(basis.unit_cols.tolist())
+        return basis
+
+    def push(self, maps) -> "Mat":
+        """The products self @ m, m in the list maps (not empty), row by row:
+        row i k + j is row i of self @ maps[j].
+
+        That is [self @ maps[0] | self @ maps[1] | ...] read k rows to a row
+        of it, and when every m is a basis map one column scatter builds it.
+        """
+        k, n, ncols = len(maps), self.nrows, maps[0].ncols
+        cols = _column_table(maps, (self.ncols, ncols), self.field)
+        if cols is None:
+            out = Mat.hstack([self @ m for m in maps]).data
+        else:
+            out = np.zeros((n, k, ncols), dtype=self.data.dtype)
+            out[:, np.arange(k)[:, None], cols] = self.data[:, None, :]
+        return Mat(self.field, n * k, ncols, out.reshape(n * k, ncols))
 
     @staticmethod
     def hstack(mats) -> "Mat":
-        mats = list(mats)
-        if not mats:
-            raise ValueError("hstack of nothing")
-        field, nrows = mats[0].field, mats[0].nrows
-        for m in mats:
-            if m.nrows != nrows or m.field != field:
-                raise ValueError("hstack shape/field mismatch")
-        ncols = sum(m.ncols for m in mats)
-        return Mat(field, nrows, ncols, np.hstack([m.data for m in mats]))
+        return _stack(list(mats), 1)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -622,6 +650,26 @@ class Mat:
         if len(pivots) != n or any(pc >= n for pc in pivots):
             raise ValueError("matrix not invertible")
         return R.take_cols(range(n, 2 * n))
+
+
+def _stack(mats, axis):
+    """The matrices one after another along axis 0 (rows) or 1 (columns);
+    they must share the field and the other dimension."""
+    name = "vh"[axis] + "stack"
+    if not mats:
+        raise ValueError(f"{name} of nothing")
+    if any(m.shape[1 - axis] != mats[0].shape[1 - axis] or m.field != mats[0].field for m in mats):
+        raise ValueError(f"{name} shape/field mismatch")
+    data = np.concatenate([m.data for m in mats], axis=axis)
+    return Mat(mats[0].field, *data.shape, data)
+
+
+def _column_table(maps, shape, field):
+    """The column arrays of maps as the rows of one array, or None unless
+    every one is a basis map of this shape over this field."""
+    if any(m.unit_cols is None or m.shape != shape or m.field != field for m in maps):
+        return None
+    return np.concatenate([m.unit_cols for m in maps]).reshape(len(maps), shape[0])
 
 
 def _non_pivots(n, pivots) -> list:

@@ -6,14 +6,20 @@ the r+1 skip maps r -> r+1 (cat.step_generators) and the end generators of
 each C(t, t).  Every other action matrix is built on demand as act(a) @ act(b)
 along the category's split alpha = b o a (cat.split) and cached with its
 parts, so the stored table holds O(t) generators per degree t even for FI,
-where hom sets grow factorially.  Every module construction below is one loop
-over that table.
+where hom sets grow factorially.  Module constructions walk that table one
+(src, dst) group at a time (cat.generator_groups): the r+1 skip maps out of
+r, then the end generators of one degree.
 A free module's table holds basis maps (see matrices): the column array of
-generator g is the category's composition table (cat.compose_table) for
-each summand, shifted by the summand offsets, so the table costs one gather
-per generator and no dense matrix until something reads one.  Products with
-these maps are gathers, scatters or compositions of column arrays, and a
-quotient of a free module by nothing keeps them (quotient_by).
+generator g is the category's composition table for each summand, shifted
+by the summand offsets, and no dense matrix is built until something reads
+one.  The tables of all skip maps out of r come from one array operation
+(cat.step_table); only end generators read cat.compose_table one at a time.
+Products with these maps are gathers, scatters or compositions of column
+arrays: the relation closure pushes a whole degree through every skip map
+in one column scatter, a submodule expresses a group's images in one
+express_rows (Mat.push), and the span of basis maps is read off their
+columns (m_span).  A quotient of a free module by nothing keeps them
+(quotient_by).
 
 Vectors are rows; act(V, alpha) for alpha: r -> s is a dims[r] x dims[s]
 matrix applied on the right.  Degreewise truncation is exact below the
@@ -118,11 +124,19 @@ class FreeModule(TruncatedModule):
                 n += cat.hom_count(s, t)
             self.offsets.append(tuple(offsets))
             dims.append(n)
-        gens = {g: self._gen_matrix(cat, field, dims[g.dst], g) for g in cat.generators(horizon)}
+        gens = {}
+        for (r, t), group in cat.generator_groups(horizon):
+            if r < t:
+                # the skip maps out of r: one row each of the summands' step tables
+                tables = [off + cat.step_table(s, r) for off, s in zip(self.offsets[t], self.summands) if s <= r]
+                cols = np.concatenate(tables, axis=1) if tables else np.zeros((len(group), 0), dtype=np.intp)
+                gens.update(zip(group, Mat.unit_row_maps(field, cols, dims[t])))
+            else:
+                gens.update((g, self._gen_matrix(cat, field, dims[t], g)) for g in group)
         super().__init__(cat, field, horizon, dims, gens)
 
     def _gen_matrix(self, cat, field, ncols, g) -> Mat:
-        """Basis map of g: basis element (k, m) goes to (k, g o m)."""
+        """Basis map of the end generator g: basis element (k, m) goes to (k, g o m)."""
         offsets = self.offsets[g.dst]
         cols = [offsets[k] + cat.compose_table(s, g) for k, s in enumerate(self.summands) if s <= g.src]
         return Mat.unit_rows(field, np.concatenate(cols) if cols else [], ncols)
@@ -199,15 +213,20 @@ def submodule_from_rows(V: TruncatedModule, rows_per_degree, horizon=None):
 
     U_t is coordinatised by the canonical basis of rows_per_degree[t]
     (Mat.row_basis, which a canonical basis returns as it is); raises if
-    the family is not stable under the stored generators.  Returns
-    (U, inclusion).
+    the family is not stable under the stored generators.  The images of
+    the basis at src under a (src, dst) group of generators are one stack
+    (Mat.push), expressed in the basis at dst by one express_rows; each
+    generator's action is its rows of the result.  Returns (U, inclusion).
     """
     h = V.horizon if horizon is None else horizon
     bases = [rows_per_degree[t].row_basis() for t in range(h + 1)]
     dims = [b.nrows for b in bases]
     gens = {}
-    for g in V.cat.generators(h):
-        gens[g] = (bases[g.src] @ V.gens[g]).express_rows(bases[g.dst])
+    for (r, t), group in V.cat.generator_groups(h):
+        # row i k + j of the stack is row i of bases[r] @ V.gens[group[j]]
+        k = len(group)
+        X = bases[r].push([V.gens[g] for g in group]).express_rows(bases[t])
+        gens.update((g, Mat(V.field, dims[r], dims[t], X.data[j::k])) for j, g in enumerate(group))
     U = TruncatedModule(V.cat, V.field, h, dims, gens)
     incl = ModuleMap(U, truncate(V, h), bases)
     return U, incl
@@ -230,8 +249,10 @@ def quotient_by(V: TruncatedModule, rows_per_degree):
     echelon form (Mat.quotient_projection), so no inverse is formed.  One
     product A @ P per generator A serves both the check that the induced
     action is well defined (rows @ (A @ P) = 0) and the induced action, its
-    rows at the free columns.  When V is free and nothing is divided out at
-    a degree, A and P are basis maps and so is A @ P.
+    rows at the free columns.  Where no rows are given at A's source,
+    nothing is divided there: the check is skipped and A @ P is the induced
+    action.  When V is free and nothing is divided out at a degree, A and P
+    are basis maps and so is A @ P.
     """
     h = len(rows_per_degree) - 1
     pairs = [rows.quotient_projection() for rows in rows_per_degree]
@@ -240,9 +261,12 @@ def quotient_by(V: TruncatedModule, rows_per_degree):
     gens = {}
     for g in V.cat.generators(h):
         AP = V.gens[g] @ projs[g.dst]
-        if not (rows_per_degree[g.src] @ AP).is_zero():
-            raise ValueError(f"induced action of {g} not well defined")
-        gens[g] = AP.take_rows(frees[g.src])
+        rows = rows_per_degree[g.src]
+        if rows.nrows:  # else nothing is divided at g.src and AP is the induced action
+            if not (rows @ AP).is_zero():
+                raise ValueError(f"induced action of {g} not well defined")
+            AP = AP.take_rows(frees[g.src])
+        gens[g] = AP
     Q = TruncatedModule(V.cat, V.field, h, [len(f) for f in frees], gens)
     proj = ModuleMap(truncate(V, h), Q, projs)
     return Q, proj
@@ -253,7 +277,7 @@ def m_span(V: TruncatedModule):
     which is the span of the step generators' images (cat.step_generators)."""
     out = [Mat.zeros(V.field, 0, V.dims[0])] if V.horizon >= 0 else []
     for t in range(1, V.horizon + 1):
-        out.append(Mat.vstack([V.gens[g] for g in V.cat.step_generators(t - 1)]).row_basis())
+        out.append(Mat.stack_row_basis([V.gens[g] for g in V.cat.step_generators(t - 1)]))
     return out
 
 
@@ -285,7 +309,7 @@ def module_closure_of_rows(V: TruncatedModule, seed_rows_per_degree):
     """
     out = []
     for t in range(V.horizon + 1):
-        pieces = [out[t - 1] @ V.gens[g] for g in V.cat.step_generators(t - 1)] if t else []
+        pieces = [out[t - 1].push([V.gens[g] for g in V.cat.step_generators(t - 1)])] if t else []
         seed = seed_rows_per_degree.get(t)
         if seed is not None and seed.nrows:
             pieces.append(end_closure(V, t, seed))

@@ -12,19 +12,26 @@ can give, for the checks that guard against one.
 
 un_chain stops where the chain stabilizes; continued() extends its steps.
 commutation_defect() checks a ModuleMap against the actions; direct_sum() adds two modules.
+
+The module constructions of trunc act one (src, dst) group of generators at
+a time.  free_gens, submodule_from_rows, quotient_by and
+module_closure_of_rows build the same results one generator at a time, with
+one compose_table, one product or one scatter per generator: the
+references the grouped constructions are compared against.
 """
 
 import contextlib
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 
 from catrep import homology
 from catrep.category import make_category
 from catrep.fields import parse_field
 from catrep.matrices import Mat
-from catrep.trunc import TruncatedModule, truncate
+from catrep.trunc import ModuleMap, TruncatedModule, end_closure, truncate
 
 
 def resolution_tor(V, depth):
@@ -143,3 +150,50 @@ def continued(chain, max_steps):
             bases.append(stable[: h - n + 1])
             valid.append(h - n)
     return bases, valid
+
+
+def free_gens(P):
+    """The generator table of the free module P: basis element (k, m) goes to
+    (k, g o m), read off one compose_table per summand and generator."""
+    cat, gens = P.cat, {}
+    for g in cat.generators(P.horizon):
+        offsets = P.offsets[g.dst]
+        cols = [offsets[k] + cat.compose_table(s, g) for k, s in enumerate(P.summands) if s <= g.src]
+        gens[g] = Mat.unit_rows(P.field, np.concatenate(cols) if cols else [], P.dims[g.dst])
+    return gens
+
+
+def submodule_from_rows(V, rows_per_degree, horizon=None):
+    """trunc.submodule_from_rows with one product and one express_rows per generator."""
+    h = V.horizon if horizon is None else horizon
+    bases = [rows_per_degree[t].row_basis() for t in range(h + 1)]
+    gens = {g: (bases[g.src] @ V.gens[g]).express_rows(bases[g.dst]) for g in V.cat.generators(h)}
+    U = TruncatedModule(V.cat, V.field, h, [b.nrows for b in bases], gens)
+    return U, ModuleMap(U, truncate(V, h), bases)
+
+
+def quotient_by(V, rows_per_degree):
+    """trunc.quotient_by with one product A @ P per generator A, checked
+    against every given row (rows @ (A @ P) = 0)."""
+    h = len(rows_per_degree) - 1
+    pairs = [rows.quotient_projection() for rows in rows_per_degree]
+    gens = {}
+    for g in V.cat.generators(h):
+        AP = V.gens[g] @ pairs[g.dst][1]
+        if not (rows_per_degree[g.src] @ AP).is_zero():
+            raise ValueError(f"induced action of {g} not well defined")
+        gens[g] = AP.take_rows(pairs[g.src][0])
+    Q = TruncatedModule(V.cat, V.field, h, [len(free) for free, _ in pairs], gens)
+    return Q, ModuleMap(truncate(V, h), Q, [P for _, P in pairs])
+
+
+def module_closure_of_rows(V, seed_rows_per_degree):
+    """trunc.module_closure_of_rows with one product per step generator."""
+    out = []
+    for t in range(V.horizon + 1):
+        pieces = [out[t - 1] @ V.gens[g] for g in V.cat.step_generators(t - 1)] if t else []
+        seed = seed_rows_per_degree.get(t)
+        if seed is not None and seed.nrows:
+            pieces.append(end_closure(V, t, seed))
+        out.append(Mat.vstack(pieces).row_basis() if pieces else Mat.zeros(V.field, 0, V.dims[t]))
+    return out

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from catrep import free_module, make_category, matrices
 from catrep.fields import PrimeField, QQ, RationalOverflowError, parse_field
 from catrep.matrices import Mat, NotInSpan
-from catrep.trunc import m_span
 
 F2 = parse_field("fp:2")
 F3 = parse_field("fp:3")
@@ -748,10 +747,11 @@ def test_unit_row_pass_matches_the_pivot_loop(stack):
 
 
 @pytest.mark.parametrize("kind, degree, horizon", [("fi", 3, 6), ("oi", 7, 9)])
-def test_m_span_of_a_free_module_runs_the_pivot_loop_on_no_unit_row(monkeypatch, kind, degree, horizon):
-    # above the generator's degree every m_span stack is skip-map actions,
-    # unit rows only, and at least as big as the gate: the unit-row pass
-    # takes all of them and leaves the loop nothing
+def test_skip_map_stacks_of_a_free_module_run_the_pivot_loop_on_no_unit_row(monkeypatch, kind, degree, horizon):
+    # above the generator's degree every stack of skip-map actions (the dense
+    # route m_span takes on matrices that are not basis maps) is unit rows
+    # only, and at least as big as the gate: the unit-row pass takes all of
+    # them and leaves the loop nothing
     peeled, loop_unit_rows = [], []
     peel, loop = matrices._peel_unit_rows, matrices._pivot_loop
 
@@ -767,8 +767,9 @@ def test_m_span_of_a_free_module_runs_the_pivot_loop_on_no_unit_row(monkeypatch,
     monkeypatch.setattr(matrices, "_peel_unit_rows", spy_peel)
     monkeypatch.setattr(matrices, "_pivot_loop", spy_loop)
     V = free_module(make_category(kind), F101, degree, horizon)
-    spans = m_span(V)
+    above = range(degree + 1, horizon + 1)
+    spans = [Mat.vstack([V.gens[g] for g in V.cat.step_generators(t - 1)]).row_basis() for t in above]
     assert peeled == [True] * (horizon - degree)
     assert loop_unit_rows == [0] * (horizon - degree)
-    for t in range(degree + 1, horizon + 1):
-        assert spans[t] == Mat.identity(F101, V.dims[t])
+    for t, span in zip(above, spans):
+        assert span == Mat.identity(F101, V.dims[t])

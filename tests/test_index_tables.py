@@ -273,6 +273,18 @@ def test_step_plan_partitions_each_hom_set(cat):
             assert sorted(order) == list(range(len(homs)))
 
 
+@pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
+def test_step_table_rows_are_the_compose_tables_of_the_skip_maps(cat):
+    # one broadcast and one _ranks call give every skip map out of r at once;
+    # FI_G over S3 stops at r = 4, where C(6, 6) already has 720 * 6^6 ends
+    for r in range(5 if cat.kind == "fi_g" and cat.group.order == 6 else 7):
+        for s in range(r + 1):
+            table = cat.step_table(s, r)
+            assert table.shape == (r + 1, cat.hom_count(s, r))
+            for row, g in zip(table, cat.step_generators(r)):
+                assert row.tolist() == cat.compose_table(s, g).tolist(), (s, r, g)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 @pytest.mark.parametrize("cat", CATS, ids=lambda c: c.name)
 def test_free_module_matches_compose_oracle(cat, field):
@@ -300,6 +312,18 @@ def test_unit_rows_tag_only_distinct_columns(field):
             plain = Mat(field, B.nrows, B.ncols, B.data.copy())
             assert _identical(A @ B, A @ plain)
             assert _identical(A @ B, A @ Mat.identity(field, 4).take_rows(cols))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_unit_row_maps_tag_as_unit_rows_does(field):
+    # one check over the whole table, row by row the same tags and data
+    table = [[2, 0, 1], [0, 0, 2], [3, 1, 3], [1, 2, 3]]
+    got = Mat.unit_row_maps(field, table, 4)
+    for m, cols in zip(got, table):
+        want = Mat.unit_rows(field, cols, 4)
+        assert (m.unit_cols is None) == (want.unit_cols is None) == (len(set(cols)) < 3)
+        assert _identical(m, want)
+    assert Mat.unit_row_maps(field, np.zeros((2, 0), dtype=np.intp), 3)[1].shape == (0, 3)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)

@@ -9,6 +9,10 @@ oracle: nothing in the program calls it, and it calls itself only inside
 homology.resolve.  The F_p elimination has one entry, matrices._rref_fp:
 nothing else calls its pivot loop or its unit-row pass, so the pass's gate
 cannot be bypassed or dropped, and the Q elimination reaches neither.
+Basis maps are routed in matrices.py alone: no other module reads a
+matrix's column array or builds one unchecked, except the free-cover walk
+homology._cover of the tests' Tor oracle, which reads the free generators'
+columns to place its rows.
 """
 
 import ast
@@ -27,6 +31,8 @@ PRIVATE_FACTORING_OWNER = "category.py"
 
 # a call, not a definition; resolve_coefficients( does not match
 ORACLE_ROUTE = re.compile(r"(?<!def )\b(resolve|minimal_generators|_cover)\(")
+
+BASIS_MAP_PARTS = re.compile(r"\b(unit_cols|_basis_map)\b")
 
 FP_KERNEL_PARTS = ("_pivot_loop", "_peel_unit_rows")
 FP_KERNEL = re.compile(r"(?<!def )\b(%s)\(" % "|".join(FP_KERNEL_PARTS))
@@ -55,6 +61,7 @@ def test_patterns_match_where_they_are_allowed():
     assert ORACLE_ROUTE.search((SRC / "homology.py").read_text())
     assert not ORACLE_ROUTE.search("resolve_coefficients(pres, field)")
     assert set(FP_KERNEL.findall((SRC / "matrices.py").read_text())) == set(FP_KERNEL_PARTS)
+    assert set(BASIS_MAP_PARTS.findall((SRC / "matrices.py").read_text())) == {"unit_cols", "_basis_map"}
 
 
 def test_field_kind_only_in_matrices():
@@ -67,6 +74,10 @@ def test_private_factoring_only_in_category():
 
 def test_resolution_route_only_inside_resolve():
     assert _offences(ORACLE_ROUTE, _lines_of("homology.py", "resolve")) == []
+
+
+def test_basis_map_parts_only_in_matrices():
+    assert _offences(BASIS_MAP_PARTS, {"matrices.py", *_lines_of("homology.py", "_cover")}) == []
 
 
 def test_fp_kernel_parts_only_inside_rref_fp():

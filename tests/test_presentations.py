@@ -231,12 +231,13 @@ def test_free_cover_generators_are_never_materialized(monkeypatch, spec):
     # composes its column array, so no dense copy of one is ever built.
     field = parse_field(spec)
     built = []
-    gen_matrix = FreeModule._gen_matrix
-    monkeypatch.setattr(FreeModule, "_gen_matrix", lambda *a: built.append(gen_matrix(*a)) or built[-1])
+    init = FreeModule.__init__
+    monkeypatch.setattr(FreeModule, "__init__", lambda P, *a: built.append(P) or init(P, *a))
     for seed in range(1, 9):
         V, proj = from_presentation(OI, field, sample_presentation(OI, field, seed, FUZZ_PROFILE), 9)
         assert V.dims == [m.ncols for m in proj.mats]
-    assert built and all(m.unit_cols is not None and m._data is None for m in built)
+    gens = [m for P in built for m in P.gens.values()]
+    assert gens and all(m.unit_cols is not None and m._data is None for m in gens)
 
 
 @pytest.mark.parametrize("cat", [OI, make_category("fi"), make_category("fi_g", 2)], ids=lambda c: c.name)
