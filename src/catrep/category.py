@@ -28,6 +28,7 @@ from math import comb, perm
 import numpy as np
 
 KINDS = ("fi", "oi", "fi_g", "oi_g")
+MAX_CYCLIC_ORDER = 1 << 10  # a 2^20-entry table, the budget of the prime bound p < 2^20
 
 
 class FiniteGroup:
@@ -46,8 +47,12 @@ class FiniteGroup:
 
     @staticmethod
     def cyclic(m: int) -> "FiniteGroup":
+        """Z/m; an order above MAX_CYCLIC_ORDER is refused before its m x m table is built."""
         if m < 1:
             raise ValueError("cyclic group order must be >= 1")
+        if m > MAX_CYCLIC_ORDER:
+            raise ValueError(f"cyclic group order {m} too large: its table would have m^2 = {m * m} "
+                             f"entries (must be m <= {MAX_CYCLIC_ORDER})")
         table = [[(a + b) % m for b in range(m)] for a in range(m)]
         return FiniteGroup(table, f"cyclic:{m}")
 

@@ -9,10 +9,13 @@ dim K_i - rank d_i - rank d_{i+1}, so a degree reads only V_{n-i-1..n} and
 no free module is built.  A d_i with an empty term has rank 0 and is not
 built; the step generator actions of a source degree, and their negatives,
 are read once per call; and the face pattern of d_i depends only on (n, i),
-so each d_i is one block placement per step generator and sign.  For FI
-this is the complex of Church and Ellenberg ("Homology of FI-modules"); for
-every kind and field, its agreement with a resolution is what the tests
-check.
+so each d_i is one block placement per step generator and sign.  Every
+block of d_i d_{i-1} is +-(act(s_p) act(s_{q+1}) - act(s_q) act(s_p)) for
+step generators s out of n-i and n-i+1, so d o d = 0 is checked on those
+cosimplicial identities, once per source degree (_step_identities_hold).
+For FI this is the complex of Church and Ellenberg ("Homology of
+FI-modules"); for every kind and field, its agreement with a resolution is
+what the tests check.
 
 Resolutions (resolve) are built degreewise: each step covers the current
 syzygy module Z by one representable M(t) per greedy end-orbit generator
@@ -216,18 +219,40 @@ def _koszul_differential(V: TruncatedModule, n: int, i: int, signed) -> Mat:
     return Mat(V.field, nrows, ncols, data)
 
 
+def _step_identities_hold(V: TruncatedModule, r: int, signed) -> bool:
+    """s_{q+1} o s_p = s_p o s_q on V for 1 <= p <= q <= r+1.
+
+    s_p is the step generator missing p, out of r on the right of o and out
+    of r+1 on the left; signed is tor_groups' cache of their actions.
+    Counting from 0, block M[p, :, q, :] of the product of the actions out
+    of r stacked by rows and those out of r+1 stacked by columns is
+    act(s_{p+1}) act(s_{q+1}), so the identities compare the views
+    M[p, :, p+1:, :] and M[p:, :, p, :], block by block.
+    """
+    a, c = V.dims[r], V.dims[r + 2]
+    first = np.concatenate([act for act, _ in signed[r]])
+    second = np.concatenate([act for act, _ in signed[r + 1]], axis=1)
+    M = (Mat(V.field, *first.shape, first) @ Mat(V.field, *second.shape, second)).data
+    M = M.reshape(r + 1, a, r + 2, c)
+    return all(np.array_equal(M[p, :, p + 1:].swapaxes(0, 1), M[p:, :, p]) for p in range(r + 1))
+
+
 def tor_groups(V: TruncatedModule, depth: int) -> HomologyReport:
     """H_i(V) = Tor_i(C/m, V) for i <= depth, from the Koszul complex.
 
     At each degree n, dim H_i = dim K_i - rank d_i - rank d_{i+1}, with d_0
     and every d_i with i > n zero; each rank is taken once and serves both
-    H_{i-1} and H_i.  A d_i with V_{n-i} or V_{n-i+1} zero has rank 0 and is
-    not built; the step generator actions out of each degree r (and their
-    negatives) are read once.  d_i d_{i-1} = 0 is checked wherever both
-    differentials are built, which is every pair whose terms are all
-    nonzero (one with an empty term composes to zero), and
-    InvariantViolation raised where it fails: the actions of V then do not
-    compose as the morphisms do.
+    H_{i-1} and H_i, and each d_i is dropped once its rank is read.  A d_i
+    with V_{n-i} or V_{n-i+1} zero has rank 0 and is not built; the step
+    generator actions out of each degree r (and their negatives) are read
+    once.  d_i d_{i-1} = 0 is certified wherever both differentials are
+    built, which is every pair whose terms are all nonzero (one with an
+    empty term composes to zero): the product vanishes exactly when the
+    step generators' identities hold at r = n - i (_step_identities_hold).
+    A pair of source degree r is built only if the pair (n, i) = (r + 2, 2)
+    is, so the identities are checked there, once per r.  Where they fail,
+    InvariantViolation is raised: the actions of V then do not compose as
+    the morphisms do.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -236,19 +261,16 @@ def tor_groups(V: TruncatedModule, depth: int) -> HomologyReport:
     dims = [[0] * (h + 1) for _ in range(depth + 1)]
     for n in range(h + 1):
         ranks = [0] * (depth + 2)  # ranks[i] = rank d_i at degree n
-        lower = None
         for i in range(1, min(depth + 1, n) + 1):
-            if not (V.dims[n - i] and V.dims[n - i + 1]):
-                lower = None  # rank 0; both products with d_i have an empty side
-                continue
             r = n - i
+            if not (V.dims[r] and V.dims[r + 1]):
+                continue  # rank 0; d_i d_{i-1} and d_{i+1} d_i have an empty side
             if r not in signed:
                 acts = [V.gens[g] for g in reversed(V.cat.step_generators(r))]
                 signed[r] = [(m.data, m.scale(-1).data) for m in acts]
-            d = _koszul_differential(V, n, i, signed[r])
-            if lower is not None and not (d @ lower).is_zero():
-                raise InvariantViolation(f"Koszul d_{i} d_{i - 1} is nonzero at degree {n}")
-            ranks[i], lower = d.rank(), d
+            if i == 2 and V.dims[n] and not _step_identities_hold(V, r, signed):  # d_1 is built too
+                raise InvariantViolation(f"Koszul d_2 d_1 is nonzero at degree {n}")
+            ranks[i] = _koszul_differential(V, n, i, signed[r]).rank()
         for i in range(min(depth, n) + 1):
             dims[i][n] = comb(n, i) * V.dims[n - i] - ranks[i] - ranks[i + 1]
     hd = [top_degree(row) for row in dims]

@@ -3,7 +3,9 @@
 tor_groups reads Tor off the Koszul complex; resolution_tor reads it off
 resolve instead, the reference that tests compare tor_groups against.
 koszul_differential builds one Koszul differential block by block, the
-reference for the grouped block placement tor_groups uses.
+reference for the grouped block placement tor_groups uses, and
+koszul_failures multiplies consecutive ones: the dense d o d = 0 check that
+tor_groups certifies on the step generators' identities instead.
 padded() patches the name resolve looks up in catrep.homology so that the
 first greedy generator is repeated at every step: a non-minimal resolution
 that must give the same Tor.  It yields the list of repeated (degree, row)
@@ -109,6 +111,14 @@ def koszul_differential(V, n, i):
             c = faces[S[:k] + S[k + 1:]]
             data[r * a:(r + 1) * a, c * b:(c + 1) * b] = signed[s - k - 1][k % 2]
     return Mat(V.field, nrows, ncols, data)
+
+
+def koszul_failures(V, depth):
+    """(n, i), in the order tor_groups(V, depth) meets them, of every nonzero
+    d_i d_{i-1} whose terms are all nonzero, each d built by koszul_differential."""
+    return [(n, i) for n in range(V.horizon + 1) for i in range(2, min(depth + 1, n) + 1)
+            if V.dims[n - i] and V.dims[n - i + 1] and V.dims[n - i + 2]
+            and not (koszul_differential(V, n, i) @ koszul_differential(V, n, i - 1)).is_zero()]
 
 
 def non_functorial():

@@ -6,6 +6,7 @@ from math import comb, perm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catrep import category
 from catrep.category import FiniteGroup, Morphism, make_category, parse_morphism
 
 FI = make_category("fi")
@@ -234,6 +235,22 @@ def test_associativity_scan_only_for_given_tables(monkeypatch):
     with pytest.raises(ValueError, match="not associative"):
         make_category("oi_g", f"table:5:{flat}")
     assert scanned == [5, 5]
+
+
+def test_cyclic_order_is_bounded_before_the_table_is_built(monkeypatch):
+    # with range unusable in the module, an order past the bound is refused
+    # at once, and the bound itself reaches the table: nothing is allocated
+    def no_table(*args):
+        raise AssertionError("the table was started")
+
+    monkeypatch.setattr(category, "range", no_table, raising=False)
+    with pytest.raises(ValueError, match=r"^cyclic group order 1000000000 too large: "
+                                         r"its table would have m\^2 = 1000000000000000000 entries"):
+        FiniteGroup.cyclic(10 ** 9)
+    with pytest.raises(ValueError, match=r"order 1025 too large: .* = 1050625 entries \(must be m <= 1024\)"):
+        make_category("oi_g", "cyclic:1025")
+    with pytest.raises(AssertionError, match="the table was started"):
+        FiniteGroup.cyclic(1024)
 
 
 def test_make_category_validation():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catrep import cli, matrices, shift
+from catrep import category, cli, matrices, shift
 from catrep.category import make_category
 from catrep.cli import main
 from catrep.corpus import FUZZ_PROFILE, sample_presentation
@@ -88,6 +88,21 @@ def test_group_flag_overrides_only_the_group_line(tmp_path, capsys, group_line):
         assert code == 1 and err == "error: fi_g requires a group spec\n"
     code, out, _ = run(capsys, "--format", "json", "--group", "cyclic:2", "info", str(path))
     assert code == 0 and json.loads(out)["items"][0]["dims"] == [0, 2, 4, 6]
+
+
+def test_oversized_cyclic_group_exits_1_before_building(tmp_path, capsys, monkeypatch):
+    # in a header or via --group; range is unusable in category, so a table
+    # that was started would fail the test instead of filling memory
+    monkeypatch.setattr(category, "range", None, raising=False)
+    path = tmp_path / "big.pres"
+    path.write_text("catrep-presentation v1\ncategory oi_g\ngroup cyclic:1000000\n"
+                    "field fp:3\nhorizon 3\ngen u deg 1\n")
+    too_large = "cyclic group order 1000000 too large: its table would have m^2 = 1000000000000 entries"
+    code, out, err = run(capsys, "info", str(path))
+    assert (code, out) == (1, "") and err == f"error: line 3, col 7: {too_large} (must be m <= 1024)\n"
+    path.write_text(path.read_text().replace("group cyclic:1000000\n", ""))
+    code, out, err = run(capsys, "--group", "cyclic:1000000", "info", str(path))
+    assert (code, out) == (1, "") and too_large in err
 
 
 def test_info_emit_normalized_round_trip(files, capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""CLI output on the FI kinds and OI_G, pinned by digest.
+"""CLI output on the FI kinds, OI_G and OI, pinned by digest.
 
 Two corpus files per lane (sample_presentation seeds 3 and 4, horizon 5:
 presentations with relations and a free one among them) go through every
@@ -6,9 +6,15 @@ command but fuzz with --format json.  The sha256 of each stdout and the
 exit code must match DIGESTS, which were recorded when FI kinds stored only
 m_r as their step generator, so any change to the generator table or the
 closures that moves a single output byte shows here; each exit code must
-also be the worst check status of its report.  Regenerate the table
-with ``PYTHONPATH=src python tests/test_cli_golden.py`` only when an output
-is meant to change.
+also be the worst check status of its report.
+
+At horizon 5 no Koszul differential is large, so two plain OI files at
+horizon 9 (FUZZ_PROFILE, one over F_2 and one over F_101, one of them with
+a zero degree) pin ``homology --depth 2`` in OI_DIGESTS, recorded while
+tor_groups still checked d o d = 0 by multiplying whole differentials.
+
+Regenerate the tables with ``PYTHONPATH=src python tests/test_cli_golden.py``
+only when an output is meant to change.
 """
 
 import contextlib
@@ -20,7 +26,7 @@ import pytest
 
 from catrep.category import make_category
 from catrep.cli import main
-from catrep.corpus import sample_presentation
+from catrep.corpus import FUZZ_PROFILE, sample_presentation
 from catrep.fields import parse_field
 from catrep.presentations import emit_presentation_text
 
@@ -35,24 +41,45 @@ def lane_id(lane):
     return "/".join(x for x in lane if x)
 
 
-def lane_runs(kind, group, field_spec):
-    """{"seed/command": (exit code, stdout)} for one lane.
+def write_file(name, cat, field, horizon, pres):
+    """Write pres to the working directory: a report names its file, so a
+    relative name keeps the bytes stable."""
+    with open(name, "w", encoding="utf-8") as f:
+        f.write(emit_presentation_text(cat, field, horizon, pres))
 
-    The files go to the working directory: a report names its file, so a
-    relative name keeps the bytes stable.
-    """
+
+def run_json(*argv):
+    """(exit code, stdout) of main with --format json."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--format", "json", *argv])
+    return code, stdout.getvalue()
+
+
+def lane_runs(kind, group, field_spec):
+    """{"seed/command": (exit code, stdout)} for one lane."""
     cat, field = make_category(kind, group), parse_field(field_spec)
     out = {}
     for seed in SEEDS:
         name = f"{kind}-{seed}.pres"
-        pres = sample_presentation(cat, field, seed)
-        with open(name, "w", encoding="utf-8") as f:
-            f.write(emit_presentation_text(cat, field, HORIZON, pres))
+        write_file(name, cat, field, HORIZON, sample_presentation(cat, field, seed))
         for command in COMMANDS:
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                code = main(["--format", "json", command, name])
-            out[f"{seed}/{command}"] = code, stdout.getvalue()
+            out[f"{seed}/{command}"] = run_json(command, name)
+    return out
+
+
+OI_FILES = (("fp:2", 52), ("fp:101", 14))  # Tor_2 nonzero in both; V_2 = 0 in the second
+OI_HORIZON = 9
+
+
+def oi_runs():
+    """{"field/seed/homology": (exit code, stdout)} of the plain OI files."""
+    cat, out = make_category("oi"), {}
+    for spec, seed in OI_FILES:
+        field = parse_field(spec)
+        name = f"oi-{spec.replace(':', '')}-s{seed}.pres"
+        write_file(name, cat, field, OI_HORIZON, sample_presentation(cat, field, seed, FUZZ_PROFILE))
+        out[f"{spec}/{seed}/homology"] = run_json("homology", name, "--depth", "2")
     return out
 
 
@@ -138,11 +165,13 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("lane", LANES, ids=lane_id)
-def test_cli_json_matches_the_golden_digests(lane, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    runs = lane_runs(*lane)
-    assert digests(runs) == DIGESTS[lane_id(lane)]
+OI_DIGESTS = {
+    "fp:2/52/homology": "0:e97e2b7970c5cb6a2cc4e7d5f5e40364282f2ea3433232059d836c30a821837d",
+    "fp:101/14/homology": "0:5ea711fe384db5ee30c8ea55e036acbb4dd85b41945e7ecd9cf2ef12b27f6cf5"
+}
+
+
+def assert_worst_status_exits(runs):
     # the worst check status decides: a violation gives 3, else an
     # inconclusive check 2, else 0
     for key, (code, stdout) in runs.items():
@@ -152,6 +181,21 @@ def test_cli_json_matches_the_golden_digests(lane, tmp_path, monkeypatch):
         assert code == worst, key
 
 
+@pytest.mark.parametrize("lane", LANES, ids=lane_id)
+def test_cli_json_matches_the_golden_digests(lane, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runs = lane_runs(*lane)
+    assert digests(runs) == DIGESTS[lane_id(lane)]
+    assert_worst_status_exits(runs)
+
+
+def test_oi_homology_at_horizon_9_matches_the_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runs = oi_runs()
+    assert digests(runs) == OI_DIGESTS
+    assert_worst_status_exits(runs)
+
+
 if __name__ == "__main__":
     import os
     import tempfile
@@ -159,4 +203,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         table = {lane_id(lane): digests(lane_runs(*lane)) for lane in LANES}
+        oi_table = digests(oi_runs())
     print(json.dumps(table, indent=4))
+    print(json.dumps(oi_table, indent=4))

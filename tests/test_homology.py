@@ -4,9 +4,12 @@ Tor from the Koszul complex (tor_groups) is compared with Tor read off a
 resolution (seams.resolution_tor), both the greedy one and a padded one
 (seams.padded: a redundant generator at every step), and each Koszul
 differential it builds with the one seams.koszul_differential builds block
-by block.
+by block.  Its d o d = 0 check, on the step generators' identities, is
+compared with the product of whole differentials (seams.koszul_failures) on
+modules with one action entry perturbed.
 """
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -14,7 +17,7 @@ import pytest
 
 from catrep import homology, trunc
 from catrep.category import Morphism, make_category
-from catrep.corpus import sample_presentation
+from catrep.corpus import FUZZ_PROFILE, sample_presentation
 from catrep.fields import QQ, parse_field
 from catrep.homology import (
     hilbert_fit,
@@ -27,6 +30,7 @@ from catrep.presentations import Presentation, Relation, from_presentation
 from catrep.reports import overall_status
 from catrep.trunc import (
     InvariantViolation,
+    TruncatedModule,
     free_module,
     generating_degree,
     h0_dims,
@@ -34,7 +38,14 @@ from catrep.trunc import (
     top_degree,
     zero_module,
 )
-from seams import direct_sum, koszul_differential, non_functorial, padded, resolution_tor
+from seams import (
+    direct_sum,
+    koszul_differential,
+    koszul_failures,
+    non_functorial,
+    padded,
+    resolution_tor,
+)
 
 F101 = parse_field("fp:101")
 FI = make_category("fi")
@@ -192,6 +203,69 @@ def test_koszul_assembly_matches_the_per_block_oracle(monkeypatch, cat):
             assert {(n, i) for n, i, _ in built} == _nonzero_pairs(V, 3), (field.name, V.dims)
             for n, i, d in built:
                 assert d == koszul_differential(V, n, i), (field.name, V.dims, n, i)
+
+
+def _perturbed(V, r, rng):
+    """V with one entry of one step generator action out of degree r raised by 1."""
+    g = rng.choice(V.cat.step_generators(r))
+    rows = V.gens[g].data.tolist()
+    rows[rng.randrange(V.dims[r])][rng.randrange(V.dims[r + 1])] += 1
+    return TruncatedModule(V.cat, V.field, V.horizon, V.dims,
+                           {**V.gens, g: Mat.from_rows(V.field, rows, V.dims[r + 1])})
+
+
+def _bad_sources(V):
+    """Source degrees r where homology._step_identities_hold fails."""
+    signed = {r: [(V.gens[g].data, None) for g in reversed(V.cat.step_generators(r))]
+              for r in range(V.horizon)}
+    return {r for r in range(V.horizon - 1) if V.dims[r] and V.dims[r + 1] and V.dims[r + 2]
+            and not homology._step_identities_hold(V, r, signed)}
+
+
+@pytest.mark.parametrize("cat", KINDS, ids=lambda c: c.name)
+def test_step_identities_flag_what_the_koszul_product_flags(cat):
+    # one action entry raised at each degree in turn: the step generator
+    # identities fail at exactly the source degrees of the (n, i) where the
+    # product of whole differentials is nonzero, and tor_groups raises at
+    # the first of them; unperturbed modules pass both
+    rng = random.Random(cat.name)
+    h, flagged = (5 if cat.group is None else 4), 0
+    for field in map(parse_field, ("fp:3", "q")):
+        for V in _tor_modules(cat, field, h) + [free_module(cat, field, 2, h)]:
+            assert koszul_failures(V, 2) == [] and not _bad_sources(V), (field.name, V.dims)
+            tor_groups(V, 2)
+            for r in range(h):
+                if not (V.dims[r] and V.dims[r + 1]):
+                    continue
+                W = _perturbed(V, r, rng)
+                failures, bad, built = koszul_failures(W, 2), _bad_sources(W), _nonzero_pairs(W, 2)
+                assert set(failures) == {(n, i) for n, i in built
+                                         if (n, i - 1) in built and n - i in bad}, (field.name, V.dims, r)
+                if not failures:
+                    tor_groups(W, 2)
+                    continue
+                flagged += 1
+                n, i = failures[0]
+                with pytest.raises(InvariantViolation, match=f"^Koszul d_{i} d_{i - 1} is nonzero at degree {n}$"):
+                    tor_groups(W, 2)
+    assert flagged >= 10
+
+
+def test_no_product_takes_a_koszul_differential(monkeypatch):
+    # d o d = 0 is certified on the step generators: on an OI module at
+    # horizon 9, no product tor_groups takes has a differential as an operand
+    V = from_presentation(OI, F101, sample_presentation(OI, F101, 43, FUZZ_PROFILE), 9)[0]
+    built, products, matmul = _spy_differentials(monkeypatch), [], Mat.__matmul__
+
+    def spy(a, b):
+        products.append(any(x is d for x in (a, b) for _, _, d in built))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", spy)
+    tor_groups(V, 3)
+    pairs = {(n, i) for n, i, _ in built}
+    assert any((n, i - 1) in pairs for n, i in pairs)  # some d_i d_{i-1} needed a check
+    assert products and not any(products)
 
 
 def _gap_module(cat, field, gap, h=6):
