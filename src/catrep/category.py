@@ -13,8 +13,12 @@ kinds and i |-> i+1 for OI kinds, with identity labels.  Naturality and
 functoriality of these choices are enforced by the test suite rather than
 assumed.
 
-Hom sets, generator lists and index tables are memoised in one cache per
-descriptor (_memo).
+A hom set is held as int arrays first (hom_arrays): its images and labels
+in canonical order, images lex and then labels lex, so that a morphism's
+index there has a closed form (_ranks).  The Morphism tuple of hom, the
+index of one morphism (hom_index) and the composition table of a generator
+group (group_table) are all read off these arrays.  Every one of them is
+memoised in one cache per descriptor (_memo).
 """
 
 from __future__ import annotations
@@ -22,13 +26,20 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from math import comb, perm
+from typing import NamedTuple
 
 import numpy as np
 
 KINDS = ("fi", "oi", "fi_g", "oi_g")
 MAX_CYCLIC_ORDER = 1 << 10  # a 2^20-entry table, the budget of the prime bound p < 2^20
+
+
+def _check_order(m: int, what: str):
+    """Refuse a group order above MAX_CYCLIC_ORDER before its m x m table is built or scanned."""
+    if m > MAX_CYCLIC_ORDER:
+        raise ValueError(f"{what} order {m} too large: its table would have m^2 = {m * m} "
+                         f"entries (must be m <= {MAX_CYCLIC_ORDER})")
 
 
 class FiniteGroup:
@@ -50,14 +61,15 @@ class FiniteGroup:
         """Z/m; an order above MAX_CYCLIC_ORDER is refused before its m x m table is built."""
         if m < 1:
             raise ValueError("cyclic group order must be >= 1")
-        if m > MAX_CYCLIC_ORDER:
-            raise ValueError(f"cyclic group order {m} too large: its table would have m^2 = {m * m} "
-                             f"entries (must be m <= {MAX_CYCLIC_ORDER})")
+        _check_order(m, "cyclic group")
         table = [[(a + b) % m for b in range(m)] for a in range(m)]
         return FiniteGroup(table, f"cyclic:{m}")
 
     @staticmethod
     def from_table(table) -> "FiniteGroup":
+        """The group of a multiplication table; an order above MAX_CYCLIC_ORDER
+        is refused before the m^3 associativity scan."""
+        _check_order(len(table), "group table")
         flat = ",".join(str(x) for row in table for x in row)
         group = FiniteGroup(table, f"table:{len(table)}:{flat}")
         group._check_associative()
@@ -123,8 +135,7 @@ class FiniteGroup:
         return f"FiniteGroup({self.spec})"
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(NamedTuple):
     """A combinatorial arrow src -> dst with 1-based image points."""
 
     src: int
@@ -175,10 +186,10 @@ def parse_morphism(text: str) -> Morphism:
 class CategoryDescriptor:
     """One of the four category kinds, with its group decoration if any.
 
-    Immutable; hom-set enumeration, generator data and the index tables
-    (compose_table, step_table, and _end_tree, the end-monoid tree split
-    reads off) are pure and memoised in this descriptor's one cache (_memo),
-    safe under concurrent use.
+    Immutable; hom-set arrays and what is read off them, generator data,
+    the composition table of each generator group (group_table) and the
+    end-monoid tree split reads off (_end_tree) are pure and memoised in
+    this descriptor's one cache (_memo), safe under concurrent use.
     """
 
     def __init__(self, kind: str, group: FiniteGroup | None = None):
@@ -254,21 +265,10 @@ class CategoryDescriptor:
 
     @_memo
     def hom(self, r: int, s: int):
-        """All morphisms r -> s in canonical order (lex on images then labels)."""
-        if r > s or r < 0 or s < 0:
-            return ()
-        if self.ordered:
-            image_iter = itertools.combinations(range(1, s + 1), r)
-        else:
-            image_iter = itertools.permutations(range(1, s + 1), r)
-        if self.group:
-            n = self.group.order
-            return tuple(
-                Morphism(r, s, images, labels)
-                for images in image_iter
-                for labels in itertools.product(range(n), repeat=r)
-            )
-        return tuple(Morphism(r, s, images) for images in image_iter)
+        """All morphisms r -> s in canonical order, read off hom_arrays(r, s)."""
+        images, labels = self.hom_arrays(r, s)
+        label_rows = itertools.repeat(None) if labels is None else map(tuple, labels.tolist())
+        return tuple(Morphism(r, s, im, lab) for im, lab in zip(map(tuple, images.tolist()), label_rows))
 
     def hom_count(self, r: int, s: int) -> int:
         if r > s or r < 0 or s < 0:
@@ -277,12 +277,10 @@ class CategoryDescriptor:
         return base * (self.group.order ** r if self.group else 1)
 
     def hom_index(self, m: Morphism) -> int:
-        return self._hom_positions(m.src, m.dst)[m]
-
-    @_memo
-    def _hom_positions(self, r: int, s: int):
-        """Each morphism of hom(r, s) to its place there."""
-        return {m: i for i, m in enumerate(self.hom(r, s))}
+        """The place of m in hom(m.src, m.dst); ValueError if m is not a morphism here."""
+        self.validate(m)
+        labels = None if m.labels is None else np.array([m.labels], dtype=np.int64)
+        return int(self._ranks(m.src, m.dst, np.array([m.images], dtype=np.int64), labels)[0])
 
     def compose(self, beta: Morphism, alpha: Morphism) -> Morphism:
         """beta o alpha for alpha: r -> s, beta: s -> t."""
@@ -373,24 +371,24 @@ class CategoryDescriptor:
                     gens.append(self._label_generator(s, j, g))
         return tuple(gens)
 
-    @_memo
-    def generators(self, h: int):
-        """Every stored generator with target <= h: for each degree t, the
-        one-steps into t, then the end generators of C(t, t)."""
-        return tuple(
-            g for t in range(h + 1)
-            for g in (self.step_generators(t - 1) if t else ()) + self.end_generators(t)
-        )
+    def _group(self, r: int, t: int):
+        """The stored generators r -> t: the skip maps out of r when t = r + 1,
+        the end generators of C(t, t) when t = r."""
+        return self.step_generators(r) if r < t else self.end_generators(t)
 
     @_memo
     def generator_groups(self, h: int):
-        """generators(h) as ((src, dst), generators) pairs in table order: for
-        each degree t, the skip maps into t, then the end generators of C(t, t).
-        Module constructions act one group at a time."""
-        groups = {}
-        for g in self.generators(h):
-            groups.setdefault((g.src, g.dst), []).append(g)
-        return tuple((key, tuple(gens)) for key, gens in groups.items())
+        """The stored generators with target <= h as ((src, dst), generators)
+        pairs in table order: for each degree t, the skip maps into t, then the
+        end generators of C(t, t) if it has any.  Module constructions act one
+        group at a time."""
+        groups = (((r, t), self._group(r, t)) for t in range(h + 1) for r in (t - 1, t) if r >= 0)
+        return tuple((key, gens) for key, gens in groups if gens)
+
+    @_memo
+    def generators(self, h: int):
+        """Every stored generator with target <= h, group by group."""
+        return tuple(g for _, group in self.generator_groups(h) for g in group)
 
     def _label_generator(self, s: int, j: int, g: int) -> Morphism:
         """The end generator of C(s, s) carrying label g at slot j, identity elsewhere."""
@@ -398,24 +396,30 @@ class CategoryDescriptor:
         labels[j - 1] = g
         return Morphism(s, s, tuple(range(1, s + 1)), tuple(labels))
 
-    # -- index tables --------------------------------------------------
+    # -- hom arrays and index tables -----------------------------------
     #
-    # Free modules act on whole hom sets at once.  These tables give, as
-    # int arrays, the hom index of every composite they need, so that no
-    # Morphism is built, composed or looked up per basis element.  Each is
-    # built once per descriptor with numpy and memoised.  split factors
-    # single morphisms through the end-monoid tree (_end_tree).
+    # Free modules act on whole hom sets at once.  hom_arrays enumerates a
+    # hom set as int arrays, and the tables read off them give the hom index
+    # of every composite a free module needs, so that no Morphism is built,
+    # composed or looked up per basis element.  split factors single
+    # morphisms through the end-monoid tree (_end_tree).
 
     @_memo
     def hom_arrays(self, r: int, s: int):
         """hom(r, s) as int arrays (images, labels) of shape (count, r), in
-        hom order; labels is None for the plain kinds."""
-        homs = self.hom(r, s)
-        images = np.array([m.images for m in homs], dtype=np.int64).reshape(len(homs), r)
-        labels = None
-        if self.group:
-            labels = np.array([m.labels for m in homs], dtype=np.int64).reshape(len(homs), r)
-        return images, labels
+        canonical order: images lex (increasing rows for the OI kinds), then
+        labels lex; labels is None for the plain kinds."""
+        if not self.hom_count(r, s):
+            empty = np.zeros((0, max(r, 0)), dtype=np.int64)
+            return empty, (empty if self.group else None)
+        pick = itertools.combinations if self.ordered else itertools.permutations
+        images = np.array(list(pick(range(1, s + 1), r)), dtype=np.int64)
+        if not self.group:
+            return images, None
+        n = self.group.order
+        # label row k holds the r base-n digits of k, most significant first
+        labels = np.arange(n ** r)[:, None] // n ** np.arange(r - 1, -1, -1) % n
+        return np.repeat(images, n ** r, axis=0), np.tile(labels, (len(images), 1))
 
     def _ranks(self, r: int, s: int, images, labels):
         """hom_index of the morphisms r -> s with these image and label rows.
@@ -440,29 +444,25 @@ class CategoryDescriptor:
         return out
 
     @_memo
-    def compose_table(self, s: int, g: Morphism):
-        """hom_index(compose(g, m)) for every m in hom(s, g.src), as an int array."""
-        images, labels = self.hom_arrays(s, g.src)
-        # one-based lookups: image point i goes to g.images[i - 1]
-        out_images = np.array((0,) + g.images)[images]
+    def group_table(self, s: int, r: int, t: int):
+        """hom_index(compose(g, m)) for the generators g: r -> t of one group
+        (_group) and every m in hom(s, r), as the rows of one
+        len(group) x |hom(s, r)| int array.
+
+        The generators' image and label rows are gathered at every m's image
+        points at once, and one _ranks call indexes all the composites.
+        """
+        gens = self._group(r, t)
+        images, labels = self.hom_arrays(s, r)
+        k, count = len(gens), len(images)
+        # a 0 in front of each generator's row, so that image point i reads column i
+        g_images = np.array([(0,) + g.images for g in gens], dtype=np.int64).reshape(k, r + 1)
+        out_images = g_images[:, images].reshape(k * count, s)
         out_labels = None
         if self.group:
-            out_labels = self._mul[np.array((0,) + g.labels)[images], labels]
-        return self._ranks(s, g.dst, out_images, out_labels)
-
-    @_memo
-    def step_table(self, s: int, r: int):
-        """compose_table(s, g) for the skip maps g in step_generators(r), as
-        the rows of one (r+1) x |hom(s, r)| int array.
-
-        The skip map missing p sends image point i to i + (i >= p) and keeps
-        the labels, so every row comes from one broadcast and one _ranks call.
-        """
-        images, labels = self.hom_arrays(s, r)
-        missing = np.arange(r + 1, 0, -1)[:, None, None]
-        out_images = (images + (images >= missing)).reshape((r + 1) * len(images), s)
-        out_labels = None if labels is None else np.tile(labels, (r + 1, 1))
-        return self._ranks(s, r + 1, out_images, out_labels).reshape(r + 1, len(images))
+            g_labels = np.array([(0,) + g.labels for g in gens], dtype=np.int64).reshape(k, r + 1)
+            out_labels = self._mul[g_labels[:, images], labels].reshape(k * count, s)
+        return self._ranks(s, t, out_images, out_labels).reshape(k, count)
 
     @_memo
     def _end_tree(self, s: int):
@@ -470,14 +470,15 @@ class CategoryDescriptor:
         hom index -> (parent, g) with child = g o parent, for every end but the
         identity (index 0), in the order reached, so each parent precedes its children."""
         homs = self.hom(s, s)
+        table = self.group_table(s, s, s)
         seen = np.zeros(len(homs), dtype=bool)
         seen[0] = True
         tree, frontier = {}, np.zeros(1, dtype=np.int64)
         while len(frontier):
             reached = [frontier[:0]]
-            for g in self.end_generators(s):
+            for g, row in zip(self.end_generators(s), table):
                 # an end generator permutes C(s, s), so the children are distinct
-                children = self.compose_table(s, g)[frontier]
+                children = row[frontier]
                 new = ~seen[children]
                 parents, children = frontier[new], children[new]
                 seen[children] = True
@@ -533,6 +534,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         if len(parts) != 3:
             raise ValueError(f"bad group table spec {spec!r}")
         n = int(parts[1])
+        _check_order(n, "group table")
         flat = [int(x) for x in parts[2].split(",")]
         if len(flat) != n * n:
             raise ValueError(f"group table needs {n * n} entries, got {len(flat)}")

@@ -9,12 +9,11 @@ parts, so the stored table holds O(t) generators per degree t even for FI,
 where hom sets grow factorially.  Module constructions walk that table one
 (src, dst) group at a time (cat.generator_groups): the r+1 skip maps out of
 r, then the end generators of one degree.
-A free module's table holds basis maps (see matrices): the column array of
-generator g is the category's composition table for each summand, shifted
+A free module's table holds basis maps (see matrices): the column arrays
+of a group's generators are the rows of the category's composition table
+for each summand (cat.group_table, read off hom-set index arrays), shifted
 by the summand offsets, and no dense matrix is built until something reads
-one.  The tables of all skip maps out of r come from one array operation
-(cat.step_table); only end generators read cat.compose_table one at a time.
-Products with these maps are gathers, scatters or compositions of column
+one.  Products with these maps are gathers, scatters or compositions of column
 arrays: the relation closure pushes a whole degree through every skip map
 in one column scatter, a submodule expresses a group's images in one
 express_rows (Mat.push), and the span of basis maps is read off their
@@ -109,8 +108,8 @@ class FreeModule(TruncatedModule):
     The basis at degree t is summand-major: summand k contributes
     C(summands[k], t) in hom order, starting at offsets[t][k].  A generator
     g sends (k, m) to (k, g o m), so its matrix is a basis map whose columns
-    are the category's composition table for (summands[k], g) shifted by
-    the summand offsets: one gather per generator, no morphism composed.
+    are its row of the category's composition table for summands[k] and g's
+    group, shifted by the summand offsets: no morphism is built or composed.
     """
 
     def __init__(self, cat, field, summands, horizon):
@@ -126,20 +125,11 @@ class FreeModule(TruncatedModule):
             dims.append(n)
         gens = {}
         for (r, t), group in cat.generator_groups(horizon):
-            if r < t:
-                # the skip maps out of r: one row each of the summands' step tables
-                tables = [off + cat.step_table(s, r) for off, s in zip(self.offsets[t], self.summands) if s <= r]
-                cols = np.concatenate(tables, axis=1) if tables else np.zeros((len(group), 0), dtype=np.intp)
-                gens.update(zip(group, Mat.unit_row_maps(field, cols, dims[t])))
-            else:
-                gens.update((g, self._gen_matrix(cat, field, dims[t], g)) for g in group)
+            # one row per generator of the group, summand tables side by side
+            tables = [off + cat.group_table(s, r, t) for off, s in zip(self.offsets[t], self.summands) if s <= r]
+            cols = np.concatenate(tables, axis=1) if tables else np.zeros((len(group), 0), dtype=np.intp)
+            gens.update(zip(group, Mat.unit_row_maps(field, cols, dims[t])))
         super().__init__(cat, field, horizon, dims, gens)
-
-    def _gen_matrix(self, cat, field, ncols, g) -> Mat:
-        """Basis map of the end generator g: basis element (k, m) goes to (k, g o m)."""
-        offsets = self.offsets[g.dst]
-        cols = [offsets[k] + cat.compose_table(s, g) for k, s in enumerate(self.summands) if s <= g.src]
-        return Mat.unit_rows(field, np.concatenate(cols) if cols else [], ncols)
 
     def basis_index(self, t: int, k: int, m: Morphism) -> int:
         return self.offsets[t][k] + self.cat.hom_index(m)

@@ -16,17 +16,19 @@ un_chain stops where the chain stabilizes; continued() extends its steps.
 commutation_defect() checks a ModuleMap against the actions; direct_sum() adds two modules.
 
 The module constructions of trunc act one (src, dst) group of generators at
-a time.  free_gens, submodule_from_rows, quotient_by and
-module_closure_of_rows build the same results one generator at a time, with
-one compose_table, one product or one scatter per generator: the
-references the grouped constructions are compared against.
+a time.  submodule_from_rows, quotient_by and module_closure_of_rows build
+the same results one generator at a time, with one product or one scatter
+per generator: the references the grouped constructions are compared
+against.  free_gens builds a free module's generator table by composing
+each generator with each basis element and looking the composite up
+(hom_index): the reference for the free modules read off the category's
+group tables.
 """
 
 import contextlib
 import itertools
 from math import comb
 
-import numpy as np
 import pytest
 
 from catrep import homology
@@ -164,12 +166,12 @@ def continued(chain, max_steps):
 
 def free_gens(P):
     """The generator table of the free module P: basis element (k, m) goes to
-    (k, g o m), read off one compose_table per summand and generator."""
+    (k, g o m), composed and looked up one basis element at a time."""
     cat, gens = P.cat, {}
     for g in cat.generators(P.horizon):
-        offsets = P.offsets[g.dst]
-        cols = [offsets[k] + cat.compose_table(s, g) for k, s in enumerate(P.summands) if s <= g.src]
-        gens[g] = Mat.unit_rows(P.field, np.concatenate(cols) if cols else [], P.dims[g.dst])
+        cols = [P.offsets[g.dst][k] + cat.hom_index(cat.compose(g, m))
+                for k, s in enumerate(P.summands) for m in cat.hom(s, g.src)]
+        gens[g] = Mat.unit_rows(P.field, cols, P.dims[g.dst])
     return gens
 
 

@@ -253,6 +253,23 @@ def test_cyclic_order_is_bounded_before_the_table_is_built(monkeypatch):
         FiniteGroup.cyclic(1024)
 
 
+def test_table_order_is_bounded_before_entries_are_read_or_scanned(monkeypatch):
+    # entries that are not numbers show whether they were parsed, and the spy
+    # whether the m^3 associativity scan started
+    scanned = []
+    monkeypatch.setattr(FiniteGroup, "_check_associative", lambda self: scanned.append(self.order))
+    too_large = r"^group table order 1100 too large: its table would have m\^2 = 1210000 entries \(must be m <= 1024\)$"
+    with pytest.raises(ValueError, match=too_large):
+        category.parse_group_spec("table:1100:not,numbers")
+    with pytest.raises(ValueError, match=too_large):
+        make_category("oi_g", "table:1100:not,numbers")
+    with pytest.raises(ValueError, match=r"^group table order 1025 too large: .*m <= 1024"):
+        FiniteGroup.from_table([[0] * 1025] * 1025)
+    assert scanned == []
+    FiniteGroup.from_table([[(a + b) % 4 for b in range(4)] for a in range(4)])
+    assert scanned == [4]
+
+
 def test_make_category_validation():
     with pytest.raises(ValueError):
         make_category("fi_g")

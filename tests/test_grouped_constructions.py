@@ -76,7 +76,7 @@ def test_grouped_constructions_match_per_generator_oracles(cat, field):
     h = 4
     refused = set()
     for F, seeds, closed in _loads(cat, field, h, range(1, 9)):
-        # the free cover: one step table row per skip map
+        # the free cover: one group table row per generator
         assert all(_same(F.gens[g], m) for g, m in seams.free_gens(F).items())
         assert list(F.gens) == list(F.cat.generators(h))
         # the relation closure: one push per degree

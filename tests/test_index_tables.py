@@ -6,7 +6,7 @@ Python entry types included.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from catrep.fields import QQ, parse_field
 from catrep.matrices import Mat
 from catrep.presentations import from_presentation
 from catrep.trunc import FreeModule, ModuleMap, kernel_of_map, submodule_from_rows, truncate
-from seams import padded
+from seams import free_gens, padded
 
 CATS = [make_category("fi"), make_category("oi"), make_category("fi_g", 2), make_category("oi_g", 3)]
 FIELDS = [parse_field("fp:2"), parse_field("fp:101"), QQ]
@@ -36,8 +36,8 @@ def _oracle_end_plan(cat, s):
     levels = []
     while True:
         level = []
-        for g in cat.end_generators(s):
-            children = cat.compose_table(s, g)[frontier]
+        for g, row in zip(cat.end_generators(s), cat.group_table(s, s, s)):
+            children = row[frontier]
             new = np.array([c not in reached for c in children.tolist()], dtype=bool)
             if new.any():
                 reached.update(children[new].tolist())
@@ -66,16 +66,6 @@ def _tag_is_data(m: Mat) -> bool:
     cols = m.unit_cols
     return (cols is not None and len(set(cols.tolist())) == len(cols)
             and _identical(m, _unit_matrix(m.field, cols.tolist(), m.ncols)))
-
-
-def _oracle_gen_matrix(P: FreeModule, g):
-    """Basis map of g by composing and looking up every basis element."""
-    cat = P.cat
-    rows = []
-    for k, s in enumerate(P.summands):
-        for m in cat.hom(s, g.src):
-            rows.append(P.offsets[g.dst][k] + cat.hom_index(cat.compose(g, m)))
-    return _unit_matrix(P.field, rows, P.dims[g.dst])
 
 
 @lru_cache(maxsize=None)
@@ -156,13 +146,31 @@ def _oracle_cover(Z, gens):
     return P, ModuleMap(P, Z, mats)
 
 
+def _lex_hom(cat, r, s):
+    """(images, labels) of every morphism r -> s, images lex, then labels lex,
+    enumerated by itertools alone."""
+    pick = combinations if cat.ordered else permutations
+    labels = product(range(cat.group.order), repeat=r) if cat.group else [None]
+    return list(product(pick(range(1, s + 1), r), labels))
+
+
 @pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
-def test_compose_table_is_hom_index_of_compose(cat):
-    h = 4 if cat.group is None else 3
-    for g in cat.generators(h):
-        for s in range(g.src + 1):
-            want = [cat.hom_index(cat.compose(g, m)) for m in cat.hom(s, g.src)]
-            assert cat.compose_table(s, g).tolist() == want, (s, g)
+def test_hom_is_lex_enumeration_and_hom_index_its_place(cat):
+    for s in range(4 if cat.group is None or cat.group.order < 6 else 3):
+        for r in range(s + 1):
+            homs = cat.hom(r, s)
+            assert [(m.images, m.labels) for m in homs] == _lex_hom(cat, r, s)
+            assert [cat.hom_index(m) for m in homs] == list(range(len(homs)))
+        assert cat.hom(s + 1, s) == ()
+
+
+def test_hom_index_refuses_what_is_not_a_morphism():
+    fi, fig = make_category("fi"), make_category("fi_g", S3)
+    for cat, m, reason in [(fi, category.Morphism(2, 2, (1, 1)), "not injective"),
+                           (fig, category.Morphism(1, 2, (2,), (6,)), "label out of range"),
+                           (fig, category.Morphism(1, 2, (2,)), "missing labels")]:
+        with pytest.raises(ValueError, match=reason):
+            cat.hom_index(m)
 
 
 def test_ranks_at_larger_degrees():
@@ -221,7 +229,7 @@ def test_tree_builder_matches_the_plans_it_replaced(cat):
 
 def test_memo_runs_each_body_once_per_descriptor(monkeypatch):
     memoised = {name: f for name, f in vars(CategoryDescriptor).items() if hasattr(f, "__wrapped__")}
-    assert {"hom", "_hom_positions", "compose_table", "_end_tree"} <= set(memoised)
+    assert {"hom", "hom_arrays", "group_table", "_end_tree"} <= set(memoised)
     runs = []
 
     def counted(name, body):
@@ -252,7 +260,8 @@ def test_memo_runs_each_body_once_per_descriptor(monkeypatch):
 def test_step_plan_partitions_each_hom_set(cat):
     # split factors each alpha in C(s, t), t > s, by _factor_once as gamma o beta,
     # gamma the plain one-step missing alpha's largest missed point; grouped by
-    # gamma the betas are distinct and compose_table sends them back to the alphas
+    # gamma the betas are distinct and gamma's row of the step group's table
+    # sends them back to the alphas
     for s in range(4):
         for t in range(s + 1, 5 if cat.group is None else 4):
             homs = cat.hom(s, t)
@@ -268,21 +277,56 @@ def test_step_plan_partitions_each_hom_set(cat):
             for gamma, pairs in plan.items():
                 betas, alphas = (np.array(x, dtype=np.int64) for x in zip(*pairs))
                 assert len(set(betas.tolist())) == len(betas)
-                assert cat.compose_table(s, gamma)[betas].tolist() == alphas.tolist()
+                row = cat.group_table(s, t - 1, t)[cat.step_generators(t - 1).index(gamma)]
+                assert row[betas].tolist() == alphas.tolist()
                 order += alphas.tolist()
             assert sorted(order) == list(range(len(homs)))
 
 
+def _skip_cols(cat, s, r):
+    """hom_index(g o m) for the skip maps g out of r (rows) and every m in
+    hom(s, r): the skip map missing p sends image point i to i + (i >= p) and
+    keeps the labels, and each composite is looked up in the lex enumeration
+    of C(s, r + 1)."""
+    position = {key: i for i, key in enumerate(_lex_hom(cat, s, r + 1))}
+    images, labels = zip(*_lex_hom(cat, s, r))
+    images = np.array(images, dtype=np.int64).reshape(len(images), s)
+    rows = []
+    for g in cat.step_generators(r):
+        (p,) = set(range(1, r + 2)) - set(g.images)
+        assert g.labels is None or set(g.labels) <= {0}, g
+        shifted = map(tuple, (images + (images >= p)).tolist())
+        rows.append([position[key] for key in zip(shifted, labels)])
+    return rows
+
+
+def _end_cols(cat, s, gens):
+    """hom_index(g o m) for the end generators g of C(r, r) (rows) and every m
+    in hom(s, r): compose, then look the composite up in the lex enumeration
+    of C(s, r)."""
+    r = gens[0].src
+    position = {key: i for i, key in enumerate(_lex_hom(cat, s, r))}
+    homs = cat.hom(s, r)
+    return [[position[c.images, c.labels] for c in (cat.compose(g, m) for m in homs)] for g in gens]
+
+
 @pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
-def test_step_table_rows_are_the_compose_tables_of_the_skip_maps(cat):
-    # one broadcast and one _ranks call give every skip map out of r at once;
-    # FI_G over S3 stops at r = 4, where C(6, 6) already has 720 * 6^6 ends
-    for r in range(5 if cat.kind == "fi_g" and cat.group.order == 6 else 7):
+def test_group_tables_are_hom_index_of_compose(cat):
+    # one gather and one _ranks call give the table of a whole group: the skip
+    # maps out of r, or the end generators of C(r, r).  The references share
+    # no code with _ranks.  Skip maps go to r = 6 (FI_G over S3: r = 4, where
+    # C(6, 6) already has 720 * 6^6 ends), end groups to r = 6 on FI and OI
+    # and r = 4 on the decorated kinds
+    skip_top = 4 if cat.kind == "fi_g" and cat.group.order == 6 else 6
+    end_top = 6 if cat.group is None else 4
+    for (r, t), group in cat.generator_groups(skip_top + 1):
+        if r > (skip_top if t > r else end_top):
+            continue
         for s in range(r + 1):
-            table = cat.step_table(s, r)
-            assert table.shape == (r + 1, cat.hom_count(s, r))
-            for row, g in zip(table, cat.step_generators(r)):
-                assert row.tolist() == cat.compose_table(s, g).tolist(), (s, r, g)
+            table = cat.group_table(s, r, t)
+            assert table.shape == (len(group), cat.hom_count(s, r))
+            want = _skip_cols(cat, s, r) if t > r else _end_cols(cat, s, group)
+            assert table.tolist() == want, (s, r, t)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -291,11 +335,12 @@ def test_free_module_matches_compose_oracle(cat, field):
     h = 4 if cat.group is None else 3
     for summands in [(0,), (2,), (1, 0, 1, 2, 2), (3, 1, 1)]:
         P = FreeModule(cat, field, summands, h)
+        want = free_gens(P)
         for g, m in P.gens.items():
             # every generator is a basis map, tagged as built, and its tag
             # is what its materialized data hold
             assert m.unit_cols is not None and m._data is None, (summands, g)
-            assert _identical(m, _oracle_gen_matrix(P, g)), (summands, g)
+            assert _identical(m, want[g]), (summands, g)
             assert _tag_is_data(m), (summands, g)
 
 

@@ -3,9 +3,11 @@
 Arithmetic that depends on the field lives in matrices.py, one kernel per
 backend, so no other module branches on field.kind.  Factorisation of
 morphisms lives in category.py: other modules reach skip maps through
-step_generators and split, not through its private helpers.  The free
-resolution route (resolve, minimal_generators, _cover) is the tests' Tor
-oracle: nothing in the program calls it, and it calls itself only inside
+step_generators and split, not through its private helpers, and only
+category.py builds a Morphism: module constructions and Tor read hom sets
+as index arrays, so neither trunc.py nor homology.py enumerates one.  The
+free resolution route (resolve, minimal_generators, _cover) is the tests'
+Tor oracle: nothing in the program calls it, and it calls itself only inside
 homology.resolve.  The F_p elimination has one entry, matrices._rref_fp:
 nothing else calls its pivot loop or its unit-row pass, so the pass's gate
 cannot be bypassed or dropped, and the Q elimination reaches neither.
@@ -28,6 +30,11 @@ FIELD_KIND_ALLOWED = {"matrices.py", "corpus.py"}
 
 PRIVATE_FACTORING = re.compile(r"\._(skip_map|factor_once)\(")
 PRIVATE_FACTORING_OWNER = "category.py"
+
+MORPHISM_BUILD = re.compile(r"\bMorphism\(")
+MORPHISM_OWNER = "category.py"
+HOM_SET = re.compile(r"\.hom\(")
+INDEX_ARRAYS_ONLY = {"trunc.py", "homology.py"}
 
 # a call, not a definition; resolve_coefficients( does not match
 ORACLE_ROUTE = re.compile(r"(?<!def )\b(resolve|minimal_generators|_cover)\(")
@@ -58,6 +65,10 @@ def test_patterns_match_where_they_are_allowed():
     # a pattern that matches nothing anywhere would pass every file
     assert FIELD_KIND.search((SRC / "matrices.py").read_text())
     assert PRIVATE_FACTORING.search((SRC / PRIVATE_FACTORING_OWNER).read_text())
+    assert MORPHISM_BUILD.search((SRC / MORPHISM_OWNER).read_text())
+    assert not MORPHISM_BUILD.search("isinstance(m, Morphism)")
+    assert HOM_SET.search((SRC / "shift.py").read_text())
+    assert not HOM_SET.search("cat.hom_count(s, t) + cat.hom_arrays(s, t)")
     assert ORACLE_ROUTE.search((SRC / "homology.py").read_text())
     assert not ORACLE_ROUTE.search("resolve_coefficients(pres, field)")
     assert set(FP_KERNEL.findall((SRC / "matrices.py").read_text())) == set(FP_KERNEL_PARTS)
@@ -70,6 +81,15 @@ def test_field_kind_only_in_matrices():
 
 def test_private_factoring_only_in_category():
     assert _offences(PRIVATE_FACTORING, {PRIVATE_FACTORING_OWNER}) == []
+
+
+def test_morphisms_built_only_in_category():
+    assert _offences(MORPHISM_BUILD, {MORPHISM_OWNER}) == []
+
+
+def test_module_constructions_and_tor_enumerate_no_hom_set():
+    others = {path.name for path in SRC.glob("*.py")} - INDEX_ARRAYS_ONLY
+    assert _offences(HOM_SET, others) == []
 
 
 def test_resolution_route_only_inside_resolve():
