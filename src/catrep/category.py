@@ -278,9 +278,27 @@ class CategoryDescriptor:
 
     def hom_index(self, m: Morphism) -> int:
         """The place of m in hom(m.src, m.dst); ValueError if m is not a morphism here."""
-        self.validate(m)
-        labels = None if m.labels is None else np.array([m.labels], dtype=np.int64)
-        return int(self._ranks(m.src, m.dst, np.array([m.images], dtype=np.int64), labels)[0])
+        return self.hom_indices([m])[0]
+
+    def hom_indices(self, ms) -> list:
+        """[hom_index(m) for m in ms], with one _ranks call per (src, dst) among them.
+
+        Every m is validated first, so a list holding one bad morphism raises
+        ValueError and indexes none.
+        """
+        ends = {}
+        for j, m in enumerate(ms):
+            self.validate(m)
+            ends.setdefault((m.src, m.dst), []).append(j)
+        out = [0] * len(ms)
+        for (r, s), js in ends.items():
+            images = np.array([ms[j].images for j in js], dtype=np.int64).reshape(len(js), r)
+            labels = None
+            if self.group:
+                labels = np.array([ms[j].labels for j in js], dtype=np.int64).reshape(len(js), r)
+            for j, k in zip(js, self._ranks(r, s, images, labels).tolist()):
+                out[j] = k
+        return out
 
     def compose(self, beta: Morphism, alpha: Morphism) -> Morphism:
         """beta o alpha for alpha: r -> s, beta: s -> t."""

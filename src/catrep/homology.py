@@ -7,11 +7,14 @@ copy S = {s_0 < s_1 < ...} to copy S minus s_k by (-1)^k times the action
 of the step generator n-i -> n-i+1 missing s_k - k.  Then dim Tor_i(V)_n =
 dim K_i - rank d_i - rank d_{i+1}, so a degree reads only V_{n-i-1..n} and
 no free module is built.  A d_i with an empty term has rank 0 and is not
-built; the step generator actions of a source degree, and their negatives,
-are read once per call; and the face pattern of d_i depends only on (n, i),
-so each d_i is one block placement per step generator and sign.  Every
-block of d_i d_{i-1} is +-(act(s_p) act(s_{q+1}) - act(s_q) act(s_p)) for
-step generators s out of n-i and n-i+1, so d o d = 0 is checked on those
+built.  No d_i is built dense: a row of it has only i nonzero blocks, so
+it is built as sparse rows (_koszul_rows) from its face pattern, which
+depends only on (n, i) (_faces), and the nonzeros of the step generator
+actions of its source degree and of their negatives, read once per call
+(_row_entries).  matrices.sparse_rank ranks it by Markowitz-ordered
+elimination and hands a dense rest to the dense echelon.  Every block of
+d_i d_{i-1} is +-(act(s_p) act(s_{q+1}) - act(s_q) act(s_p)) for step
+generators s out of n-i and n-i+1, so d o d = 0 is checked on those
 cosimplicial identities, once per source degree (_step_identities_hold).
 For FI this is the complex of Church and Ellenberg ("Homology of
 FI-modules"); for every kind and field, its agreement with a resolution is
@@ -43,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import QQ
-from .matrices import Mat
+from .matrices import Mat, sparse_rank
 from .trunc import (
     FreeModule,
     InvariantViolation,
@@ -181,42 +184,50 @@ class HomologyReport:
 
 @functools.lru_cache(maxsize=None)
 def _faces(n: int, i: int):
-    """Face pattern of d_i at degree n, subsets in lex order.
+    """Face pattern of d_i at degree n: one tuple per i-subset S of {1..n},
+    in lex order, of one (p, k % 2, f) per point s_k of S.
 
-    Copy S = {s_0 < ...} meets copy S minus s_k through the step generator
-    missing p = s_k - k with sign (-1)^k: s_k is the (s_k - k)-th point
-    outside S minus s_k, so the map n-i -> n missing S is the one missing S
-    minus s_k after that step.  Returns one (p, k % 2, copies, faces) per
-    step generator and sign that occur, the last two read-only arrays of
-    copy and face positions.
+    Copy S = {s_0 < ...} meets copy f, the place of S minus s_k among the
+    (i-1)-subsets in lex order, through the step generator missing
+    p = s_k - k with sign (-1)^k: s_k is the (s_k - k)-th point outside S
+    minus s_k, so the map n-i -> n missing S is the one missing S minus s_k
+    after that step.
     """
     place = {S: j for j, S in enumerate(itertools.combinations(range(1, n + 1), i - 1))}
-    groups = {}
-    for r, S in enumerate(itertools.combinations(range(1, n + 1), i)):
-        for k, s in enumerate(S):
-            groups.setdefault((s - k, k % 2), []).append((r, place[S[:k] + S[k + 1:]]))
-    out = []
-    for (p, sign), pairs in sorted(groups.items()):
-        copies, faces = np.array(pairs, dtype=np.intp).T
-        copies.flags.writeable = faces.flags.writeable = False
-        out.append((p, sign, copies, faces))
-    return tuple(out)
+    return tuple(tuple((s - k, k % 2, place[S[:k] + S[k + 1:]]) for k, s in enumerate(S))
+                 for S in itertools.combinations(range(1, n + 1), i))
 
 
-def _koszul_differential(V: TruncatedModule, n: int, i: int, signed) -> Mat:
-    """d_i: K_i(V)_n -> K_{i-1}(V)_n, copies in lex order of their subsets.
+def _row_entries(m: Mat):
+    """(rows of m, rows of -m), each row the list of (column, value) of its nonzeros."""
+    rr, cc = np.nonzero(m.data)
+    pos, neg = [[] for _ in range(m.nrows)], [[] for _ in range(m.nrows)]
+    for r, c, v, w in zip(rr.tolist(), cc.tolist(), m.data[rr, cc].tolist(), m.scale(-1).data[rr, cc].tolist()):
+        pos[r].append((c, v))
+        neg[r].append((c, w))
+    return pos, neg
 
-    signed[p - 1] holds the data of (act, -act) for the step generator
-    n-i -> n-i+1 missing p.  The matrix is a (C(n, i), a, C(n, i-1), b) grid
-    of blocks, filled by one assignment per entry of _faces(n, i).
+
+def _koszul_rows(V: TruncatedModule, n: int, i: int, signed) -> list:
+    """d_i: K_i(V)_n -> K_{i-1}(V)_n as sparse rows, column -> entry, copies
+    in lex order of their subsets.
+
+    signed[p - 1][1][sign][j] lists the nonzeros of row j of (-1)^sign times
+    the action of the step generator n-i -> n-i+1 missing p.  Row j of copy
+    S holds, for each face f of S (_faces), that row of its signed block at
+    the columns of copy f.
     """
     a, b = V.dims[n - i], V.dims[n - i + 1]
-    nrows, ncols = comb(n, i) * a, comb(n, i - 1) * b
-    data = Mat.zeros(V.field, nrows, ncols).data
-    blocks = data.reshape(comb(n, i), a, comb(n, i - 1), b)
-    for p, sign, copies, faces in _faces(n, i):
-        blocks[copies, :, faces, :] = signed[p - 1][sign]
-    return Mat(V.field, nrows, ncols, data)
+    rows = []
+    for faces in _faces(n, i):
+        blocks = [(f * b, signed[p - 1][1][sign]) for p, sign, f in faces]
+        for j in range(a):
+            row = {}
+            for off, block in blocks:
+                for col, v in block[j]:
+                    row[off + col] = v
+            rows.append(row)
+    return rows
 
 
 def _step_identities_hold(V: TruncatedModule, r: int, signed) -> bool:
@@ -243,12 +254,15 @@ def tor_groups(V: TruncatedModule, depth: int) -> HomologyReport:
     At each degree n, dim H_i = dim K_i - rank d_i - rank d_{i+1}, with d_0
     and every d_i with i > n zero; each rank is taken once and serves both
     H_{i-1} and H_i, and each d_i is dropped once its rank is read.  A d_i
-    with V_{n-i} or V_{n-i+1} zero has rank 0 and is not built; the step
-    generator actions out of each degree r (and their negatives) are read
-    once.  d_i d_{i-1} = 0 is certified wherever both differentials are
-    built, which is every pair whose terms are all nonzero (one with an
-    empty term composes to zero): the product vanishes exactly when the
-    step generators' identities hold at r = n - i (_step_identities_hold).
+    with V_{n-i} or V_{n-i+1} zero has rank 0 and is not built.  Each other
+    d_i is built as sparse rows from the nonzeros of the step generator
+    actions out of r = n - i (and of their negatives), read once per r, and
+    ranked sparse (matrices.sparse_rank), with a dense core once pivots
+    stop being cheap.  d_i d_{i-1} = 0 is certified wherever both
+    differentials are built, which is every pair whose terms are all
+    nonzero (one with an empty term composes to zero): the product vanishes
+    exactly when the step generators' identities hold at r = n - i
+    (_step_identities_hold).
     A pair of source degree r is built only if the pair (n, i) = (r + 2, 2)
     is, so the identities are checked there, once per r.  Where they fail,
     InvariantViolation is raised: the actions of V then do not compose as
@@ -257,7 +271,7 @@ def tor_groups(V: TruncatedModule, depth: int) -> HomologyReport:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     h = V.horizon
-    signed = {}  # r -> (act, -act) data of the step generators out of r, missing 1, ..., r+1
+    signed = {}  # r -> (act data, _row_entries) of the step generators out of r, missing 1, ..., r+1
     dims = [[0] * (h + 1) for _ in range(depth + 1)]
     for n in range(h + 1):
         ranks = [0] * (depth + 2)  # ranks[i] = rank d_i at degree n
@@ -267,10 +281,10 @@ def tor_groups(V: TruncatedModule, depth: int) -> HomologyReport:
                 continue  # rank 0; d_i d_{i-1} and d_{i+1} d_i have an empty side
             if r not in signed:
                 acts = [V.gens[g] for g in reversed(V.cat.step_generators(r))]
-                signed[r] = [(m.data, m.scale(-1).data) for m in acts]
+                signed[r] = [(m.data, _row_entries(m)) for m in acts]
             if i == 2 and V.dims[n] and not _step_identities_hold(V, r, signed):  # d_1 is built too
                 raise InvariantViolation(f"Koszul d_2 d_1 is nonzero at degree {n}")
-            ranks[i] = _koszul_differential(V, n, i, signed[r]).rank()
+            ranks[i] = sparse_rank(V.field, _koszul_rows(V, n, i, signed[r]))
         for i in range(min(depth, n) + 1):
             dims[i][n] = comb(n, i) * V.dims[n - i] - ranks[i] - ranks[i + 1]
     hd = [top_degree(row) for row in dims]

@@ -47,9 +47,9 @@ loop runs once on the other rows restricted to the other columns, and the
 two parts written into one array in pivot order are exactly the rref the
 loop gives on the whole matrix, with no loop iteration per unit row.  The
 pass runs only on a stack with at least _MIN_UNIT_ROWS rows and no fewer
-rows than columns, and only with at least _MIN_UNIT_ROWS unit rows: on the
-wide Koszul rank matrices, which have none, its row count would cost more
-than it saves, and on tiny matrices its assembly outweighs the loop.  Q
+rows than columns, and only with at least _MIN_UNIT_ROWS unit rows: on wide
+matrices its row count would cost more than it saves, and on tiny matrices
+its assembly outweighs the loop.  Q
 elimination keeps the plain loop: there the pass scans object arrays, and a
 prototype of it made the FI/Q verify battery's median item 4-10% slower.
 
@@ -61,12 +61,31 @@ restarts on Python ints when they might not.  Q products clear denominators
 the same way, rows of the left factor and columns of the right one, multiply
 integers and divide back once.  Fractions only appear where a contract
 demands unit pivots (rref) or rational solution entries.
+
+The ranks of sparse matrices, the Koszul differentials of homology, are
+taken on rows held as dicts, column -> entry, with no dense matrix
+(sparse_rank).  Pivots go in Markowitz order (Markowitz, Management
+Science 3, 1957): the active column with the fewest entries, from a heap of
+column counts checked when popped, and that column's shortest row, so
+singleton columns go first and update nothing.  Updates are mod p over
+F_p, and fraction-free over Q as above, each pivot row checked against the
+rational bit limit.  Fill-in can make pivots dear: once the next pivot
+would update more than _CORE_MARKOWITZ entries while at least one active
+cell in _CORE_DENSITY is nonzero, the active rows and columns go to the
+dense echelon of their backend, and a matrix that dense from the start
+goes there at once.  Live nonzeros, rows and columns are counted as the
+loop goes, so that test costs O(1).  This is structured Gaussian
+elimination (LaMacchia-Odlyzko) as used for ranks of sparse matrices over
+finite fields (Dumas-Villard, CASC 2002).  The loop is plain Python: a
+Koszul differential takes about ten pivots, so numpy's per-call overhead
+would decide the cost.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 
 import numpy as np
@@ -287,6 +306,123 @@ def _echelon(m):
     if m.field.kind == "fp":
         return _rref_fp(m.data, m.field.p)
     return _echelon_q(m.data)
+
+
+# the sparse rank hands its active rows and columns to the dense echelon at
+# the first pivot that would update more than _CORE_MARKOWITZ entries while
+# at least one active cell in _CORE_DENSITY is nonzero
+_CORE_MARKOWITZ = 64
+_CORE_DENSITY = 4
+
+
+def sparse_rank(field, rows) -> int:
+    """Rank of the matrix whose rows are the dicts rows, column -> nonzero
+    entry in storage form.  The dicts are consumed.
+
+    Pivots go in Markowitz order: the active column with the fewest
+    entries, from a heap of column counts that is checked when popped, and
+    that column's shortest row.  The pivot row is cleared from every other
+    row of its column, mod p over F_p, fraction-free over Q (rows cleared to
+    integers, each update divided by its gcd, each pivot row checked against
+    the rational bit limit).  Once a pivot is dear and the active part dense
+    (_CORE_MARKOWITZ, _CORE_DENSITY), what is left goes to the dense
+    echelon (_core_rank); a matrix with more than _CORE_MARKOWITZ entries
+    that is that dense from the start goes there at once.
+    """
+    fp = field.kind == "fp"
+    p = field.p if fp else None
+    rows = [row if fp else _integral_row(row) for row in rows if row]
+    live, nnz, rank = len(rows), sum(map(len, rows)), 0
+    active = set().union(*rows)
+    if nnz > _CORE_MARKOWITZ and nnz * _CORE_DENSITY >= live * len(active):
+        return _core_rank(field, rows, active)
+    cols = {}  # active column -> the rows holding it
+    for k, row in enumerate(rows):
+        for c in row:
+            if c in cols:
+                cols[c].add(k)
+            else:
+                cols[c] = {k}
+    heap = [(len(ks), c) for c, ks in cols.items()]
+    heapq.heapify(heap)
+    while heap:
+        count, c = heapq.heappop(heap)
+        ks = cols.get(c)
+        if ks is None:
+            continue
+        if len(ks) != count:
+            heapq.heappush(heap, (len(ks), c))
+            continue
+        k = min(ks, key=lambda j: len(rows[j]))
+        prow = rows[k]
+        if (count - 1) * (len(prow) - 1) > _CORE_MARKOWITZ and nnz * _CORE_DENSITY >= live * len(cols):
+            return rank + _core_rank(field, rows, cols)
+        rank += 1
+        live -= 1
+        nnz -= len(prow)
+        rows[k] = None
+        del cols[c]
+        ks.discard(k)
+        if not fp:
+            check_rational_bits(max(map(abs, prow.values())))
+        pv = prow.pop(c)
+        for d in prow:
+            cols[d].discard(k)
+        if fp and pv != 1:
+            inv = pow(pv, p - 2, p)
+            prow = {d: v * inv % p for d, v in prow.items()}
+        for j in ks:
+            row = rows[j]
+            f = row.pop(c)
+            before = len(row) + 1
+            if not fp:
+                g = gcd(pv, f)
+                a, f = pv // g, f // g
+                if a != 1:
+                    row = {d: a * v for d, v in row.items()}
+            for d, v in prow.items():
+                x = row.get(d)
+                if x is None:
+                    row[d] = (-f * v) % p if fp else -f * v
+                    cols[d].add(j)
+                else:
+                    x = (x - f * v) % p if fp else x - f * v
+                    if x:
+                        row[d] = x
+                    else:
+                        del row[d]
+                        cols[d].discard(j)
+            if not fp and row:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {d: v // g for d, v in row.items()}
+            rows[j] = row
+            nnz += len(row) - before
+            if not row:
+                live -= 1
+        for d in prow:
+            if cols[d]:
+                heapq.heappush(heap, (len(cols[d]), d))
+            else:
+                del cols[d]
+    return rank
+
+
+def _integral_row(row):
+    """A Q row dict as integers: scaled by the lcm of its denominators."""
+    m = lcm(*(v.denominator for v in row.values() if type(v) is Fraction))
+    return {c: int(v * m) for c, v in row.items()} if m != 1 else row
+
+
+def _core_rank(field, rows, cols):
+    """Rank of the nonempty rows of sparse_rank on the columns cols, which
+    hold all their entries, from one dense echelon."""
+    live = [row for row in rows if row]
+    place = dict(zip(cols, range(len(cols))))
+    A = np.zeros((len(live), len(cols)), dtype=_dtype(field))
+    at = np.repeat(np.arange(len(live)), list(map(len, live)))
+    A[at, [place[c] for row in live for c in row]] = [v for row in live for v in row.values()]
+    return len(_echelon(Mat(field, *A.shape, A))[1])
 
 
 # a product of residues in [0, p) with inner dimension k has partial sums

@@ -110,11 +110,12 @@ def from_presentation(cat: CategoryDescriptor, field, pres: Presentation, horizo
     for rel in pres.relations:
         by_degree.setdefault(rel.target, []).append(rel)
     for t, rels in by_degree.items():
+        places = iter(cat.hom_indices([alpha for rel in rels for _, alpha, _ in rel.terms]))
         rows = []
         for rel in rels:
             row = [0] * F.dims[t]
-            for coeff, alpha, k in rel.terms:
-                row[F.basis_index(t, k, alpha)] += coeff
+            for (coeff, _, k), place in zip(rel.terms, places):
+                row[F.offsets[t][k] + place] += coeff
             rows.append(row)
         seeds[t] = Mat.from_rows(field, rows, F.dims[t])  # reduces the sums into the field
     return quotient_by(F, module_closure_of_rows(F, seeds))

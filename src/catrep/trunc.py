@@ -131,9 +131,6 @@ class FreeModule(TruncatedModule):
             gens.update(zip(group, Mat.unit_row_maps(field, cols, dims[t])))
         super().__init__(cat, field, horizon, dims, gens)
 
-    def basis_index(self, t: int, k: int, m: Morphism) -> int:
-        return self.offsets[t][k] + self.cat.hom_index(m)
-
 
 class ModuleMap:
     """A degreewise linear map commuting with all stored category actions."""

@@ -3,9 +3,11 @@
 tor_groups reads Tor off the Koszul complex; resolution_tor reads it off
 resolve instead, the reference that tests compare tor_groups against.
 koszul_differential builds one Koszul differential block by block, the
-reference for the grouped block placement tor_groups uses, and
-koszul_failures multiplies consecutive ones: the dense d o d = 0 check that
-tor_groups certifies on the step generators' identities instead.
+reference for the sparse rows tor_groups builds, and koszul_failures
+multiplies consecutive ones: the dense d o d = 0 check that tor_groups
+certifies on the step generators' identities instead.  spy_koszul_rows()
+records each differential tor_groups builds, as a copy of its sparse rows
+(which the rank consumes) and as the Mat they densify to (densify).
 padded() patches the name resolve looks up in catrep.homology so that the
 first greedy generator is repeated at every step: a non-minimal resolution
 that must give the same Tor.  It yields the list of repeated (degree, row)
@@ -113,6 +115,30 @@ def koszul_differential(V, n, i):
             c = faces[S[:k] + S[k + 1:]]
             data[r * a:(r + 1) * a, c * b:(c + 1) * b] = signed[s - k - 1][k % 2]
     return Mat(V.field, nrows, ncols, data)
+
+
+def densify(field, rows, ncols):
+    """The Mat whose rows are the sparse rows, dicts column -> entry."""
+    m = Mat.zeros(field, len(rows), ncols)
+    for k, row in enumerate(rows):
+        for c, v in row.items():
+            m.data[k, c] = v
+    return m
+
+
+def spy_koszul_rows(monkeypatch):
+    """Record (n, i, rows, d_i) for every Koszul differential tor_groups builds:
+    a copy of its sparse rows and their densified Mat."""
+    built, build = [], homology._koszul_rows
+
+    def spy(V, n, i, signed):
+        rows = build(V, n, i, signed)
+        d = densify(V.field, rows, comb(n, i - 1) * V.dims[n - i + 1])
+        built.append((n, i, [dict(row) for row in rows], d))
+        return rows
+
+    monkeypatch.setattr(homology, "_koszul_rows", spy)
+    return built
 
 
 def koszul_failures(V, depth):

@@ -10,6 +10,7 @@ modules with one action entry perturbed.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -45,6 +46,7 @@ from seams import (
     non_functorial,
     padded,
     resolution_tor,
+    spy_koszul_rows,
 )
 
 F101 = parse_field("fp:101")
@@ -171,19 +173,6 @@ def test_tor_resolution_independence():
                 assert len(repeated) == 3  # every step, syzygy covers included
 
 
-def _spy_differentials(monkeypatch):
-    """Record (n, i, d_i) for every Koszul differential tor_groups builds."""
-    built, assemble = [], homology._koszul_differential
-
-    def spy(V, n, i, signed):
-        d = assemble(V, n, i, signed)
-        built.append((n, i, d))
-        return d
-
-    monkeypatch.setattr(homology, "_koszul_differential", spy)
-    return built
-
-
 def _nonzero_pairs(V, depth):
     """(n, i) of every d_i tor_groups needs whose two terms are nonzero."""
     return {(n, i) for n in range(V.horizon + 1) for i in range(1, min(depth + 1, n) + 1)
@@ -192,16 +181,16 @@ def _nonzero_pairs(V, depth):
 
 @pytest.mark.parametrize("cat", KINDS, ids=lambda c: c.name)
 def test_koszul_assembly_matches_the_per_block_oracle(monkeypatch, cat):
-    # grouped block placement from cached step generator actions against one
+    # sparse rows from cached step generator entries, densified, against one
     # block copy per subset and face; empty differentials are never built
-    built = _spy_differentials(monkeypatch)
+    built = spy_koszul_rows(monkeypatch)
     h = 5 if cat.group is None else 4
     for field in FIELDS:
         for V in _tor_modules(cat, field, h):
             built.clear()
             tor_groups(V, 3)
-            assert {(n, i) for n, i, _ in built} == _nonzero_pairs(V, 3), (field.name, V.dims)
-            for n, i, d in built:
+            assert {(n, i) for n, i, *_ in built} == _nonzero_pairs(V, 3), (field.name, V.dims)
+            for n, i, _, d in built:
                 assert d == koszul_differential(V, n, i), (field.name, V.dims, n, i)
 
 
@@ -252,20 +241,32 @@ def test_step_identities_flag_what_the_koszul_product_flags(cat):
 
 
 def test_no_product_takes_a_koszul_differential(monkeypatch):
-    # d o d = 0 is certified on the step generators: on an OI module at
-    # horizon 9, no product tor_groups takes has a differential as an operand
+    # d o d = 0 is certified on the step generators and each d_i is built as
+    # sparse rows: on an OI module at horizon 9, the only products tor_groups
+    # takes are the step identity checks, one per source degree, and no array
+    # it allocates is as large as the largest d_i would be dense
     V = from_presentation(OI, F101, sample_presentation(OI, F101, 43, FUZZ_PROFILE), 9)[0]
-    built, products, matmul = _spy_differentials(monkeypatch), [], Mat.__matmul__
+    tracemalloc.start()
+    try:
+        tor_groups(V, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    built, products, matmul = spy_koszul_rows(monkeypatch), [], Mat.__matmul__
 
     def spy(a, b):
-        products.append(any(x is d for x in (a, b) for _, _, d in built))
+        products.append((a.shape, b.shape))
         return matmul(a, b)
 
     monkeypatch.setattr(Mat, "__matmul__", spy)
     tor_groups(V, 3)
-    pairs = {(n, i) for n, i, _ in built}
+    pairs = {(n, i) for n, i, *_ in built}
     assert any((n, i - 1) in pairs for n, i in pairs)  # some d_i d_{i-1} needed a check
-    assert products and not any(products)
+    dims = V.dims
+    checked = sorted(n - 2 for n, i in pairs if i == 2 and dims[n])
+    assert products == [(((r + 1) * dims[r], dims[r + 1]), (dims[r + 1], (r + 2) * dims[r + 2]))
+                        for r in checked]
+    assert peak < max(d.data.nbytes for *_, d in built)
 
 
 def _gap_module(cat, field, gap, h=6):
@@ -280,11 +281,11 @@ def _gap_module(cat, field, gap, h=6):
 @pytest.mark.parametrize("spec", ("fp:2", "fp:101", "q"))
 def test_tor_across_a_zero_degree(monkeypatch, cat, spec):
     field = parse_field(spec)
-    built = _spy_differentials(monkeypatch)
+    built = spy_koszul_rows(monkeypatch)
     V = _gap_module(cat, field, 1)
     assert V.dims[:4] == ([1, 0, 1, 3] if cat == OI else [1, 0, 2, 6])
     dims = tor_groups(V, 2).dims
-    assert {(n, i) for n, i, _ in built} == _nonzero_pairs(V, 2)
+    assert {(n, i) for n, i, *_ in built} == _nonzero_pairs(V, 2)
     # the degree-0 summand has Tor_i in degree i, read across the gap
     assert dims[1][1] == 1 and dims[2][2] == 1
     assert dims == resolution_tor(V, 2)
@@ -292,7 +293,7 @@ def test_tor_across_a_zero_degree(monkeypatch, cat, spec):
     V = _gap_module(cat, field, 2)
     built.clear()
     assert tor_groups(V, 3).dims == resolution_tor(V, 3)
-    assert {(4, 1), (4, 4)} <= {(n, i) for n, i, _ in built} == _nonzero_pairs(V, 3)
+    assert {(4, 1), (4, 4)} <= {(n, i) for n, i, *_ in built} == _nonzero_pairs(V, 3)
     # every degree is a gap: nothing is built
     V = zero_module(cat, field, 5)
     built.clear()

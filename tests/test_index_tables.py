@@ -5,6 +5,7 @@ generator tables and cover matrices must be identical to theirs, dtype and
 Python entry types included.
 """
 
+import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -162,6 +163,11 @@ def test_hom_is_lex_enumeration_and_hom_index_its_place(cat):
             assert [(m.images, m.labels) for m in homs] == _lex_hom(cat, r, s)
             assert [cat.hom_index(m) for m in homs] == list(range(len(homs)))
         assert cat.hom(s + 1, s) == ()
+    # one batch over every hom set at once, interleaved, in input order
+    homs = [m for s in range(4) for r in range(s + 1) for m in cat.hom(r, s)]
+    random.Random(cat.name).shuffle(homs)
+    assert cat.hom_indices(homs) == [cat.hom_index(m) for m in homs]
+    assert cat.hom_indices([]) == []
 
 
 def test_hom_index_refuses_what_is_not_a_morphism():
@@ -171,6 +177,8 @@ def test_hom_index_refuses_what_is_not_a_morphism():
                            (fig, category.Morphism(1, 2, (2,)), "missing labels")]:
         with pytest.raises(ValueError, match=reason):
             cat.hom_index(m)
+        with pytest.raises(ValueError, match=reason):
+            cat.hom_indices([cat.identity(2), m, cat.identity(1)])
 
 
 def test_ranks_at_larger_degrees():

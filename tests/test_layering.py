@@ -11,6 +11,8 @@ Tor oracle: nothing in the program calls it, and it calls itself only inside
 homology.resolve.  The F_p elimination has one entry, matrices._rref_fp:
 nothing else calls its pivot loop or its unit-row pass, so the pass's gate
 cannot be bypassed or dropped, and the Q elimination reaches neither.
+homology.py ranks its Koszul differentials with the sparse rank and imports
+no private name of matrices.py: the hand-off to a dense echelon stays there.
 Basis maps are routed in matrices.py alone: no other module reads a
 matrix's column array or builds one unchecked, except the free-cover walk
 homology._cover of the tests' Tor oracle, which reads the free generators'
@@ -42,6 +44,7 @@ ORACLE_ROUTE = re.compile(r"(?<!def )\b(resolve|minimal_generators|_cover)\(")
 BASIS_MAP_PARTS = re.compile(r"\b(unit_cols|_basis_map)\b")
 
 FP_KERNEL_PARTS = ("_pivot_loop", "_peel_unit_rows")
+DENSE_KERNELS = ("_rref_fp", "_echelon_q", "_pivot_loop", "_gauss_jordan")
 FP_KERNEL = re.compile(r"(?<!def )\b(%s)\(" % "|".join(FP_KERNEL_PARTS))
 
 
@@ -102,6 +105,18 @@ def test_basis_map_parts_only_in_matrices():
 
 def test_fp_kernel_parts_only_inside_rref_fp():
     assert _offences(FP_KERNEL, _lines_of("matrices.py", "_rref_fp")) == []
+
+
+def test_homology_imports_no_private_matrices_name():
+    text = (SRC / "homology.py").read_text()
+    imported = {alias.name for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.ImportFrom) and node.module == "matrices" for alias in node.names}
+    assert "sparse_rank" in imported  # the walk sees the import itself
+    assert [name for name in imported if name.startswith("_")] == []
+    assert re.findall(r"\b(%s)\b" % "|".join(DENSE_KERNELS), text) == []
+    defined = {node.name for node in ast.parse((SRC / "matrices.py").read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(DENSE_KERNELS) <= defined
 
 
 def _reachable(name, function):
