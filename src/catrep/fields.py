@@ -155,11 +155,11 @@ def parse_field(spec: str):
     raise ValueError(f"unknown field spec {spec!r} (expected 'q' or 'fp:<prime>')")
 
 
-def check_rational_bits(value: int) -> None:
+def check_rational_bits(value: int, limit: int) -> None:
     """Raise RationalOverflowError if an integer of a fraction-free
-    elimination exceeds the configured bit bound."""
+    elimination exceeds limit, the bit bound it read once at its start
+    (rational_bit_limit)."""
     bits = value.bit_length()
-    limit = rational_bit_limit()
     if bits > limit:
         raise RationalOverflowError(
             f"rational entry needs {bits} bits > limit {limit}; "

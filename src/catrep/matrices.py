@@ -21,46 +21,64 @@ the unit vector e_{cols[i]}.  Free-module actions, identities and the
 coordinate complements of quotients are basis maps.  Such a matrix holds
 only its column array (Mat.unit_cols) and builds its dense data the first
 time something reads it.  The tag is set by construction and never found by
-scanning entries: unit_rows with distinct columns, identity, take_rows of a
-basis map and the product of two basis maps are basis maps.  A product
-routes on the tags alone: two basis maps compose their column arrays, a
-basis map on the left gathers rows of the right factor, one on the right
-scatters the columns of the left factor, and only a product of two untagged
-matrices multiplies.  The stacked forms serve a group of generators at
-once: push scatters one matrix into the columns of several basis maps in
-one array, unit_row_maps tags the rows of one column table, and
-stack_row_basis reads the row space of stacked basis maps off their columns.
+scanning entries: an existing matrix is never re-tagged, while unit_rows
+with distinct columns, identity, take_rows of a basis map, the product of
+two basis maps and a canonical basis of unit rows are born basis maps.  A
+product routes on the tags alone: two basis maps compose their column
+arrays, a basis map on the left gathers rows of the right factor, one on the
+right scatters the columns of the left factor, and only a product of two
+untagged matrices multiplies.  The stacked forms serve a group of
+generators at once: push scatters one matrix into the columns of several
+basis maps in one array, unit_row_maps tags the rows of one column table,
+and stack_row_basis reads the row space of stacked basis maps off their
+columns.  A basis map's own row basis and left kernel (none: its rows are
+independent) are read off its columns too.
 
 An F_p product runs on float64 BLAS when its inner dimension k has
 k (p-1)^2 < 2^53: every partial sum is then an integer that float64 holds
-exactly, so the result equals the int64 product.  Past that bound it runs
-on int64, and past k (p-1)^2 >= 2^63 it is refused with a ValueError.
+exactly, so the result equals the int64 product.  Past that bound, and for
+every k <= _SMALL_K, it runs on int64: there numpy's own loop costs less
+than converting both factors to float64 and the result back.  A product
+with k (p-1)^2 >= 2^63 is refused with a ValueError on either path.
 
-F_p elimination takes unit rows as pivots before its pivot loop, the
-singleton step of structured Gaussian elimination (LaMacchia-Odlyzko,
-CRYPTO 1990).  Free-module actions are basis maps, so the stacks that
-closures, left kernels and quotients eliminate are mostly rows with
-one nonzero entry.  Such a row, at column c, puts e_c in the row space: c is
-a pivot of the rref, its row there is e_c, and column c is zero in every
-other row.  So one vectorised pass takes every unit column as a pivot, the
-loop runs once on the other rows restricted to the other columns, and the
-two parts written into one array in pivot order are exactly the rref the
-loop gives on the whole matrix, with no loop iteration per unit row.  The
-pass runs only on a stack with at least _MIN_UNIT_ROWS rows and no fewer
-rows than columns, and only with at least _MIN_UNIT_ROWS unit rows: on wide
-matrices its row count would cost more than it saves, and on tiny matrices
-its assembly outweighs the loop.  Q
-elimination keeps the plain loop: there the pass scans object arrays, and a
-prototype of it made the FI/Q verify battery's median item 4-10% slower.
+Most matrices that F_p elimination sees are combinatorial: stacks of
+actions, witness maps and projections with at most one nonzero entry per
+row or per column.  Their results are read off before any loop runs
+(_read_off, one scan of the nonzero pattern).  Rows with at most one
+nonzero entry each span the unit vectors at their nonzero columns, so the
+rref is those unit rows in ascending column order over zero rows: row_basis
+returns them as a basis map, and echelon, rank and the dense core of the
+sparse rank get them from _rref_fp.  Columns with at most one nonzero entry
+each leave the nonzero rows independent, so the left kernel is the unit
+rows at the zero rows, with neither the transposed echelon nor its null
+rows.  This is the singleton step of structured Gaussian elimination
+(LaMacchia-Odlyzko, CRYPTO 1990) taken whole.  Q elimination scans nothing.
+
+Otherwise F_p elimination takes unit rows as pivots before its pivot loop.
+Such a row, at column c, puts e_c in the row space: c is a pivot of the
+rref, its row there is e_c, and column c is zero in every other row.  So
+one vectorised pass takes every unit column as a pivot, the other rows
+restricted to the other columns are reduced the same way (read off, or
+peeled again, or the loop), and the two parts written into one array in
+pivot order are exactly the rref the loop gives on the whole matrix, with
+no loop iteration per unit row.  The pass runs only on a stack with at
+least _MIN_UNIT_ROWS rows and no fewer rows than columns, and only with at
+least _MIN_UNIT_ROWS unit rows: on wide matrices its row count would cost
+more than it saves, and on tiny matrices its assembly outweighs the loop.
+Q elimination keeps the plain loop: there the pass scans object arrays, and
+a prototype of it made the FI/Q verify battery's median item 4-10% slower.
 
 Rational elimination is fraction-free: rows are cleared to integers up
 front, cross-multiplication updates keep them integral, and each update is
 reduced by its gcd.  One Gauss-Jordan routine serves int64 and
 Python-int arrays: it runs on int64 while entries stay below 2^30 and
-restarts on Python ints when they might not.  Q products clear denominators
-the same way, rows of the left factor and columns of the right one, multiply
-integers and divide back once.  Fractions only appear where a contract
-demands unit pivots (rref) or rational solution entries.
+restarts on Python ints when they might not, and there every pivot row is
+checked against the rational bit limit, read once when the elimination
+starts so that a changed limit applies from the next elimination on.  Q
+products clear denominators the same way, rows of the left factor and
+columns of the right one, multiply integers and divide back once.
+Fractions only appear where a contract demands unit pivots (rref) or
+rational solution entries.
 
 The ranks of sparse matrices, the Koszul differentials of homology, are
 taken on rows held as dicts, column -> entry, with no dense matrix
@@ -163,7 +181,7 @@ def _integral_rows(data):
     return _numerators(data) * (lcms[:, None] // den), lcms
 
 
-def _gauss_jordan(work):
+def _gauss_jordan(work, limit):
     """Fraction-free Gauss-Jordan on an integer array, in place.
 
     Returns (rows, pivots) with primitive rows, positive pivots, zeros above
@@ -188,7 +206,7 @@ def _gauss_jordan(work):
         prow = work[r]
         pv = prow[c]
         if wide:
-            check_rational_bits(np.abs(prow).max())
+            check_rational_bits(np.abs(prow).max(), limit)
         f = work[:, c].copy()
         f[r] = 0
         mask = f != 0
@@ -213,13 +231,14 @@ def _gauss_jordan(work):
 def _echelon_q(data):
     """Canonical echelon form of a Q array, on int64 whenever that is exact."""
     work, _ = _integral_rows(data)
-    if rational_bit_limit() >= 31:
+    limit = rational_bit_limit()
+    if limit >= 31:
         small = _small_ints(work)
         if small is not None:
-            done = _gauss_jordan(small)
+            done = _gauss_jordan(small, limit)
             if done is not None:
                 return done[0].astype(object), done[1]
-    return _gauss_jordan(work)
+    return _gauss_jordan(work, limit)
 
 
 # the unit-row pass scans a stack only when it has at least this many rows
@@ -229,21 +248,39 @@ def _echelon_q(data):
 _MIN_UNIT_ROWS = 8
 
 
+def _read_off(data):
+    """The columns that hold a nonzero entry of data, as a mask, when no row
+    holds two; else None.  Such rows span the unit vectors at those columns."""
+    nonzero = data != 0
+    if np.count_nonzero(nonzero) != np.count_nonzero(nonzero.any(axis=1)):
+        return None
+    return nonzero.any(axis=0)
+
+
 def _rref_fp(data, p):
     """Canonical rref of an F_p residue array: (a fresh array, pivot columns).
 
-    Unit rows are taken as pivots first (_peel_unit_rows); the pivot loop
-    runs once, on what they leave, and both parts are written into one
-    array in pivot order.
+    Rows with at most one nonzero entry each are read off (_read_off).
+    Otherwise unit rows are taken as pivots first (_peel_unit_rows), what
+    they leave is reduced the same way, and both parts are written into one
+    array in pivot order; the pivot loop runs only on what is neither read
+    off nor peeled.
     """
     nr, nc = data.shape
+    hit = _read_off(data)
+    if hit is not None:
+        pivots = np.flatnonzero(hit)
+        out = np.zeros(data.shape, dtype=data.dtype)
+        out[np.arange(len(pivots)), pivots] = 1
+        return out, tuple(pivots.tolist())
     peeled = _peel_unit_rows(data) if nr >= max(nc, _MIN_UNIT_ROWS) else None
     if peeled is None:
         A = data.copy()
         return A, _pivot_loop(A, p)
     unit_col, R = peeled
     rest = np.flatnonzero(~unit_col)
-    sub = rest[list(_pivot_loop(R, p))]
+    R, sub = _rref_fp(R, p)
+    sub = rest[list(sub)]
     is_pivot = unit_col.copy()
     is_pivot[sub] = True
     pivots = np.flatnonzero(is_pivot)
@@ -331,6 +368,7 @@ def sparse_rank(field, rows) -> int:
     """
     fp = field.kind == "fp"
     p = field.p if fp else None
+    limit = None if fp else rational_bit_limit()
     rows = [row if fp else _integral_row(row) for row in rows if row]
     live, nnz, rank = len(rows), sum(map(len, rows)), 0
     active = set().union(*rows)
@@ -364,7 +402,7 @@ def sparse_rank(field, rows) -> int:
         del cols[c]
         ks.discard(k)
         if not fp:
-            check_rational_bits(max(map(abs, prow.values())))
+            check_rational_bits(max(map(abs, prow.values())), limit)
         pv = prow.pop(c)
         for d in prow:
             cols[d].discard(k)
@@ -431,13 +469,20 @@ _FLOAT_EXACT = 1 << 53
 _INT64_EXACT = 1 << 63
 
 
+# a product with inner dimension at most this runs on int64: there numpy's
+# own loop costs less than the three float64 conversions around BLAS
+_SMALL_K = 16
+
+
 def _fp_product(x, y, p):
-    """x @ y mod p for int64 residue arrays: float64 BLAS when exact, else int64.
+    """x @ y mod p for int64 residue arrays: float64 BLAS when exact and the
+    inner dimension is past _SMALL_K, else int64.
 
     Exact whatever order BLAS adds in, since every partial sum is an integer
     below 2^53.  NumPy's int64 @ does not use BLAS.
     """
-    if x.shape[1] * (p - 1) ** 2 < _FLOAT_EXACT:
+    k = x.shape[1]
+    if k > _SMALL_K and k * (p - 1) ** 2 < _FLOAT_EXACT:
         return _float_product(x, y, p)
     return _int64_product(x, y, p)
 
@@ -525,6 +570,16 @@ class Mat:
         m = Mat(field, len(cols), ncols, None)
         m.unit_cols = cols
         return m
+
+    @staticmethod
+    def _unit_basis(field, hit) -> "Mat":
+        """The canonical basis of the span of the unit vectors at the columns
+        where the mask hit holds: those unit rows in ascending order, a basis
+        map carrying its pivots."""
+        cols = np.flatnonzero(hit)
+        basis = Mat._basis_map(field, cols, len(hit))
+        basis.pivots = tuple(cols.tolist())
+        return basis
 
     @staticmethod
     def identity(field, n) -> "Mat":
@@ -622,9 +677,7 @@ class Mat:
             return Mat.vstack(mats).row_basis()
         hit = np.zeros(mats[0].ncols, dtype=bool)
         hit[cols] = True
-        basis = Mat._basis_map(mats[0].field, np.flatnonzero(hit), mats[0].ncols)
-        basis.pivots = tuple(basis.unit_cols.tolist())
-        return basis
+        return Mat._unit_basis(mats[0].field, hit)
 
     def push(self, maps) -> "Mat":
         """The products self @ m, m in the list maps (not empty), row by row:
@@ -698,13 +751,21 @@ class Mat:
         """Canonical basis of the row space (see echelon), carrying its pivots.
 
         A canonical basis, or a matrix with no rows, is its own basis, so
-        asking it again runs no elimination.
+        asking it again runs no elimination.  A basis map's basis is read off
+        its columns (stack_row_basis), and over F_p so is that of rows with at
+        most one nonzero entry each (_read_off).
         """
         if self.pivots is not None:
             return self
         if not self.nrows:
             self.pivots = ()
             return self
+        if self.unit_cols is not None:
+            return Mat.stack_row_basis([self])
+        if self.field.kind == "fp":
+            hit = _read_off(self.data)
+            if hit is not None:
+                return Mat._unit_basis(self.field, hit)
         R, pivots = self.echelon()
         basis = R.take_rows(range(len(pivots)))
         basis.pivots = pivots
@@ -719,8 +780,19 @@ class Mat:
         lead at distinct columns that are zero in every other row.  So they
         are the canonical basis once scaled: over F_p the lead m is 1
         already, over Q each row is divided by its gcd (m stays positive).
+
+        When no column holds two nonzero entries the nonzero rows are
+        independent, and the kernel is read off as the unit rows at the zero
+        rows, a basis map; no echelon runs.  A basis map is such a matrix
+        with no zero row, and over F_p the columns are scanned (_read_off).
         """
         n = self.nrows
+        if self.unit_cols is not None:
+            return Mat._unit_basis(self.field, np.zeros(n, dtype=bool))
+        if self.field.kind == "fp":
+            used = _read_off(self.data.T)
+            if used is not None:
+                return Mat._unit_basis(self.field, ~used)
         R, pivots = Mat(self.field, self.ncols, n, self.data.T[:, ::-1]).echelon()
         if len(pivots) == n:
             return Mat.zeros(self.field, 0, n).row_basis()

@@ -360,10 +360,11 @@ def test_malformed_file_exits_1_at_a_line(tmp_path_factory, case):
 
 def test_inexact_product_exits_1(monkeypatch, files, capsys):
     # with both exactness bounds at 1 every F_p product is refused; that is
-    # a usage error (exit 1), never a violation
+    # a usage error (exit 1), never a violation.  info on this file takes no
+    # dense product, so shift, which does, runs here
     monkeypatch.setattr(matrices, "_FLOAT_EXACT", 1)
     monkeypatch.setattr(matrices, "_INT64_EXACT", 1)
-    code, _, err = run(capsys, "info", files["torsion"])
+    code, _, err = run(capsys, "shift", files["torsion"])
     assert code == 1 and "is not exact in int64" in err
 
 

@@ -535,8 +535,8 @@ def test_int64_elimination_restarts_on_python_ints(monkeypatch):
     calls = []
     original = matrices._gauss_jordan
 
-    def spy(work):
-        out = original(work)
+    def spy(work, limit):
+        out = original(work, limit)
         calls.append((work.dtype == object, out is None))
         return out
 
@@ -598,6 +598,37 @@ def test_fp_product_past_the_float_bound_takes_int64(monkeypatch):
         B = Mat.from_rows(F_BIG, rng.integers(p - 2, p, (k, 3)).tolist(), 3)
         assert (A @ B).data.tolist() == _python_product(A, B)
     assert calls == [("_float_product", 8192), ("_int64_product", 8193)]
+
+
+@pytest.mark.parametrize("field", [F2, F_BIG])
+def test_small_inner_dimension_products_run_on_int64(monkeypatch, field):
+    p = field.p
+    calls = []
+    float_product = matrices._float_product
+    for name in ("_float_product", "_int64_product"):
+        def spy(x, y, q, name=name, original=getattr(matrices, name)):
+            calls.append(name)
+            return original(x, y, q)
+        monkeypatch.setattr(matrices, name, spy)
+    rng = np.random.default_rng(p)
+    for k in range(1, 18):
+        # entries at p - 1 and p - 2 make the longest dot products
+        x, y = rng.integers(max(p - 2, 0), p, (3, k)), rng.integers(max(p - 2, 0), p, (k, 4))
+        got = matrices._fp_product(x, y, p)
+        ref = float_product(x, y, p)
+        assert got.dtype == ref.dtype == np.int64 and got.tolist() == ref.tolist()
+    assert calls == ["_int64_product"] * matrices._SMALL_K + ["_float_product"]
+
+
+def test_small_inner_dimension_product_checks_the_int64_bound(monkeypatch):
+    # the int64 route refuses a product past its bound even where float64
+    # would be exact
+    monkeypatch.setattr(matrices, "_INT64_EXACT", 1)
+    A, B = Mat.from_rows(F101, [[1, 2, 3]]), Mat.from_rows(F101, [[4], [5], [6]])
+    with pytest.raises(ValueError, match=r"F_101 product \(1, 3\) @ \(3, 1\) is not exact in int64"):
+        A @ B
+    k = matrices._SMALL_K + 1
+    assert (Mat.from_rows(F101, [[1] * k]) @ Mat.from_rows(F101, [[1]] * k)).data.tolist() == [[k]]
 
 
 def test_fp_product_past_the_int64_bound_is_refused():
@@ -747,29 +778,23 @@ def test_unit_row_pass_matches_the_pivot_loop(stack):
 
 
 @pytest.mark.parametrize("kind, degree, horizon", [("fi", 3, 6), ("oi", 7, 9)])
-def test_skip_map_stacks_of_a_free_module_run_the_pivot_loop_on_no_unit_row(monkeypatch, kind, degree, horizon):
+def test_skip_map_stacks_of_a_free_module_are_read_off(monkeypatch, kind, degree, horizon):
     # above the generator's degree every stack of skip-map actions (the dense
-    # route m_span takes on matrices that are not basis maps) is unit rows
-    # only, and at least as big as the gate: the unit-row pass takes all of
-    # them and leaves the loop nothing
-    peeled, loop_unit_rows = [], []
-    peel, loop = matrices._peel_unit_rows, matrices._pivot_loop
-
-    def spy_peel(data):
-        out = peel(data)
-        peeled.append(out is not None)
-        return out
-
-    def spy_loop(A, p):
-        loop_unit_rows.append(int((np.count_nonzero(A, axis=1) == 1).sum()))
-        return loop(A, p)
-
-    monkeypatch.setattr(matrices, "_peel_unit_rows", spy_peel)
-    monkeypatch.setattr(matrices, "_pivot_loop", spy_loop)
+    # route m_span takes on matrices that are not basis maps) has one nonzero
+    # per row: its row basis is read off as a basis map, and neither the
+    # unit-row pass nor the pivot loop runs
+    calls = []
+    for name in ("_peel_unit_rows", "_pivot_loop"):
+        def spy(*args, name=name, original=getattr(matrices, name)):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(matrices, name, spy)
     V = free_module(make_category(kind), F101, degree, horizon)
     above = range(degree + 1, horizon + 1)
-    spans = [Mat.vstack([V.gens[g] for g in V.cat.step_generators(t - 1)]).row_basis() for t in above]
-    assert peeled == [True] * (horizon - degree)
-    assert loop_unit_rows == [0] * (horizon - degree)
+    stacks = [Mat.vstack([V.gens[g] for g in V.cat.step_generators(t - 1)]) for t in above]
+    assert all((np.count_nonzero(s.data, axis=1) == 1).all() for s in stacks)
+    spans = [s.row_basis() for s in stacks]
+    assert calls == []
     for t, span in zip(above, spans):
+        assert span.unit_cols is not None and span.pivots == tuple(range(V.dims[t]))
         assert span == Mat.identity(F101, V.dims[t])

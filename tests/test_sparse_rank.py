@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catrep import matrices
+from catrep import fields, matrices
 from catrep.category import make_category
 from catrep.fields import RationalOverflowError, parse_field
 from catrep.homology import tor_groups
@@ -153,3 +153,32 @@ def test_q_pivot_rows_are_checked_against_the_bit_limit(monkeypatch):
         sparse_rank(QQ, [{0: 1, 1: 1000, 2: 1}, {0: 1000, 1: 1, 2: 3}])
     assert sparse_rank(QQ, [{0: 1, 1: 100, 2: 1}, {0: 100, 1: 1, 2: 3}]) == 2  # 10^4 - 1 fits
     assert not core
+
+
+def test_bit_limit_is_read_once_per_elimination(monkeypatch):
+    # the sparse rank and the dense Q echelon each read the limit once, at
+    # their start; a value set between two calls applies to the second
+    reads = []
+    original = fields.rational_bit_limit
+
+    def spy():
+        reads.append(1)
+        return original()
+
+    monkeypatch.setattr(fields, "rational_bit_limit", spy)
+    monkeypatch.setattr(matrices, "rational_bit_limit", spy)
+    QQ = parse_field("q")
+    rows = [[1, 1000, 1], [1000, 1, 3], [7, 5, 11]]  # three pivot rows
+    monkeypatch.setenv("CATREP_MAX_RATIONAL_BITS", "30")  # below 31: Python ints, checked
+    assert sparse_rank(QQ, [dict(enumerate(r)) for r in rows]) == 3
+    assert len(reads) == 1
+    assert len(Mat.from_rows(QQ, rows).echelon()[1]) == 3
+    assert len(reads) == 2
+    assert sparse_rank(parse_field("fp:101"), [dict(enumerate(r)) for r in rows]) == 3
+    assert len(reads) == 2  # F_p reads no limit
+    monkeypatch.setenv("CATREP_MAX_RATIONAL_BITS", "16")
+    with pytest.raises(RationalOverflowError):
+        sparse_rank(QQ, [dict(enumerate(r)) for r in rows])
+    with pytest.raises(RationalOverflowError):
+        Mat.from_rows(QQ, rows).echelon()
+    assert len(reads) == 4
