@@ -29,6 +29,7 @@ from .homology import (
     tor_groups,
     verify_theorems,
 )
+from .matrices import NotInSpan
 from .presentations import (
     PresentationError,
     build_module,
@@ -143,7 +144,7 @@ def main(argv=None) -> int:
     except HorizonExhausted as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (VerificationViolation, InvariantViolation) as exc:
+    except (VerificationViolation, InvariantViolation, NotInSpan) as exc:  # NotInSpan: a family is not stable
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except AssertionError as exc:

@@ -11,8 +11,9 @@ built.  No d_i is built dense: a row of it has only i nonzero blocks, so
 it is built as sparse rows (_koszul_rows) from its face pattern, which
 depends only on (n, i) (_faces), and the nonzeros of the step generator
 actions of its source degree and of their negatives, read once per call
-(_row_entries).  matrices.sparse_rank ranks it by Markowitz-ordered
-elimination and hands a dense rest to the dense echelon.  Every block of
+(_row_entries).  matrices.sparse_rank ranks it by elimination in
+ascending column order, which suits rows that arrive copy-major in lex face
+order, and over F_p hands a dense rest to the dense echelon.  Every block of
 d_i d_{i-1} is +-(act(s_p) act(s_{q+1}) - act(s_q) act(s_p)) for step
 generators s out of n-i and n-i+1, so d o d = 0 is checked on those
 cosimplicial identities, once per source degree (_step_identities_hold).
@@ -257,8 +258,8 @@ def tor_groups(V: TruncatedModule, depth: int) -> HomologyReport:
     with V_{n-i} or V_{n-i+1} zero has rank 0 and is not built.  Each other
     d_i is built as sparse rows from the nonzeros of the step generator
     actions out of r = n - i (and of their negatives), read once per r, and
-    ranked sparse (matrices.sparse_rank), with a dense core once pivots
-    stop being cheap.  d_i d_{i-1} = 0 is certified wherever both
+    ranked sparse (matrices.sparse_rank), over F_p with a dense core once
+    pivots stop being cheap.  d_i d_{i-1} = 0 is certified wherever both
     differentials are built, which is every pair whose terms are all
     nonzero (one with an empty term composes to zero): the product vanishes
     exactly when the step generators' identities hold at r = n - i

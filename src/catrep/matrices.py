@@ -82,26 +82,28 @@ rational solution entries.
 
 The ranks of sparse matrices, the Koszul differentials of homology, are
 taken on rows held as dicts, column -> entry, with no dense matrix
-(sparse_rank).  Pivots go in Markowitz order (Markowitz, Management
-Science 3, 1957): the active column with the fewest entries, from a heap of
-column counts checked when popped, and that column's shortest row, so
-singleton columns go first and update nothing.  Updates are mod p over
-F_p, and fraction-free over Q as above, each pivot row checked against the
-rational bit limit.  Fill-in can make pivots dear: once the next pivot
-would update more than _CORE_MARKOWITZ entries while at least one active
-cell in _CORE_DENSITY is nonzero, the active rows and columns go to the
-dense echelon of their backend, and a matrix that dense from the start
-goes there at once.  Live nonzeros, rows and columns are counted as the
-loop goes, so that test costs O(1).  This is structured Gaussian
-elimination (LaMacchia-Odlyzko) as used for ranks of sparse matrices over
-finite fields (Dumas-Villard, CASC 2002).  The loop is plain Python: a
-Koszul differential takes about ten pivots, so numpy's per-call overhead
-would decide the cost.
+(sparse_rank).  Pivots go in ascending column order, each on the shortest
+row holding its column, in one pass over the sorted columns; fill-in only
+lands right of the column being pivoted.  The rows are Koszul rows that
+arrive copy-major in lex face order, and on that traffic column order was
+never slower than Markowitz order (the fewest entries first, from a heap of
+column counts) and often faster.
+Updates are mod p over F_p, and fraction-free over Q as above, each pivot
+row checked against the rational bit limit.  Over F_p, fill-in from dense
+actions can make pivots dear: once the next pivot would update more than
+_CORE_MARKOWITZ entries while at least one active cell in _CORE_DENSITY is
+nonzero, the active rows and columns go to the dense echelon, and a matrix
+that dense from the start goes there at once (structured Gaussian
+elimination, LaMacchia-Odlyzko, CRYPTO 1990).  Live nonzeros, rows and
+columns are counted as the loop goes, so that test costs O(1).  Over Q the
+fraction-free loop finishes the work: handing the rest to the dense Q
+echelon made changed-basis Koszul ranks 1.4-3x slower.  The loop is plain
+Python: a Koszul differential takes about ten pivots, so numpy's per-call
+overhead would decide the cost.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
@@ -345,9 +347,9 @@ def _echelon(m):
     return _echelon_q(m.data)
 
 
-# the sparse rank hands its active rows and columns to the dense echelon at
-# the first pivot that would update more than _CORE_MARKOWITZ entries while
-# at least one active cell in _CORE_DENSITY is nonzero
+# over F_p the sparse rank hands its active rows and columns to the dense
+# echelon at the first pivot that would update more than _CORE_MARKOWITZ
+# entries while at least one active cell in _CORE_DENSITY is nonzero
 _CORE_MARKOWITZ = 64
 _CORE_DENSITY = 4
 
@@ -356,24 +358,24 @@ def sparse_rank(field, rows) -> int:
     """Rank of the matrix whose rows are the dicts rows, column -> nonzero
     entry in storage form.  The dicts are consumed.
 
-    Pivots go in Markowitz order: the active column with the fewest
-    entries, from a heap of column counts that is checked when popped, and
-    that column's shortest row.  The pivot row is cleared from every other
-    row of its column, mod p over F_p, fraction-free over Q (rows cleared to
-    integers, each update divided by its gcd, each pivot row checked against
-    the rational bit limit).  Once a pivot is dear and the active part dense
-    (_CORE_MARKOWITZ, _CORE_DENSITY), what is left goes to the dense
-    echelon (_core_rank); a matrix with more than _CORE_MARKOWITZ entries
-    that is that dense from the start goes there at once.
+    Pivots go in ascending column order, each on the shortest row holding
+    the column.  One sorted pass over the columns is exact: every column
+    left of a pivot row's is pivoted (and so cleared from every other row)
+    or empty when visited, and an empty column is never filled again, so
+    fill-in lands right of the visited column only.  The pivot row is
+    cleared from every other row of its column, mod p over F_p,
+    fraction-free over Q (rows cleared to integers, each update divided by
+    its gcd, each pivot row checked against the rational bit limit).  Over
+    F_p, once a pivot is dear and the active part dense (_CORE_MARKOWITZ,
+    _CORE_DENSITY), what is left goes to the dense echelon (_core_rank); a
+    matrix with more than _CORE_MARKOWITZ entries that is that dense from
+    the start goes there at once.  Over Q the loop finishes the work.
     """
     fp = field.kind == "fp"
     p = field.p if fp else None
     limit = None if fp else rational_bit_limit()
     rows = [row if fp else _integral_row(row) for row in rows if row]
     live, nnz, rank = len(rows), sum(map(len, rows)), 0
-    active = set().union(*rows)
-    if nnz > _CORE_MARKOWITZ and nnz * _CORE_DENSITY >= live * len(active):
-        return _core_rank(field, rows, active)
     cols = {}  # active column -> the rows holding it
     for k, row in enumerate(rows):
         for c in row:
@@ -381,19 +383,15 @@ def sparse_rank(field, rows) -> int:
                 cols[c].add(k)
             else:
                 cols[c] = {k}
-    heap = [(len(ks), c) for c, ks in cols.items()]
-    heapq.heapify(heap)
-    while heap:
-        count, c = heapq.heappop(heap)
+    if fp and nnz > _CORE_MARKOWITZ and nnz * _CORE_DENSITY >= live * len(cols):
+        return _core_rank(field, rows, cols)
+    for c in sorted(cols):
         ks = cols.get(c)
         if ks is None:
             continue
-        if len(ks) != count:
-            heapq.heappush(heap, (len(ks), c))
-            continue
         k = min(ks, key=lambda j: len(rows[j]))
         prow = rows[k]
-        if (count - 1) * (len(prow) - 1) > _CORE_MARKOWITZ and nnz * _CORE_DENSITY >= live * len(cols):
+        if fp and (len(ks) - 1) * (len(prow) - 1) > _CORE_MARKOWITZ and nnz * _CORE_DENSITY >= live * len(cols):
             return rank + _core_rank(field, rows, cols)
         rank += 1
         live -= 1
@@ -439,9 +437,7 @@ def sparse_rank(field, rows) -> int:
             if not row:
                 live -= 1
         for d in prow:
-            if cols[d]:
-                heapq.heappush(heap, (len(cols[d]), d))
-            else:
+            if not cols[d]:
                 del cols[d]
     return rank
 
@@ -453,14 +449,14 @@ def _integral_row(row):
 
 
 def _core_rank(field, rows, cols):
-    """Rank of the nonempty rows of sparse_rank on the columns cols, which
-    hold all their entries, from one dense echelon."""
+    """Rank of the nonempty F_p rows of sparse_rank on the columns cols,
+    which hold all their entries, from one dense echelon."""
     live = [row for row in rows if row]
     place = dict(zip(cols, range(len(cols))))
-    A = np.zeros((len(live), len(cols)), dtype=_dtype(field))
+    A = np.zeros((len(live), len(cols)), dtype=np.int64)
     at = np.repeat(np.arange(len(live)), list(map(len, live)))
     A[at, [place[c] for row in live for c in row]] = [v for row in live for v in row.values()]
-    return len(_echelon(Mat(field, *A.shape, A))[1])
+    return len(_rref_fp(A, field.p)[1])
 
 
 # a product of residues in [0, p) with inner dimension k has partial sums
@@ -538,7 +534,7 @@ class Mat:
     spans by ``field.kind``.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_data", "pivots", "unit_cols", "_npdata", "_off_pivots")
+    __slots__ = ("field", "nrows", "ncols", "_data", "pivots", "unit_cols", "_npdata")
 
     def __init__(self, field, nrows, ncols, data):
         self.field = field
@@ -548,7 +544,6 @@ class Mat:
         self.pivots = None  # pivot columns, set only on a canonical row basis
         self.unit_cols = None  # column per row, set only on a basis map (_basis_map)
         self._npdata = _UNSET  # lazily computed int64 copy (Q fast path)
-        self._off_pivots = None  # (columns outside the pivots, block of them) for _product_equals
 
     @property
     def data(self):
@@ -904,15 +899,9 @@ def _null_rows(R, pivots, n):
 
 
 def _product_equals(X: Mat, B: Mat, M: Mat) -> bool:
-    """X @ B == M on the columns of the canonical basis B outside its pivots.
-
-    The block of those columns is kept on B: callers check many row blocks
-    against one basis, and the block keeps its int64 copy across them.
-    """
-    if B._off_pivots is None:
-        other = _non_pivots(B.ncols, B.pivots)
-        B._off_pivots = (other, Mat(B.field, B.nrows, len(other), B.data.take(other, axis=1)))
-    other, B_other = B._off_pivots
+    """X @ B == M on the columns of the canonical basis B outside its pivots."""
+    other = _non_pivots(B.ncols, B.pivots)
     if not other:
         return True
+    B_other = Mat(B.field, B.nrows, len(other), B.data.take(other, axis=1))
     return bool(np.array_equal((X @ B_other).data, M.data.take(other, axis=1)))

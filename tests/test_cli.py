@@ -19,7 +19,7 @@ from catrep.cli import main
 from catrep.corpus import FUZZ_PROFILE, sample_presentation
 from catrep.fields import QQ, parse_field
 from catrep.homology import VerificationViolation
-from catrep.matrices import Mat
+from catrep.matrices import Mat, NotInSpan
 from catrep.presentations import emit_presentation_text
 from catrep.reports import make_report, to_json
 from catrep.shift import un_chain
@@ -486,6 +486,13 @@ def test_exit_codes(files, capsys, monkeypatch, tmp_path):
     with monkeypatch.context() as m:
         m.setattr(cli, "tor_groups", _raises(VerificationViolation("lemma")))
         assert run(capsys, "homology", files["torsion"])[0] == 3
+    # 3 also when a family the program built is not action-stable: a row
+    # falls outside the span it is expressed in
+    with monkeypatch.context() as m:
+        m.setattr(Mat, "express_rows", _raises(NotInSpan("row outside the span of the basis")))
+        code, _, err = run(capsys, "shift", files["torsion"])
+    assert code == cli.EXIT_VIOLATION
+    assert err == "violation: row outside the span of the basis\n"
     # 4: a bare assertion is a bug in the program, not a counterexample
     with monkeypatch.context() as m:
         m.setattr(cli, "tor_groups", _raises(AssertionError("broken")))
