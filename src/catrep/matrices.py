@@ -43,30 +43,25 @@ with k (p-1)^2 >= 2^63 is refused with a ValueError on either path.
 
 Most matrices that F_p elimination sees are combinatorial: stacks of
 actions, witness maps and projections with at most one nonzero entry per
-row or per column.  Their results are read off before any loop runs
-(_read_off, one scan of the nonzero pattern).  Rows with at most one
-nonzero entry each span the unit vectors at their nonzero columns, so the
-rref is those unit rows in ascending column order over zero rows: row_basis
-returns them as a basis map, and echelon, rank and the dense core of the
-sparse rank get them from _rref_fp.  Columns with at most one nonzero entry
-each leave the nonzero rows independent, so the left kernel is the unit
-rows at the zero rows, with neither the transposed echelon nor its null
-rows.  This is the singleton step of structured Gaussian elimination
-(LaMacchia-Odlyzko, CRYPTO 1990) taken whole.  Q elimination scans nothing.
-
-Otherwise F_p elimination takes unit rows as pivots before its pivot loop.
-Such a row, at column c, puts e_c in the row space: c is a pivot of the
-rref, its row there is e_c, and column c is zero in every other row.  So
-one vectorised pass takes every unit column as a pivot, the other rows
-restricted to the other columns are reduced the same way (read off, or
-peeled again, or the loop), and the two parts written into one array in
-pivot order are exactly the rref the loop gives on the whole matrix, with
-no loop iteration per unit row.  The pass runs only on a stack with at
-least _MIN_UNIT_ROWS rows and no fewer rows than columns, and only with at
-least _MIN_UNIT_ROWS unit rows: on wide matrices its row count would cost
-more than it saves, and on tiny matrices its assembly outweighs the loop.
-Q elimination keeps the plain loop: there the pass scans object arrays, and
-a prototype of it made the FI/Q verify battery's median item 4-10% slower.
+row or per column.  One scan of the nonzero pattern (_unit_row_scan) finds
+the unit rows, those with one nonzero entry.  A unit row at column c puts
+e_c in the row space: c is a pivot of the rref with row e_c, and column c
+is zero in every other row.  With no row holding two, the rref is read off,
+unit rows in ascending column order over zero rows: row_basis returns them
+as a basis map, and echelon, rank and the sparse rank's dense core get them
+from _rref_fp.  Scanned on the transpose, columns with at most one nonzero
+each leave the nonzero rows independent, so the left kernel is read off as
+the unit rows at the zero rows.  Otherwise one vectorised pass takes every
+unit column as a pivot, and the rows with two or more nonzeros, on the other
+columns, are reduced the same way; written into one array in pivot order,
+the parts are exactly the rref the loop gives, with no loop iteration per
+unit row.  The pass runs only on a stack of at least _MIN_UNIT_ROWS rows, no
+fewer rows than columns and at least _MIN_UNIT_ROWS unit rows: on wide
+matrices its row count would cost more than it saves, and on tiny ones its
+assembly outweighs the loop.  This is the singleton step of structured
+Gaussian elimination (LaMacchia-Odlyzko, CRYPTO 1990).  Q elimination scans
+nothing and keeps the plain loop: a prototype of the pass on object arrays
+made the FI/Q verify battery's median item 4-10% slower.
 
 Rational elimination is fraction-free: rows are cleared to integers up
 front, cross-multiplication updates keep them integral, and each update is
@@ -243,45 +238,46 @@ def _echelon_q(data):
     return _gauss_jordan(work, limit)
 
 
-# the unit-row pass scans a stack only when it has at least this many rows
-# and no fewer rows than columns, and peels it only when at least this many
-# of its rows are unit rows: below that its half-dozen whole-array passes
-# cost more than the pivot loop iterations they save
+# the unit-row pass runs only on a stack with at least this many rows and no
+# fewer rows than columns, and only when at least this many of its rows are
+# unit rows: below that its half-dozen whole-array passes cost more than the
+# pivot loop iterations they save
 _MIN_UNIT_ROWS = 8
 
 
-def _read_off(data):
-    """The columns that hold a nonzero entry of data, as a mask, when no row
-    holds two; else None.  Such rows span the unit vectors at those columns."""
+def _unit_row_scan(data):
+    """(columns, counts) from one scan of data's nonzero pattern: the
+    columns where some row's only nonzero entry sits, as a mask, and each
+    row's number of nonzero entries.  When no row holds two, counts is None
+    and the columns are all that hold a nonzero entry: the rows read off."""
     nonzero = data != 0
-    if np.count_nonzero(nonzero) != np.count_nonzero(nonzero.any(axis=1)):
-        return None
-    return nonzero.any(axis=0)
+    hit = nonzero.any(axis=1)
+    if np.count_nonzero(nonzero) == np.count_nonzero(hit):
+        return nonzero.any(axis=0), None
+    counts = nonzero.sum(axis=1)
+    return nonzero[counts == 1].any(axis=0), counts
 
 
 def _rref_fp(data, p):
     """Canonical rref of an F_p residue array: (a fresh array, pivot columns).
 
-    Rows with at most one nonzero entry each are read off (_read_off).
-    Otherwise unit rows are taken as pivots first (_peel_unit_rows), what
-    they leave is reduced the same way, and both parts are written into one
-    array in pivot order; the pivot loop runs only on what is neither read
-    off nor peeled.
+    One scan (_unit_row_scan) routes it: rows with at most one nonzero entry
+    each are read off; past the _MIN_UNIT_ROWS gate the unit rows are pivots
+    and the rows with two or more nonzeros, on the other columns, are reduced
+    the same way; the pivot loop takes what the gate turns away.
     """
     nr, nc = data.shape
-    hit = _read_off(data)
-    if hit is not None:
-        pivots = np.flatnonzero(hit)
+    unit_col, counts = _unit_row_scan(data)
+    if counts is None:
+        pivots = np.flatnonzero(unit_col)
         out = np.zeros(data.shape, dtype=data.dtype)
         out[np.arange(len(pivots)), pivots] = 1
         return out, tuple(pivots.tolist())
-    peeled = _peel_unit_rows(data) if nr >= max(nc, _MIN_UNIT_ROWS) else None
-    if peeled is None:
+    if nr < max(nc, _MIN_UNIT_ROWS) or np.count_nonzero(counts == 1) < _MIN_UNIT_ROWS:
         A = data.copy()
         return A, _pivot_loop(A, p)
-    unit_col, R = peeled
     rest = np.flatnonzero(~unit_col)
-    R, sub = _rref_fp(R, p)
+    R, sub = _rref_fp(data[np.ix_(np.flatnonzero(counts > 1), rest)], p)
     sub = rest[list(sub)]
     is_pivot = unit_col.copy()
     is_pivot[sub] = True
@@ -291,24 +287,6 @@ def _rref_fp(data, p):
     out[np.flatnonzero(unit_row), pivots[unit_row]] = 1
     out[np.ix_(np.flatnonzero(~unit_row), rest)] = R[:len(sub)]
     return out, tuple(pivots.tolist())
-
-
-def _peel_unit_rows(data):
-    """(unit columns as a mask, residual), or None when data has fewer than
-    _MIN_UNIT_ROWS unit rows.
-
-    A row with one nonzero entry, at column c, puts e_c in the row space, so
-    c is a pivot with row e_c and column c is zero in every other row.  The
-    residual is the other rows on the other columns: reducing them by the
-    e_c only clears the unit columns.
-    """
-    nonzero = data != 0
-    unit = nonzero.sum(axis=1) == 1
-    if unit.sum() < _MIN_UNIT_ROWS:
-        return None
-    unit_col = nonzero[unit].any(axis=0)
-    del nonzero  # only the residual is built beside the input
-    return unit_col, data[np.ix_(np.flatnonzero(~unit), np.flatnonzero(~unit_col))]
 
 
 def _pivot_loop(A, p):
@@ -748,7 +726,7 @@ class Mat:
         A canonical basis, or a matrix with no rows, is its own basis, so
         asking it again runs no elimination.  A basis map's basis is read off
         its columns (stack_row_basis), and over F_p so is that of rows with at
-        most one nonzero entry each (_read_off).
+        most one nonzero entry each, by the scan _rref_fp routes on.
         """
         if self.pivots is not None:
             return self
@@ -758,8 +736,8 @@ class Mat:
         if self.unit_cols is not None:
             return Mat.stack_row_basis([self])
         if self.field.kind == "fp":
-            hit = _read_off(self.data)
-            if hit is not None:
+            hit, counts = _unit_row_scan(self.data)
+            if counts is None:
                 return Mat._unit_basis(self.field, hit)
         R, pivots = self.echelon()
         basis = R.take_rows(range(len(pivots)))
@@ -779,14 +757,15 @@ class Mat:
         When no column holds two nonzero entries the nonzero rows are
         independent, and the kernel is read off as the unit rows at the zero
         rows, a basis map; no echelon runs.  A basis map is such a matrix
-        with no zero row, and over F_p the columns are scanned (_read_off).
+        with no zero row, and over F_p _rref_fp's scan finds the others on
+        the transpose (_unit_row_scan).
         """
         n = self.nrows
         if self.unit_cols is not None:
             return Mat._unit_basis(self.field, np.zeros(n, dtype=bool))
         if self.field.kind == "fp":
-            used = _read_off(self.data.T)
-            if used is not None:
+            used, counts = _unit_row_scan(self.data.T)
+            if counts is None:
                 return Mat._unit_basis(self.field, ~used)
         R, pivots = Mat(self.field, self.ncols, n, self.data.T[:, ::-1]).echelon()
         if len(pivots) == n:

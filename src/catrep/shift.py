@@ -41,23 +41,27 @@ class HorizonExhausted(Exception):
 
 
 def shift_module(V: TruncatedModule) -> TruncatedModule:
-    """SV with (SV)_t = V_{t+1}; horizon drops by one."""
+    """SV with (SV)_t = V_{t+1}; horizon drops by one.
+
+    The self-embedding sends every stored generator to a stored generator,
+    so SV's action table is V's table re-indexed: no product is formed."""
     if V.horizon < 0:
         raise ValueError("shift needs horizon >= 0")
     cat = V.cat
     h = V.horizon - 1
     dims = [V.dims[t + 1] for t in range(h + 1)]
-    gens = {g: V.act(cat.embed(g)) for g in cat.generators(h)}
+    gens = {g: V.gens[cat.embed(g)] for g in cat.generators(h)}
     return TruncatedModule(cat, V.field, h, dims, gens)
 
 
 def mu_map(V: TruncatedModule, SV: TruncatedModule | None = None) -> ModuleMap:
-    """The natural map V -> SV acting by the witness family m_t."""
+    """The natural map V -> SV acting by the witness family m_t, each a step
+    generator and so an entry of V's action table."""
     if V.horizon < 0:
         raise ValueError("mu needs horizon >= 0")
     if SV is None:
         SV = shift_module(V)
-    mats = [V.act(V.cat.mu_witness(t)) for t in range(V.horizon)]
+    mats = [V.gens[V.cat.mu_witness(t)] for t in range(V.horizon)]
     return ModuleMap(V, SV, mats)
 
 

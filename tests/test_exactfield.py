@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -725,7 +726,8 @@ def unit_row_stack(draw):
     unit-row gate, with rows planted in it: unit rows at random columns and
     scales, rescaled copies of them, rows with one entry at a planted unit
     column and one elsewhere (unit once the unit columns are dropped), zero
-    rows, or a stack of unit rows only."""
+    rows; or a stack of unit rows only, or of unit rows, their copies and
+    such two-entry rows, which the unit-row pass takes more often."""
     p = draw(st.sampled_from((2, 3, 101)))
     lo = matrices._MIN_UNIT_ROWS
     nr = draw(st.integers(lo, 3 * lo))
@@ -739,7 +741,7 @@ def unit_row_stack(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from((0.1, 0.3, 0.8)))
     A = np.where(rng.random((nr, nc)) < density, rng.integers(1, p, (nr, nc)), 0)
-    pool = ("unit", "copy") if draw(st.booleans()) else ROW_KINDS
+    pool = draw(st.sampled_from((("unit", "copy"), ("unit", "copy", "two"), ROW_KINDS)))
     planted = []
     for i, kind in enumerate(draw(st.lists(st.sampled_from(pool), min_size=nr, max_size=nr))):
         if kind == "random":
@@ -777,14 +779,61 @@ def test_unit_row_pass_matches_the_pivot_loop(stack):
     assert pivots == ref_pivots and all(type(c) is int for c in pivots)
 
 
+def _scans_per_level(A, p):
+    """_rref_fp(A, p) with a spy: (input, the arrays its scan was given) for
+    each _rref_fp call, recursive levels included, in call order."""
+    rref, scan, levels, open_levels = matrices._rref_fp, matrices._unit_row_scan, [], []
+
+    def level(data, p):
+        open_levels.append((data, []))
+        levels.append(open_levels[-1])
+        try:
+            return rref(data, p)
+        finally:
+            open_levels.pop()
+
+    def scanned(data):
+        open_levels[-1][1].append(data)
+        return scan(data)
+
+    with mock.patch.object(matrices, "_rref_fp", level), mock.patch.object(matrices, "_unit_row_scan", scanned):
+        matrices._rref_fp(A, p)
+    return levels
+
+
+def _each_level_scans_its_input_once(levels):
+    assert levels
+    for data, scans in levels:
+        assert len(scans) == 1 and scans[0] is data
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_row_stack())
+def test_each_rref_level_scans_its_input_once(stack):
+    _each_level_scans_its_input_once(_scans_per_level(*stack))
+
+
+def test_the_residual_level_scans_its_input_once():
+    # eight unit rows and three rows with two nonzero entries, one of them
+    # at a unit column: the pass, then the read-off of its residual
+    A = np.zeros((12, 10), dtype=np.int64)
+    A[np.arange(8), np.arange(8)] = np.arange(1, 9)
+    A[8, [0, 8]] = (3, 5)
+    A[9, [1, 8]] = (4, 7)
+    A[10, [2, 9]] = (1, 1)
+    levels = _scans_per_level(A, 101)
+    assert [data.shape for data, _ in levels] == [(12, 10), (3, 2)]
+    _each_level_scans_its_input_once(levels)
+
+
 @pytest.mark.parametrize("kind, degree, horizon", [("fi", 3, 6), ("oi", 7, 9)])
 def test_skip_map_stacks_of_a_free_module_are_read_off(monkeypatch, kind, degree, horizon):
     # above the generator's degree every stack of skip-map actions (the dense
     # route m_span takes on matrices that are not basis maps) has one nonzero
-    # per row: its row basis is read off as a basis map, and neither the
-    # unit-row pass nor the pivot loop runs
+    # per row: its row basis is read off as a basis map, and no elimination
+    # runs, neither _rref_fp (which holds the unit-row pass) nor the pivot loop
     calls = []
-    for name in ("_peel_unit_rows", "_pivot_loop"):
+    for name in ("_rref_fp", "_pivot_loop"):
         def spy(*args, name=name, original=getattr(matrices, name)):
             calls.append(name)
             return original(*args)

@@ -192,6 +192,17 @@ def test_ranks_at_larger_degrees():
     assert fi._ranks(3, 6, images, labels).tolist() == list(range(fi.hom_count(3, 6)))
 
 
+@pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
+def test_shift_and_mu_are_entries_of_the_action_table(cat):
+    # shift_module and mu_map read V.gens with no act: the self-embedding
+    # sends every stored generator to a stored one, and each mu witness is a
+    # step generator
+    for h in range(7):
+        stored = set(cat.generators(h + 1))
+        assert all(cat.embed(g) in stored for g in cat.generators(h))
+        assert cat.mu_witness(h) in cat.step_generators(h)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 @pytest.mark.parametrize("cat", TABLE_CATS, ids=lambda c: c.name)
 def test_act_matches_product_along_a_word(cat, field):

@@ -9,8 +9,10 @@ as index arrays, so neither trunc.py nor homology.py enumerates one.  The
 free resolution route (resolve, minimal_generators, _cover) is the tests'
 Tor oracle: nothing in the program calls it, and it calls itself only inside
 homology.resolve.  The F_p elimination has one entry, matrices._rref_fp:
-nothing else calls its pivot loop or its unit-row pass, so the pass's gate
-cannot be bypassed or dropped, and the Q elimination reaches neither.
+nothing else calls its pivot loop, so the unit-row gate before it cannot be
+bypassed or dropped.  The one scan it routes on, _unit_row_scan, is called
+only there and by Mat.row_basis and Mat.left_kernel for their read-offs,
+and the Q elimination reaches neither the scan nor the loop.
 homology.py ranks its Koszul differentials with the sparse rank and imports
 no private name of matrices.py: the hand-off to a dense echelon stays there.
 Basis maps are routed in matrices.py alone: no other module reads a
@@ -43,9 +45,11 @@ ORACLE_ROUTE = re.compile(r"(?<!def )\b(resolve|minimal_generators|_cover)\(")
 
 BASIS_MAP_PARTS = re.compile(r"\b(unit_cols|_basis_map)\b")
 
-FP_KERNEL_PARTS = ("_pivot_loop", "_peel_unit_rows")
+FP_KERNEL_PARTS = ("_pivot_loop",)
 DENSE_KERNELS = ("_rref_fp", "_echelon_q", "_pivot_loop", "_gauss_jordan")
 FP_KERNEL = re.compile(r"(?<!def )\b(%s)\(" % "|".join(FP_KERNEL_PARTS))
+UNIT_ROW_SCAN = re.compile(r"(?<!def )\b_unit_row_scan\(")
+UNIT_ROW_SCAN_CALLERS = ("_rref_fp", "Mat.row_basis", "Mat.left_kernel")
 
 
 def _offences(pattern, allowed):
@@ -58,9 +62,12 @@ def _offences(pattern, allowed):
 
 
 def _lines_of(name, function):
-    """The (file, line) places of a top-level function of src/catrep/name."""
-    tree = ast.parse((SRC / name).read_text())
-    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    """The (file, line) places of a function of src/catrep/name: a top-level
+    one, or a method named Class.method."""
+    body = ast.parse((SRC / name).read_text()).body
+    for part in function.split("."):
+        node = next(n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == part)
+        body = node.body
     return {(name, k) for k in range(node.lineno, node.end_lineno + 1)}
 
 
@@ -75,6 +82,9 @@ def test_patterns_match_where_they_are_allowed():
     assert ORACLE_ROUTE.search((SRC / "homology.py").read_text())
     assert not ORACLE_ROUTE.search("resolve_coefficients(pres, field)")
     assert set(FP_KERNEL.findall((SRC / "matrices.py").read_text())) == set(FP_KERNEL_PARTS)
+    lines = (SRC / "matrices.py").read_text().splitlines()
+    for caller in UNIT_ROW_SCAN_CALLERS:
+        assert any(UNIT_ROW_SCAN.search(lines[k - 1]) for _, k in _lines_of("matrices.py", caller))
     assert set(BASIS_MAP_PARTS.findall((SRC / "matrices.py").read_text())) == {"unit_cols", "_basis_map"}
 
 
@@ -105,6 +115,11 @@ def test_basis_map_parts_only_in_matrices():
 
 def test_fp_kernel_parts_only_inside_rref_fp():
     assert _offences(FP_KERNEL, _lines_of("matrices.py", "_rref_fp")) == []
+
+
+def test_unit_row_scan_only_where_it_routes_or_reads_off():
+    allowed = set().union(*(_lines_of("matrices.py", caller) for caller in UNIT_ROW_SCAN_CALLERS))
+    assert _offences(UNIT_ROW_SCAN, allowed) == []
 
 
 def test_homology_imports_no_private_matrices_name():
@@ -138,5 +153,5 @@ def _reachable(name, function):
 def test_q_elimination_reaches_no_fp_kernel_part():
     q_path = _reachable("matrices.py", "_echelon_q")
     assert "_gauss_jordan" in q_path  # the walk sees the Q kernel itself
-    assert q_path.isdisjoint({"_rref_fp", *FP_KERNEL_PARTS})
-    assert set(FP_KERNEL_PARTS) <= _reachable("matrices.py", "_rref_fp")
+    assert q_path.isdisjoint({"_rref_fp", "_unit_row_scan", *FP_KERNEL_PARTS})
+    assert {"_unit_row_scan", *FP_KERNEL_PARTS} <= _reachable("matrices.py", "_rref_fp")

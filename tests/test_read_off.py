@@ -66,12 +66,36 @@ def _loop_left_kernel(m):
 
 
 @contextlib.contextmanager
-def _no_elimination():
-    """Fail on any call of the unit-row pass, the pivot loop or the null rows."""
-    with contextlib.ExitStack() as stack:
-        for name in ("_peel_unit_rows", "_pivot_loop", "_null_rows"):
-            stack.enter_context(mock.patch.object(matrices, name, side_effect=AssertionError(name)))
+def _routes(on_pass, on_loop):
+    """Patch the F_p elimination so that on_pass(A) hears of every _rref_fp
+    input A that takes the unit-row pass (a second level is entered under
+    it) and on_loop(A) of every pivot loop input."""
+    rref, loop, inputs = matrices._rref_fp, matrices._pivot_loop, []
+
+    def level(A, p):
+        if inputs:
+            on_pass(inputs[-1])
+        inputs.append(A)
+        try:
+            return rref(A, p)
+        finally:
+            inputs.pop()
+
+    def pivot_loop(A, p):
+        on_loop(A)
+        return loop(A, p)
+
+    with mock.patch.object(matrices, "_rref_fp", level), mock.patch.object(matrices, "_pivot_loop", pivot_loop):
         yield
+
+
+@contextlib.contextmanager
+def _no_elimination():
+    """Fail on the unit-row pass, the pivot loop or the null rows."""
+    with _routes(mock.Mock(side_effect=AssertionError("unit-row pass")),
+                 mock.Mock(side_effect=AssertionError("_pivot_loop"))):
+        with mock.patch.object(matrices, "_null_rows", side_effect=AssertionError("_null_rows")):
+            yield
 
 
 def _same(got, data, pivots):
@@ -152,18 +176,9 @@ def test_cli_routes_no_one_nonzero_stack_to_the_pivot_loop(tmp_path, spec):
     # the cli-oi recipe: OI corpus presentations at horizon 9, in-process
     # cli.main; every stack with one nonzero per row is read off first
     cat, field = make_category("oi"), parse_field(spec)
-    seen = {"_peel_unit_rows": [], "_pivot_loop": []}
-    originals = {name: getattr(matrices, name) for name in seen}
-
-    def spy(name):
-        def call(A, *rest):
-            seen[name].append(_one_per_row(A))
-            return originals[name](A, *rest)
-        return call
-
-    with contextlib.ExitStack() as stack:
-        for name in seen:
-            stack.enter_context(mock.patch.object(matrices, name, spy(name)))
+    seen = {"unit-row pass": [], "_pivot_loop": []}
+    with _routes(lambda A: seen["unit-row pass"].append(_one_per_row(A)),
+                 lambda A: seen["_pivot_loop"].append(_one_per_row(A))):
         for seed in range(1, 7):
             path = tmp_path / f"s{seed}.pres"
             pres = sample_presentation(cat, field, seed, FUZZ_PROFILE)
@@ -172,4 +187,4 @@ def test_cli_routes_no_one_nonzero_stack_to_the_pivot_loop(tmp_path, spec):
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(["--format", "json", command[0], str(path), *command[1:]]) in (0, 2)
     assert seen["_pivot_loop"]  # the guard watched something
-    assert True not in seen["_peel_unit_rows"] and True not in seen["_pivot_loop"]
+    assert True not in seen["unit-row pass"] and True not in seen["_pivot_loop"]
