@@ -54,6 +54,14 @@ class Relation:
         return PresentationError(message, self.line, col)
 
 
+def _check_name(name: str, line: int = 0, col: int = 0) -> None:
+    """Refuse a generator name that no rel term can name: '+' ends a term,
+    the last '@' starts the name, '#' a comment, whitespace splits a line."""
+    if not name or any(c in "+@#" or c.isspace() for c in name):
+        raise PresentationError(
+            f"generator name {name!r} is empty or holds whitespace, '+', '@' or '#'", line, col)
+
+
 @dataclass(frozen=True)
 class Presentation:
     generators: tuple  # (name, degree)
@@ -63,6 +71,8 @@ class Presentation:
         names = [n for n, _ in self.generators]
         if len(set(names)) != len(names):
             raise PresentationError("duplicate generator names")
+        for name in names:
+            _check_name(name)
         for _, d in self.generators:
             if d < 0:
                 raise PresentationError("negative generator degree")
@@ -164,6 +174,7 @@ def parse_presentation_text(text: str):
             name = parts[1]
             if name in gen_index:
                 raise PresentationError(f"duplicate generator {name!r}", ln, 5)
+            _check_name(name, ln, line.index(name, 3) + 1)
             col = len(line) - len(parts[3]) + 1
             try:
                 deg = int(parts[3])

@@ -20,8 +20,6 @@ truncating.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import groupby
-from operator import attrgetter
 
 from .matrices import Mat
 from .trunc import (
@@ -206,50 +204,26 @@ def annihilator_oracle(V: TruncatedModule, n: int) -> OracleResult:
     C(s, s+n).  For OI/OI_G it is the joint kernel of the n-th power of the
     ideal generated by the witnesses: all alpha: s -> t (t <= horizon) with
     first image point > n, every label; for s = 0 all maps with t >= n.
+
+    One morphism at a time, a left kernel only when alpha acts nonzero on
+    the joint kernel J so far: each shrinks J, so degree s takes at most
+    dims[s] of them, and no alpha is acted on once J is empty.
     """
     if n < 1:
         raise ValueError("oracle needs n >= 1")
-    cat = V.cat
-    h = V.horizon
-    valid = h - n
+    valid = V.horizon - n
     bases = []
     for s in range(valid + 1):
         J = Mat.identity(V.field, V.dims[s])  # a canonical basis already
-        # one left kernel per chunk of the morphisms s -> t into one target
-        # degree t: of their side-by-side actions, restricted to the current
-        # joint kernel J.  The first chunk has just enough columns to empty
-        # J; once J outlives a chunk, chunks are wide enough to pay for their
-        # kernel, and a small module takes one per target degree.
-        wide = False
-        for _, group in groupby(_oracle_morphisms(cat, s, n, h), key=attrgetter("dst")):
-            while J.nrows:
-                width = max(J.nrows, _CHUNK_ENTRIES // J.nrows) if wide else J.nrows
-                acts = _oracle_chunk(V, group, width)
-                if not acts:
+        for alpha in _oracle_morphisms(V.cat, s, n, V.horizon) if J.nrows else ():
+            A = V.act(alpha)
+            JA = A if J.nrows == V.dims[s] else J @ A  # J is still the identity
+            if not JA.is_zero():
+                J = (JA.left_kernel() @ J).row_basis()
+                if not J.nrows:  # draw nothing more: a hom set is built when drawn
                     break
-                A = acts[0] if len(acts) == 1 else Mat.hstack(acts)
-                X = (J @ A).left_kernel()
-                J = (X @ J).row_basis()
-                wide = True
-            if J.nrows == 0:  # before groupby skips the rest of this group
-                break
         bases.append(J)
     return OracleResult(bases, valid)
-
-
-# entries of J @ chunk that pay for one left kernel of it
-_CHUNK_ENTRIES = 1 << 14
-
-
-def _oracle_chunk(V: TruncatedModule, alphas, width: int) -> list:
-    """Actions of the next alphas, taken lazily until they have width columns."""
-    acts, cols = [], 0
-    for alpha in alphas:
-        acts.append(V.act(alpha))
-        cols += acts[-1].ncols
-        if cols >= width:
-            break
-    return acts
 
 
 def _oracle_morphisms(cat, s: int, n: int, h: int):

@@ -251,7 +251,7 @@ def quotient_by(V: TruncatedModule, rows_per_degree):
         rows = rows_per_degree[g.src]
         if rows.nrows:  # else nothing is divided at g.src and AP is the induced action
             if not (rows @ AP).is_zero():
-                raise ValueError(f"induced action of {g} not well defined")
+                raise InvariantViolation(f"induced action of {g} not well defined")
             AP = AP.take_rows(frees[g.src])
         gens[g] = AP
     Q = TruncatedModule(V.cat, V.field, h, [len(f) for f in frees], gens)

@@ -15,6 +15,8 @@ generators, one per step.  non_functorial() is a module no presentation
 can give, for the checks that guard against one.
 
 un_chain stops where the chain stabilizes; continued() extends its steps.
+spy_oracle() wraps annihilator_oracle, also as the one the CLI calls, and
+records the work of each call: left kernels per degree and products.
 commutation_defect() checks a ModuleMap against the actions; direct_sum() adds two modules.
 
 The module constructions of trunc act one (src, dst) group of generators at
@@ -29,15 +31,17 @@ group tables.
 
 import contextlib
 import itertools
+from collections import Counter
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
-from catrep import homology
+from catrep import cli, homology, shift
 from catrep.category import make_category
 from catrep.fields import parse_field
 from catrep.matrices import Mat
-from catrep.trunc import ModuleMap, TruncatedModule, end_closure, truncate
+from catrep.trunc import InvariantViolation, ModuleMap, TruncatedModule, end_closure, truncate
 
 
 def resolution_tor(V, depth):
@@ -172,6 +176,48 @@ def padded():
         yield repeated
 
 
+def spy_oracle(monkeypatch):
+    """(oracle, calls): annihilator_oracle, patched in as the CLI's too, that
+    appends to calls one record (V, n, kernels, products) per call.  kernels
+    counts the left kernels taken by the degree s of the morphism last acted
+    on; products counts the products formed outside V.act."""
+    calls, acting = [], []
+    act, left_kernel, matmul = TruncatedModule.act, Mat.left_kernel, Mat.__matmul__
+
+    def act_spy(self, alpha):
+        acting.append(alpha.src)
+        try:
+            return act(self, alpha)
+        finally:
+            acting.pop()
+            if calls:
+                calls[-1].degree = alpha.src
+
+    def kernel_spy(self):
+        if calls and calls[-1].running:
+            calls[-1].kernels[calls[-1].degree] += 1
+        return left_kernel(self)
+
+    def matmul_spy(self, other):
+        if calls and calls[-1].running and not acting:
+            calls[-1].products += 1
+        return matmul(self, other)
+
+    def oracle(V, n):
+        calls.append(SimpleNamespace(V=V, n=n, kernels=Counter(), products=0,
+                                     degree=None, running=True))
+        try:
+            return shift.annihilator_oracle(V, n)
+        finally:
+            calls[-1].running = False
+
+    monkeypatch.setattr(TruncatedModule, "act", act_spy)
+    monkeypatch.setattr(Mat, "left_kernel", kernel_spy)
+    monkeypatch.setattr(Mat, "__matmul__", matmul_spy)
+    monkeypatch.setattr(cli, "annihilator_oracle", oracle)
+    return oracle, calls
+
+
 def continued(chain, max_steps):
     """(bases, valid_horizons) of chain, continued to max_steps steps.
 
@@ -219,7 +265,7 @@ def quotient_by(V, rows_per_degree):
     for g in V.cat.generators(h):
         AP = V.gens[g] @ pairs[g.dst][1]
         if not (rows_per_degree[g.src] @ AP).is_zero():
-            raise ValueError(f"induced action of {g} not well defined")
+            raise InvariantViolation(f"induced action of {g} not well defined")
         gens[g] = AP.take_rows(pairs[g.src][0])
     Q = TruncatedModule(V.cat, V.field, h, [len(free) for free, _ in pairs], gens)
     return Q, ModuleMap(truncate(V, h), Q, [P for _, P in pairs])

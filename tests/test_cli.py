@@ -7,13 +7,14 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catrep import category, cli, matrices, shift
+from catrep import category, cli, matrices, presentations, shift
 from catrep.category import make_category
 from catrep.cli import main
 from catrep.corpus import FUZZ_PROFILE, sample_presentation
@@ -23,7 +24,7 @@ from catrep.matrices import Mat, NotInSpan
 from catrep.presentations import emit_presentation_text
 from catrep.reports import make_report, to_json
 from catrep.shift import un_chain
-from seams import non_functorial
+from seams import non_functorial, spy_oracle
 
 TORSION = """catrep-presentation v1
 category oi
@@ -219,30 +220,21 @@ def test_oracle(files, capsys):
     assert "[PASS]" in out
 
 
-def test_oracle_takes_one_left_kernel_per_target_degree(files, capsys, monkeypatch):
-    # counts the left kernels taken inside the oracle, not those of the chain
-    targets, kernels, inside = [], [], []
-    oracle, left_kernel = shift.annihilator_oracle, Mat.left_kernel
-
-    def oracle_spy(V, n):
-        targets.append(len({(s, alpha.dst) for s in range(V.horizon - n + 1)
-                            for alpha in shift._oracle_morphisms(V.cat, s, n, V.horizon)}))
-        inside.append(n)
-        try:
-            return oracle(V, n)
-        finally:
-            inside.pop()
-
-    def kernel_spy(self):
-        if inside:
-            kernels.append(self.shape)
-        return left_kernel(self)
-
-    monkeypatch.setattr(cli, "annihilator_oracle", oracle_spy)
-    monkeypatch.setattr(Mat, "left_kernel", kernel_spy)
+def test_oracle_takes_a_left_kernel_only_where_the_joint_kernel_shrinks(files, capsys, monkeypatch):
+    # counts the work inside the oracle, not that of the chain.  The torsion
+    # file is all torsion, so J stays all of V_s: no left kernel and no product
+    _, calls = spy_oracle(monkeypatch)
     code, out, _ = run(capsys, "oracle", files["torsion"])
     assert code == 0 and "[PASS]" in out
-    assert targets and 0 < len(kernels) <= sum(targets)
+    assert calls and all((call.kernels, call.products) == (Counter(), 0) for call in calls)
+    # torsion-free M(1): one per nonzero degree, which empties J
+    calls.clear()
+    code, out, _ = run(capsys, "oracle", files["M1"])
+    assert code == 0 and "[PASS]" in out
+    for call in calls:
+        nonzero = [s for s, d in enumerate(call.V.dims[: call.V.horizon - call.n + 1]) if d]
+        assert call.kernels == Counter(dict.fromkeys(nonzero, 1))
+    assert calls
 
 
 def test_oracle_and_fuzz_name_the_first_mismatching_degree(files, capsys, monkeypatch):
@@ -493,6 +485,14 @@ def test_exit_codes(files, capsys, monkeypatch, tmp_path):
         code, _, err = run(capsys, "shift", files["torsion"])
     assert code == cli.EXIT_VIOLATION
     assert err == "violation: row outside the span of the basis\n"
+    # or when a quotient by such a family has no well-defined action: here
+    # the relation rows of a file, left unclosed
+    with monkeypatch.context() as m:
+        m.setattr(presentations, "module_closure_of_rows", lambda V, seeds: [
+            seeds.get(t, Mat.zeros(V.field, 0, V.dims[t])) for t in range(V.horizon + 1)])
+        code, _, err = run(capsys, "info", files["torsion"])
+    assert code == cli.EXIT_VIOLATION
+    assert err == "violation: induced action of 2->3:[1,2] not well defined\n"
     # 4: a bare assertion is a bug in the program, not a counterexample
     with monkeypatch.context() as m:
         m.setattr(cli, "tor_groups", _raises(AssertionError("broken")))

@@ -110,6 +110,35 @@ def test_validation_rejects_mismatched_terms():
         from_presentation(OI, F101, pres, 5)
 
 
+def _one_relation(name):
+    """name in degree 1 over OI, killed by 1 -> 2:[2]."""
+    return Presentation(((name, 1),), (Relation(2, ((1, Morphism(1, 2, (2,)), 0),)),))
+
+
+@pytest.mark.parametrize("name", ["u+v", "u@v", "", "u v", "u\tv", "u#v"])
+def test_validation_rejects_names_no_relation_can_reference(name):
+    # emitted, each would read back as another generator, or not at all
+    with pytest.raises(PresentationError, match="generator name"):
+        from_presentation(OI, F101, _one_relation(name), 5)
+
+
+@pytest.mark.parametrize("name", ["u+v", "u@v"])
+def test_gen_line_rejects_plus_and_at_in_the_name(name):
+    with pytest.raises(PresentationError, match="generator name") as exc:
+        parse_presentation_text(TORSION.replace("gen u deg 1", f"gen  {name} deg 1"))
+    assert (exc.value.line, exc.value.col) == (6, 6)
+
+
+@pytest.mark.parametrize("name", ["u,v", "u:v", "a*b"])
+def test_names_with_other_grammar_characters_round_trip(name):
+    pres = _one_relation(name)
+    module, _ = from_presentation(OI, F101, pres, 5)
+    header, pres2 = parse_presentation_text(emit_presentation_text(OI, F101, 5, pres))
+    assert pres2.generators == pres.generators
+    module2 = build_module(header, pres2)[3]
+    assert (module2.dims, module2.gens) == (module.dims, module.gens)
+
+
 def test_rational_coefficients():
     text = """catrep-presentation v1
 category oi

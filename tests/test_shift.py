@@ -4,7 +4,6 @@ from collections import Counter
 
 import pytest
 
-from catrep import shift
 from catrep.category import Morphism, make_category
 from catrep.corpus import sample_presentation
 from catrep.fields import QQ, parse_field
@@ -30,7 +29,7 @@ from catrep.trunc import (
     truncate,
     zero_module,
 )
-from seams import commutation_defect, continued, direct_sum
+from seams import commutation_defect, continued, direct_sum, spy_oracle
 
 F2 = parse_field("fp:2")
 F101 = parse_field("fp:101")
@@ -258,7 +257,7 @@ def test_oracle_equals_chain_on_seeded_modules():
 
 
 def _oracle_by_morphism(V, n):
-    """Reference: one left kernel per morphism instead of one per target degree."""
+    """Reference: one left kernel per morphism, zero or not."""
     bases = []
     for s in range(V.horizon - n + 1):
         J = Mat.identity(V.field, V.dims[s]).row_basis()
@@ -274,14 +273,18 @@ def _oracle_by_morphism(V, n):
 @pytest.mark.parametrize("field", [F2, F101, QQ], ids=lambda f: f.name)
 @pytest.mark.parametrize("cat", [FI, OI, make_category("fi_g", 2), make_category("oi_g", 3)],
                          ids=lambda c: c.kind)
-@pytest.mark.parametrize("chunk_entries", [shift._CHUNK_ENTRIES, 1], ids=["default", "narrow"])
-def test_oracle_matches_the_per_morphism_loop(cat, field, chunk_entries, monkeypatch):
-    # narrow chunks: each holds just enough columns to empty J, so groups split
-    monkeypatch.setattr(shift, "_CHUNK_ENTRIES", chunk_entries)
+def test_oracle_matches_the_per_morphism_loop(cat, field, monkeypatch):
+    # and each left kernel it takes shrinks the joint kernel J, so degree s
+    # takes at most dims[s] of them, and no more than J loses
+    oracle, calls = spy_oracle(monkeypatch)
     for seed in range(1, 5):
         V, _ = from_presentation(cat, field, sample_presentation(cat, field, seed), 4)
         for n in range(1, 4):
-            assert annihilator_oracle(V, n).bases == _oracle_by_morphism(V, n), (seed, n)
+            bases = oracle(V, n).bases
+            assert bases == _oracle_by_morphism(V, n), (seed, n)
+            kernels = calls[-1].kernels
+            assert all(kernels[s] <= V.dims[s] - b.nrows for s, b in enumerate(bases)), (seed, n)
+    assert any(call.kernels for call in calls)
 
 
 def oi_all_torsion(horizon=5):
@@ -291,28 +294,30 @@ def oi_all_torsion(horizon=5):
     return from_presentation(OI, F101, pres, horizon)[0]
 
 
-def test_oracle_takes_one_left_kernel_per_target_degree(monkeypatch):
-    calls = []
-    original = Mat.left_kernel
-    monkeypatch.setattr(Mat, "left_kernel", lambda self: calls.append(self.shape) or original(self))
-    # torsion-free: the joint kernel is empty after the first target degree
-    M = free_module(OI, F101, 1, 5)
+@pytest.mark.parametrize("cat", [FI, OI], ids=lambda c: c.kind)
+def test_torsion_free_m1_takes_one_left_kernel_per_nonzero_degree(cat, monkeypatch):
+    # the first morphism acts injectively on J = V_s, which empties J; the
+    # one product is X @ J of that step, and no J @ A runs on the identity
+    oracle, calls = spy_oracle(monkeypatch)
+    M = free_module(cat, F101, 1, 5)
     for n in (1, 2):
-        calls.clear()
-        bases = annihilator_oracle(M, n).bases
+        bases = oracle(M, n).bases
         assert all(b.nrows == 0 for b in bases)
-        assert len(calls) == sum(1 for d in M.dims[: len(bases)] if d)
+        nonzero = [s for s, d in enumerate(M.dims[: len(bases)]) if d]
+        assert calls[-1].kernels == Counter(dict.fromkeys(nonzero, 1))
+        assert calls[-1].products == len(nonzero)
         assert bases == _oracle_by_morphism(M, n)
-    # torsion: the joint kernel is all of V_s, so every target degree is visited
+
+
+def test_all_torsion_takes_no_left_kernel_and_no_product(monkeypatch):
+    # the joint kernel stays all of V_s, so every action is read as it is
+    oracle, calls = spy_oracle(monkeypatch)
     T = oi_all_torsion()
     assert T.dims == [1] * 6
     for n in (1, 2):
-        calls.clear()
-        bases = annihilator_oracle(T, n).bases
+        bases = oracle(T, n).bases
         assert [b.nrows for b in bases] == T.dims[: len(bases)]
-        targets = {(s, alpha.dst) for s in range(len(bases))
-                   for alpha in _oracle_morphisms(OI, s, n, T.horizon)}
-        assert len(calls) == len(targets)
+        assert (calls[-1].kernels, calls[-1].products) == (Counter(), 0)
         assert bases == _oracle_by_morphism(T, n)
 
 

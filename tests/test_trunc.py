@@ -11,6 +11,7 @@ from catrep.fields import QQ, parse_field
 from catrep.matrices import Mat
 from catrep.presentations import Presentation, Relation, from_presentation
 from catrep.trunc import (
+    InvariantViolation,
     ModuleMap,
     TruncatedModule,
     end_closure,
@@ -256,7 +257,7 @@ def test_quotient_rejects_unstable_rows():
     M = free_module(OI, F101, 1, 3)
     rows = [Mat.zeros(F101, 0, d) for d in M.dims]
     rows[1] = Mat.identity(F101, M.dims[1])
-    with pytest.raises(ValueError, match="not well defined"):
+    with pytest.raises(InvariantViolation, match="not well defined"):
         quotient_by(M, rows)
 
 
