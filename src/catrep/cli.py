@@ -232,11 +232,11 @@ def _cmd_shift(args):
     return cfg, [
         dims_item("V", module.dims, module.horizon),
         dims_item("SV", seq.SV.dims, seq.SV.horizon),
-        dims_item("KV", seq.KV.dims, seq.KV.horizon),
+        dims_item("KV", seq.kv_dims, seq.SV.horizon),
         dims_item("DV", seq.DV.dims, seq.DV.horizon),
         check_item("key-sequence-exact", "pass",
                    "alternating dim sum vanishes at every valid degree"),
-        value_item("mu-injective", not any(seq.KV.dims), seq.KV.horizon),
+        value_item("mu-injective", not any(seq.kv_dims), seq.SV.horizon),
     ]
 
 

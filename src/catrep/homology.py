@@ -202,8 +202,10 @@ def _faces(n: int, i: int):
 def _row_entries(m: Mat):
     """(rows of m, rows of -m), each row the list of (column, value) of its nonzeros."""
     rr, cc = np.nonzero(m.data)
+    vals = m.data[rr, cc]
+    negs = Mat(m.field, 1, len(vals), vals[None, :]).scale(-1).data[0]  # only the nonzeros
     pos, neg = [[] for _ in range(m.nrows)], [[] for _ in range(m.nrows)]
-    for r, c, v, w in zip(rr.tolist(), cc.tolist(), m.data[rr, cc].tolist(), m.scale(-1).data[rr, cc].tolist()):
+    for r, c, v, w in zip(rr.tolist(), cc.tolist(), vals.tolist(), negs.tolist()):
         pos[r].append((c, v))
         neg[r].append((c, w))
     return pos, neg
@@ -521,7 +523,7 @@ def verify_theorems(V: TruncatedModule, depth: int, s_bound: int = 3,
     support_top = top_degree(V.dims)
     values = SimpleNamespace(
         h=h, w=w, depth=depth, big_n=big_n, support_top=support_top,
-        reg_sm=hypothesis_ok, mu_injective=not any(seq.KV.dims), finite_support=support_top < h,
+        reg_sm=hypothesis_ok, mu_injective=not any(seq.kv_dims), finite_support=support_top < h,
         gd_v=hd_v[0], gd_sv=hd_sv[0], gd_dv=hd_dv[0], hd_v=hd_v, hd_sv=hd_sv, hd_dv=hd_dv,
         reg_v=rep_v.reg, reg_sv=rep_sv.reg, reg_dv=rep_dv.reg,
     )

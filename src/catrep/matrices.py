@@ -656,13 +656,13 @@ class Mat:
         """The products self @ m, m in the list maps (not empty), row by row:
         row i k + j is row i of self @ maps[j].
 
-        That is [self @ maps[0] | self @ maps[1] | ...] read k rows to a row
-        of it, and when every m is a basis map one column scatter builds it.
+        That is self @ [maps[0] | maps[1] | ...] read k rows to a row of it:
+        one product, or one column scatter when every m is a basis map.
         """
         k, n, ncols = len(maps), self.nrows, maps[0].ncols
         cols = _column_table(maps, (self.ncols, ncols), self.field)
         if cols is None:
-            out = Mat.hstack([self @ m for m in maps]).data
+            out = (self @ Mat.hstack(maps)).data
         else:
             out = np.zeros((n, k, ncols), dtype=self.data.dtype)
             out[:, np.arange(k)[:, None], cols] = self.data[:, None, :]

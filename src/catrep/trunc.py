@@ -27,9 +27,10 @@ data above what they were given; operations that consume a degree (shift,
 kernels of mu, ...) return modules with a strictly smaller horizon.
 
 Submodules are families of row spaces.  A kernel carries its inclusion
-(submodule_from_rows); a quotient takes any rows spanning an action-stable
-family and is coordinatised by the non-pivot columns of its canonical
-echelon basis (quotient_by), so neither a complement nor an inverse is built.
+(submodule_from_rows), or only its dims (kernel_dims); a quotient takes any
+rows spanning an action-stable family and is coordinatised by the non-pivot
+columns of its canonical echelon basis (quotient_by), so neither a
+complement nor an inverse is built.
 """
 
 from __future__ import annotations
@@ -224,6 +225,19 @@ def kernel_of_map(f: ModuleMap):
     h = f.horizon
     rows = [f.mats[t].left_kernel() for t in range(h + 1)]
     return submodule_from_rows(f.domain, rows, horizon=h)
+
+
+def kernel_dims(f: ModuleMap) -> list:
+    """dim ker f_t per degree, with no induced action, module or inclusion.
+
+    Raises InvariantViolation unless the kernels K_t are stable under the
+    stored generators, which kernel_of_map's express_rows certifies: per
+    (r, t) group, one product K_r.push(group) @ f_t must be zero."""
+    V, K = f.domain, [m.left_kernel() for m in f.mats]
+    for (r, t), group in V.cat.generator_groups(f.horizon):
+        if K[r].nrows and not (K[r].push([V.gens[g] for g in group]) @ f.mats[t]).is_zero():
+            raise InvariantViolation(f"kernel not stable under the generators {r} -> {t}")
+    return [k.nrows for k in K]
 
 
 def quotient_by(V: TruncatedModule, rows_per_degree):

@@ -12,7 +12,8 @@ padded() patches the name resolve looks up in catrep.homology so that the
 first greedy generator is repeated at every step: a non-minimal resolution
 that must give the same Tor.  It yields the list of repeated (degree, row)
 generators, one per step.  non_functorial() is a module no presentation
-can give, for the checks that guard against one.
+can give, for the checks that guard against one, and so is unstable_mu(),
+whose ker mu is not action-stable.
 
 un_chain stops where the chain stabilizes; continued() extends its steps.
 spy_oracle() wraps annihilator_oracle, also as the one the CLI calls, and
@@ -41,7 +42,7 @@ from catrep import cli, homology, shift
 from catrep.category import make_category
 from catrep.fields import parse_field
 from catrep.matrices import Mat
-from catrep.trunc import InvariantViolation, ModuleMap, TruncatedModule, end_closure, truncate
+from catrep.trunc import InvariantViolation, ModuleMap, TruncatedModule, end_closure, free_module, truncate
 
 
 def resolution_tor(V, depth):
@@ -160,6 +161,17 @@ def non_functorial():
     scalars = {oi._skip_map(0, 1): 1, oi._skip_map(1, 1): 2, oi._skip_map(1, 2): 3}
     gens = {g: Mat.from_rows(field, [[scalars[g]]]) for g in oi.generators(2)}
     return TruncatedModule(oi, field, 2, [1, 1, 1], gens)
+
+
+def unstable_mu():
+    """OI/F_101 M(1) at horizon 3 with the witness 1 -> 2 acting by zero: ker mu
+    is all of V_1 there, which the other skip map 1 -> 2 sends outside
+    ker mu_2 = 0."""
+    oi, field = make_category("oi"), parse_field("fp:101")
+    V = free_module(oi, field, 1, 3)
+    w = oi.mu_witness(1)
+    gens = {**V.gens, w: Mat.zeros(field, *V.gens[w].shape)}
+    return TruncatedModule(oi, field, 3, V.dims, gens)
 
 
 @contextlib.contextmanager

@@ -161,7 +161,7 @@ def test_criterion_05_counterexample_reproduction():
     assert V.dims[:6] == [0, 1, 1, 1, 1, 1]
     seq = derive(V)
     assert all(m.is_zero() for m in seq.mu.mats)
-    assert seq.KV.dims == V.dims[:6]
+    assert seq.kv_dims == V.dims[:6]
     M0 = free_module(oi, fp, 0, seq.DV.horizon)
     assert seq.DV.dims == M0.dims
     probe = sd_commutation_probe(V)

@@ -24,7 +24,7 @@ from catrep.matrices import Mat, NotInSpan
 from catrep.presentations import emit_presentation_text
 from catrep.reports import make_report, to_json
 from catrep.shift import un_chain
-from seams import non_functorial, spy_oracle
+from seams import non_functorial, spy_oracle, unstable_mu
 
 TORSION = """catrep-presentation v1
 category oi
@@ -479,12 +479,20 @@ def test_exit_codes(files, capsys, monkeypatch, tmp_path):
         m.setattr(cli, "tor_groups", _raises(VerificationViolation("lemma")))
         assert run(capsys, "homology", files["torsion"])[0] == 3
     # 3 also when a family the program built is not action-stable: a row
-    # falls outside the span it is expressed in
+    # falls outside the span it is expressed in (V_sin, built by sin_reg)
     with monkeypatch.context() as m:
         m.setattr(Mat, "express_rows", _raises(NotInSpan("row outside the span of the basis")))
-        code, _, err = run(capsys, "shift", files["torsion"])
+        code, _, err = run(capsys, "decompose", files["torsion"])
     assert code == cli.EXIT_VIOLATION
     assert err == "violation: row outside the span of the basis\n"
+    # or when ker mu is not stable under the generators, which shift checks
+    # with no submodule built: here a witness acts by zero
+    V = unstable_mu()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_module", lambda *a, **k: (V.cat, V.field, V.horizon, V))
+        code, _, err = run(capsys, "shift", files["torsion"])
+    assert code == cli.EXIT_VIOLATION
+    assert err == "violation: kernel not stable under the generators 1 -> 2\n"
     # or when a quotient by such a family has no well-defined action: here
     # the relation rows of a file, left unclosed
     with monkeypatch.context() as m:

@@ -9,7 +9,9 @@ from catrep.corpus import sample_presentation
 from catrep.fields import QQ, parse_field
 from catrep.matrices import Mat
 from catrep.presentations import Presentation, Relation, from_presentation
+from catrep import shift, trunc
 from catrep.shift import (
+    ChainState,
     HorizonExhausted,
     _oracle_morphisms,
     annihilator_oracle,
@@ -20,16 +22,19 @@ from catrep.shift import (
     sin_reg,
     un_chain,
 )
+from catrep.matrices import NotInSpan
 from catrep.trunc import (
+    InvariantViolation,
     free_module,
     generating_degree,
+    kernel_dims,
     kernel_of_map,
     quotient_by,
     submodule_from_rows,
     truncate,
     zero_module,
 )
-from seams import commutation_defect, continued, direct_sum, spy_oracle
+from seams import commutation_defect, continued, direct_sum, spy_oracle, unstable_mu
 
 F2 = parse_field("fp:2")
 F101 = parse_field("fp:101")
@@ -102,7 +107,7 @@ def test_derive_torsion_counterexample():
     V = oi_torsion()
     seq = derive(V)
     assert all(m.is_zero() for m in seq.mu.mats)
-    assert seq.KV.dims == V.dims[:6]
+    assert seq.kv_dims == V.dims[:6]
     assert seq.SV.dims == [1] * 6
     assert seq.DV.dims == [1] * 6  # DV = SV isomorphic to M(0)
     assert seq.euler_defects() == [0] * 6
@@ -417,3 +422,66 @@ def test_key_sequence_euler_on_seeded_modules():
             V, _ = from_presentation(cat, F101, pres, 5)
             seq = derive(V)  # raises if the alternating sum breaks
             assert seq.euler_defects() == [0] * (V.horizon)
+
+
+@pytest.mark.parametrize("field", [F2, F101, QQ], ids=lambda f: f.name)
+@pytest.mark.parametrize("cat", [FI, OI, make_category("fi_g", 2), make_category("oi_g", 3)],
+                         ids=lambda c: c.kind)
+def test_kernel_dims_match_the_kernel_module(cat, field, monkeypatch):
+    # derive's KV and sin_reg's K(V_reg) are dims only; kernel_of_map builds
+    # the kernel module they would have been read off
+    seen = []
+    monkeypatch.setattr(shift, "kernel_dims", lambda f: seen.append((f, kernel_dims(f))) or seen[-1][1])
+    for seed in range(1, 6):
+        V, _ = from_presentation(cat, field, sample_presentation(cat, field, seed), 4)
+        assert derive(V).kv_dims == seen[-1][1]
+        chain = un_chain(V, V.horizon)
+        if chain.status == "stabilized":
+            reg = sin_reg(chain).reg
+            if reg.horizon >= 0:
+                assert seen[-1][0].domain is reg
+    assert len(seen) > 5
+    for f, dims in seen:
+        assert dims == kernel_of_map(f)[0].dims, (cat.kind, field.name)
+
+
+def test_unstable_kernel_is_refused_on_both_routes():
+    V = unstable_mu()
+    with pytest.raises(NotInSpan):
+        kernel_of_map(mu_map(V))  # the kernel module refuses it too
+    message = "kernel not stable under the generators 1 -> 2"
+    with pytest.raises(InvariantViolation, match=message):
+        derive(V)
+    # U^0 = 0 as the stabilized chain: V_reg is V itself
+    zero = [Mat.zeros(V.field, 0, d) for d in V.dims]
+    chain = ChainState(V, [zero], [V.horizon], stabilized_at=0, status="stabilized")
+    with pytest.raises(InvariantViolation, match=message):
+        sin_reg(chain)
+
+
+def test_dense_push_is_one_product_and_derive_builds_no_submodule(monkeypatch):
+    calls = Counter()
+
+    def spy(name, method):
+        def wrapped(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapped
+
+    for name in ("__matmul__", "express_rows", "push"):
+        monkeypatch.setattr(Mat, name, spy(name, getattr(Mat, name)))
+    for owner in (trunc, shift):
+        monkeypatch.setattr(owner, "submodule_from_rows", spy("submodule_from_rows", trunc.submodule_from_rows))
+    # a group of two basis maps and a dense one
+    dense = Mat.from_rows(F101, [[1, 2, 0], [0, 3, 4]], 3)
+    left = Mat.from_rows(F101, [[5, 6], [7, 8]], 2)
+    maps = [Mat.unit_rows(F101, [0, 2], 3), dense, Mat.unit_rows(F101, [1, 0], 3)]
+    calls.clear()
+    left.push(maps)
+    assert calls == {"push": 1, "__matmul__": 1}
+    # mu = 0 here, so KV = V and every group is pushed and checked
+    V = oi_torsion()
+    calls.clear()
+    assert derive(V).kv_dims == V.dims[:-1]
+    assert calls["push"] > 0
+    assert calls["express_rows"] == calls["submodule_from_rows"] == 0
